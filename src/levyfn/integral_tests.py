@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (
     NonPositiveStartError,
@@ -167,11 +167,12 @@ class TestVerdict:
         return self.verdict == DIVERGES
 
 
-def _panel(integrand, lo, hi) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, _ = quad(integrand, lo, hi, limit=200, epsabs=1e-300, epsrel=1e-10)
-    return val
+def _panel(integrand, lo, hi) -> tuple[float, float, int]:
+    """quad over [lo, hi]: value, error estimate and IntegrationWarning count."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val, abserr = quad(integrand, lo, hi, limit=200, epsabs=1e-300, epsrel=1e-10)
+    return val, abserr, sum(issubclass(w.category, IntegrationWarning) for w in caught)
 
 
 def improper_integral_verdict(integrand: Callable[[float], float],
@@ -197,13 +198,17 @@ def improper_integral_verdict(integrand: Callable[[float], float],
     probes: list[float] = []
     total = 0.0
     negligible = 0
+    max_rel_abserr = 0.0
+    quad_warnings = 0
     for k in range(doublings):
         if at_inf:
             lo, hi = base * 2.0**k, base * 2.0 ** (k + 1)
         else:
             lo, hi = base * 2.0 ** (-k - 1), base * 2.0 ** (-k)
         probes.append(integrand(math.sqrt(lo * hi)))
-        inc = _panel(integrand, lo, hi)
+        inc, abserr, n_warn = _panel(integrand, lo, hi)
+        max_rel_abserr = max(max_rel_abserr, abserr / max(abs(inc), 1e-300))
+        quad_warnings += n_warn
         increments.append(inc)
         total += inc
         if abs(inc) <= NEGLIGIBLE_REL * (abs(total) + 1e-300):
@@ -221,7 +226,8 @@ def improper_integral_verdict(integrand: Callable[[float], float],
     sign = math.copysign(1.0, total) if total != 0.0 else 1.0
 
     mags = [abs(v) for v in increments]
-    diag = {"panels": len(mags), "partial": total, "increments": mags[-(window + 1):]}
+    diag = {"panels": len(mags), "partial": total, "increments": mags[-(window + 1):],
+            "max_rel_abserr": max_rel_abserr, "quad_warnings": quad_warnings}
 
     if negligible >= 3 or all(m == 0.0 for m in mags[-window:]):
         diag["reason"] = "tail negligible"

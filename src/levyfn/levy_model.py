@@ -15,7 +15,15 @@ convex with psi(0) = 0, and for a non-monotone process psi(lam) -> +inf.
 
 All supported jump families admit closed forms for psi and psi'; a direct
 quadrature evaluation of the jump integral is kept alongside as an
-independent cross-check.  A high-precision (mpmath) evaluation path backs
+independent cross-check.
+
+The tempered-stable jump part, C*Gamma(-alpha)*((lam+q)**alpha - q**alpha -
+alpha*q**(alpha-1)*lam), is an O(lam**2) remainder of O(q**alpha) terms near
+lam = 0, so it is evaluated as K*(expm1(alpha*log1p(u)) - alpha*u) with
+u = lam/q and K = C*Gamma(-alpha)*q**alpha.  Its rounding error is then
+O(eps*lam) instead of O(eps*q**alpha), and psi keeps full relative accuracy
+down to lam ~ 1e-14 wherever psi'(0+) != 0, as the explosion test's
+integral near 0+ needs.  A high-precision (mpmath) evaluation path backs
 the numerical Laplace inversion in :mod:`levyfn.scale_fn`.
 """
 
@@ -24,11 +32,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import mpmath as mp
 from scipy.integrate import quad
+from scipy.special import exp1, gamma, gammaincc
 
 from .errors import (
     BracketNotFoundError,
@@ -159,6 +168,16 @@ def jump_small_variance(jumps: JumpSpec, eps: float) -> float:
     raise TypeError(f"unknown jump spec {jumps!r}")
 
 
+def _upper_gamma(s: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(s, x) for s in (-1, 1) and x > 0."""
+    if s > 0.0:
+        return float(gammaincc(s, x) * gamma(s))
+    if s == 0.0:
+        return float(exp1(x))
+    # Gamma(s, x) = (Gamma(s+1, x) - x**s e^-x) / s, with s + 1 in (0, 1)
+    return float(gammaincc(s + 1.0, x) * gamma(s + 1.0) - x**s * math.exp(-x)) / s
+
+
 # ---------------------------------------------------------------------------
 # The model
 # ---------------------------------------------------------------------------
@@ -208,11 +227,10 @@ class LevyModel:
             return {"kind": "cpexp", "beff": b + m01, "rho": rho, "mu": mu}
         if isinstance(j, TemperedStable):
             a, C, q = j.alpha, j.scale, j.tempering
-            tail_mean, _ = quad(lambda u: u * jump_density(j, u), 1.0, math.inf, limit=200)
-            beff = b - tail_mean
+            beff = b - C * q ** (a - 1.0) * _upper_gamma(1.0 - a, q)
             if a == 1.0:
                 return {"kind": "tempered1", "beff": beff, "C": C, "q": q}
-            return {"kind": "tempered", "beff": beff, "CG": C * math.gamma(-a),
+            return {"kind": "tempered", "beff": beff, "K": C * math.gamma(-a) * q**a,
                     "alpha": a, "q": q}
         raise TypeError(f"unknown jump spec {j!r}")
 
@@ -235,9 +253,9 @@ class LevyModel:
         elif kind == "cpexp":
             val = k["beff"] * lam + c * lam * lam - k["rho"] * lam / (lam + k["mu"])
         elif kind == "tempered":
-            a, q = k["alpha"], k["q"]
+            a, u = k["alpha"], lam / k["q"]
             val = (k["beff"] * lam + c * lam * lam
-                   + k["CG"] * ((lam + q) ** a - q**a - a * q ** (a - 1.0) * lam))
+                   + k["K"] * (math.expm1(a * math.log1p(u)) - a * u))
         else:  # tempered1
             q = k["q"]
             val = (k["beff"] * lam + c * lam * lam
@@ -270,7 +288,7 @@ class LevyModel:
         if kind == "tempered":
             a, q = k["alpha"], k["q"]
             return (k["beff"] + 2.0 * c * lam
-                    + k["CG"] * a * ((lam + q) ** (a - 1.0) - q ** (a - 1.0)))
+                    + k["K"] * a / q * math.expm1((a - 1.0) * math.log1p(lam / q)))
         # tempered1
         return k["beff"] + 2.0 * c * lam + k["C"] * math.log1p(lam / k["q"])
 
@@ -334,10 +352,15 @@ def validate(drift: float, gaussian: float, jumps: JumpSpec) -> LevyModel:
     """Validate a raw triplet and return an immutable model.
 
     Raises InvalidJumpIndexError for a stable index outside (0, 2),
-    NegativeGaussianError for c < 0, ValueError for other non-positive
-    parameters, and SubordinatorError when no probed lambda has
-    psi(lambda) > 0 (a monotone process).
+    NegativeGaussianError for c < 0, ValueError for non-finite or other
+    non-positive parameters, and SubordinatorError when no probed lambda
+    has psi(lambda) > 0 (a monotone process).
     """
+    params = {"drift": drift, "gaussian": gaussian,
+              **{f.name: getattr(jumps, f.name) for f in fields(jumps)}}
+    bad = [name for name, v in params.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite model parameters: {', '.join(bad)}")
     if isinstance(jumps, (StablePositive, TemperedStable)):
         if not 0.0 < jumps.alpha < 2.0:
             raise InvalidJumpIndexError(f"alpha={jumps.alpha} outside (0, 2)")
@@ -375,13 +398,16 @@ def model_from_dict(cfg: dict) -> LevyModel:
         gaussian = float(cfg["gaussian"])
         jcfg = dict(cfg["jumps"])
         family = jcfg.pop("family")
+        params = {k: float(v) for k, v in jcfg.items()}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model config: {exc}") from exc
     if family not in _FAMILY_TAGS:
         raise ValueError(f"unknown jump family {family!r}")
     cls = _FAMILY_TAGS[family]
-    jumps = cls(**{k: float(v) for k, v in jcfg.items()})
-    return validate(drift, gaussian, jumps)
+    expected = [f.name for f in fields(cls)]
+    if sorted(params) != sorted(expected):
+        raise ValueError(f"jump family {family!r} takes keys {expected}, got {sorted(params)}")
+    return validate(drift, gaussian, cls(**params))
 
 
 def model_to_dict(model: LevyModel) -> dict:

@@ -150,7 +150,6 @@ class ScaleEvaluator:
     model: LevyModel
     order: int = 14
     use_closed_form: bool = True
-    method: str = "stehfest"
     closed_form: Optional[str] = field(init=False, default=None)
     phi0: float = field(init=False, default=0.0)
     grid_x: np.ndarray = field(init=False, default=None)

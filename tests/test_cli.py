@@ -59,6 +59,27 @@ class TestClassify:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("cfg, needle", [
+        ({"drift": 0.2, "gaussian": 0.25,
+          "jumps": {"family": "cpexp", "rate": 2.0, "jump_mean": 0.5, "bogus": 1.0}},
+         "jump_mean"),
+        ({"drift": 0.2, "gaussian": 0.25, "jumps": {"family": "cpexp", "rate": 2.0}},
+         "jump_mean"),
+        ({"drift": "nan", "gaussian": 0.25, "jumps": {"family": "none"}}, "drift"),
+        ({"drift": 0.2, "gaussian": "inf", "jumps": {"family": "none"}}, "gaussian"),
+        ({"drift": 0.2, "gaussian": 0.1,
+          "jumps": {"family": "tempered", "alpha": 1.2, "scale": "nan", "tempering": 2.0}},
+         "scale"),
+    ])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, cfg, needle):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = main(["classify", "--model", str(bad), "--theta", "1.0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert needle in err
+
     def test_deterministic_output(self):
         _, a, _ = run_cli("classify", "--model", "bmup", "--theta", "0.7")
         _, b, _ = run_cli("classify", "--model", "bmup", "--theta", "0.7")

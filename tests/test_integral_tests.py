@@ -9,6 +9,7 @@ from levyfn import (
     AtZeroPlus,
     Generic,
     PowerLaw,
+    TemperedStable,
     brownian_model,
     builtin_model,
     classify_boundary,
@@ -167,6 +168,16 @@ class TestExplosion:
         assert v.value == pytest.approx(math.log(0.5), abs=1e-8)
         v = explosion_test(m, PowerLaw(1.0))
         assert v.diverges and v.value == -math.inf
+
+    def test_tempered_laplace_route_quadrature_is_clean(self):
+        # psi near 0+ must be accurate enough for quad to converge on every panel
+        m = validate(-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
+        v = explosion_test(m, PowerLaw(1.5))
+        assert v.diagnostics["route"] == "laplace_zero"
+        assert v.diagnostics["panels"] == 40
+        assert v.diagnostics["quad_warnings"] == 0
+        assert v.diagnostics["max_rel_abserr"] < 1e-10
+        assert v.converges
 
     def test_not_applicable_without_root(self):
         with pytest.raises(NotApplicableError):

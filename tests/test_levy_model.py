@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,7 @@ from levyfn.errors import (
     NonPositiveStartError,
     SubordinatorError,
 )
+from levyfn.levy_model import laplace_exponent_hp
 
 # scale making psi(lam) = lam^1.5: C = 1/Gamma(-1.5) = 3/(4 sqrt(pi))
 C15 = 3.0 / (4.0 * math.sqrt(math.pi))
@@ -139,6 +141,30 @@ class TestLaplaceExponent:
         p1, p2, p3 = (m.laplace_exponent(l) for l in (l1, l2, l3))
         interp = p1 + (p3 - p1) * (l2 - l1) / (l3 - l1)
         assert p2 < interp - 1e-12 * max(1.0, abs(p3))
+
+
+class TestHighPrecisionAgreement:
+    """Float psi against the 50-digit mpmath psi over 22 decades of lambda."""
+
+    MODELS = {
+        "tempered06": (0.3, 0.1, TemperedStable(alpha=0.6, scale=1.0, tempering=2.0)),
+        "tempered1": (0.3, 0.1, TemperedStable(alpha=1.0, scale=1.0, tempering=2.0)),
+        "tempered115_phi0": (-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5)),
+        "tempered17_c0": (0.3, 0.0, TemperedStable(alpha=1.7, scale=0.8, tempering=1.0)),
+        "tempered199": (0.2, 0.05, TemperedStable(alpha=1.99, scale=0.5, tempering=3.0)),
+        "stable1": (0.5, 0.1, StablePositive(alpha=1.0, scale=0.7)),
+        "nojumps": (0.5, 0.3, NoJumps()),
+    }
+
+    @pytest.mark.parametrize("name", [*MODELS, "cpexp", "stable15"])
+    def test_float_matches_hp(self, name):
+        m = validate(*self.MODELS[name]) if name in self.MODELS else builtin_model(name)
+        with mp.workdps(50):
+            for k in range(-14, 9):
+                lam = 10.0**k
+                ref = laplace_exponent_hp(m, mp.mpf(lam))
+                rel = abs((m.laplace_exponent(lam) - ref) / ref)
+                assert rel <= 1e-12, f"lam=1e{k}: rel err {float(rel):.2e}"
 
 
 class TestDerivative:
