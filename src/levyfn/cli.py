@@ -117,15 +117,15 @@ def cmd_scale_table(args) -> int:
     ev = ScaleEvaluator(model, order=args.order)
     xs = (np.geomspace(args.min, args.max, args.count) if args.log
           else np.linspace(args.min, args.max, args.count))
-    closed = (ScaleEvaluator(model, order=args.order)
-              if ev.closed_form is not None else None)
-    inversion = ScaleEvaluator(model, order=args.order, use_closed_form=False)
+    # without a closed form, `ev` already inverts
+    inversion = (ev if ev.closed_form is None
+                 else ScaleEvaluator(model, order=args.order, use_closed_form=False))
 
     lines = ["x,W,W_closed_form,rel_err"]
     for x in xs:
-        w = inversion.scale_w(float(x)) if closed is not None else ev.scale_w(float(x))
-        if closed is not None:
-            ref = closed.scale_w(float(x))
+        w = inversion.scale_w(float(x))
+        if ev.closed_form is not None:
+            ref = ev.scale_w(float(x))
             rel = abs(w - ref) / abs(ref) if ref != 0.0 else 0.0
             lines.append(f"{x:.10g},{w:.12g},{ref:.12g},{rel:.3e}")
         else:

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import mpmath as mp
 from scipy.integrate import quad
-from scipy.special import exp1, gamma, gammaincc
+from scipy.special import exp1, gamma, gammainc, gammaincc
 
 from .errors import (
     BracketNotFoundError,
@@ -163,8 +163,9 @@ def jump_small_variance(jumps: JumpSpec, eps: float) -> float:
         mu, rho = jumps.mu, jumps.rate
         return rho * (2.0 - math.exp(-mu * eps) * (mu * eps * (mu * eps + 2.0) + 2.0)) / mu**2
     if isinstance(jumps, TemperedStable):
-        val, _ = quad(lambda u: u * u * jump_density(jumps, u), 0.0, eps, limit=200)
-        return val
+        # C q^(a-2) gamma(2-a, q eps), with the lower incomplete gamma
+        a, C, q = jumps.alpha, jumps.scale, jumps.tempering
+        return float(C * q ** (a - 2.0) * gammainc(2.0 - a, q * eps) * gamma(2.0 - a))
     raise TypeError(f"unknown jump spec {jumps!r}")
 
 
@@ -489,8 +490,9 @@ def _hp_consts(model: LevyModel, dps: int) -> dict:
         tail = C * q ** (a - 1) * mp.gammainc(1 - a, q)
         if j.alpha == 1.0:
             return {"kind": "tempered1", "b": b - tail, "c": c, "C": C, "q": q}
+        # q**a and a*q**(a-1), the lam-free terms of the jump part
         return {"kind": "tempered", "b": b - tail, "c": c, "CG": C * mp.gamma(-a),
-                "alpha": a, "q": q}
+                "alpha": a, "q": q, "qa": q**a, "aqa1": a * q ** (a - 1)}
 
 
 def laplace_exponent_hp(model: LevyModel, lam) -> "mp.mpf":
@@ -507,8 +509,7 @@ def laplace_exponent_hp(model: LevyModel, lam) -> "mp.mpf":
     if kind == "cpexp":
         return base - k["rho"] * lam / (lam + k["mu"])
     if kind == "tempered":
-        a, q = k["alpha"], k["q"]
-        return base + k["CG"] * ((lam + q) ** a - q**a - a * q ** (a - 1) * lam)
+        return base + k["CG"] * ((lam + k["q"]) ** k["alpha"] - k["qa"] - k["aqa1"] * lam)
     q = k["q"]
     return base + k["C"] * ((lam + q) * mp.log(1 + lam / q) - lam)
 

@@ -9,7 +9,10 @@ get W_shift and recover W(x) = exp(Phi(0)*x) * W_shift(x).
 The inversion is the Gaver-Stehfest series (real positive abscissae, fixed
 nodes).  The public evaluation runs it in arbitrary precision at the
 configured order and at twice that order; disagreement of the two flags
-instability, and the doubled-order value is returned.  A fast float64
+instability, and the doubled-order value is returned.  The nodes k*ln2/x of
+an order are the first nodes of the doubled order, so the transform is
+evaluated once per point, at the doubled order's nodes and working
+precision, and both sums are taken from those values.  A fast float64
 backend at the base order (~1e-5 relative) serves the quadrature integrands
 built on top.  Scale-function differences such as the potential density
 cancel catastrophically far from the origin, where both terms approach the
@@ -107,20 +110,36 @@ def gs_invert_float(transform: Callable[[float], float], t: float, order: int = 
     return scale * acc
 
 
+def _gs_mp_sums(transform_hp: Callable, t: float, orders: tuple[int, ...]) -> tuple[float, ...]:
+    """Arbitrary-precision Gaver-Stehfest inversions at t > 0, one per order.
+
+    The nodes k*ln2/t of an order are the first nodes of every higher order,
+    so `transform_hp` is called once per node of the highest order, with
+    mpmath arguments inside that order's working precision, and every
+    order's weighted sum is taken from those values.
+    """
+    top = max(orders)
+    dps = _dps_for(top)
+    with mp.workdps(dps):
+        scale = mp.ln(2) / mp.mpf(t)
+        values = [transform_hp((k + 1) * scale) for k in range(top)]
+        sums = []
+        for order in orders:
+            weights = _stehfest_weights_mp(order, dps)
+            acc = mp.mpf(0)
+            for k in range(order):
+                acc += weights[k] * values[k]
+            sums.append(float(scale * acc))
+        return tuple(sums)
+
+
 def gs_invert_mp(transform_hp: Callable, t: float, order: int = 14) -> float:
     """Arbitrary-precision Gaver-Stehfest inversion at t > 0.
 
     `transform_hp` is called with mpmath arguments inside a working
     precision chosen from the order.
     """
-    dps = _dps_for(order)
-    with mp.workdps(dps):
-        weights = _stehfest_weights_mp(order, dps)
-        scale = mp.ln(2) / mp.mpf(t)
-        acc = mp.mpf(0)
-        for k in range(order):
-            acc += weights[k] * transform_hp((k + 1) * scale)
-        return float(scale * acc)
+    return _gs_mp_sums(transform_hp, t, (order,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +223,11 @@ class ScaleEvaluator:
 
     # -- core inversions -----------------------------------------------------
 
-    def _w_nat_hp(self, x: float, order: int) -> float:
+    def _w_nat_hp(self, x: float, orders: tuple[int, ...]) -> tuple[float, ...]:
+        """W_shift(x) at each of `orders`, from one set of hp transform values."""
         model = self.model
         exact_zero = self.model.phi_zero().exact_zero or self.phi0 == 0.0
-        dps = _dps_for(order)
+        dps = _dps_for(max(orders))
         phi0_hp = mp.mpf(0) if exact_zero else phi_zero_hp(model, dps)
 
         def transform(s):
@@ -217,7 +237,7 @@ class ScaleEvaluator:
                     f"shifted exponent nonpositive at node {float(s):g}")
             return 1 / denom
 
-        return gs_invert_mp(transform, x, order)
+        return _gs_mp_sums(transform, x, orders)
 
     def w_shifted(self, x: float) -> float:
         """W_shift(x) = e^{-Phi(0)x} W(x); bounded whenever psi'(Phi(0)) > 0."""
@@ -226,8 +246,7 @@ class ScaleEvaluator:
         if self.closed_form is not None:
             return self._w_nat_closed(x)
         x = max(x, 1e-300)
-        lo = self._w_nat_hp(x, self.order)
-        hi = self._w_nat_hp(x, 2 * self.order)
+        lo, hi = self._w_nat_hp(x, (self.order, 2 * self.order))
         if abs(hi - lo) > ORDER_AGREEMENT_RTOL * max(abs(hi), 1e-300):
             raise InversionUnstableError(
                 f"orders {self.order} and {2 * self.order} disagree at x={x:g}: "
@@ -307,23 +326,30 @@ class ScaleEvaluator:
             return 1.0 / m.drift if z <= d else 0.0
         raise RuntimeError("no closed form")
 
-    def _potential_direct(self, z: float, d: float, order: int) -> float:
-        """Direct hp-inverted difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)]."""
+    def _potential_direct(self, z: float, d: float,
+                          orders: tuple[int, ...]) -> tuple[float, ...]:
+        """Direct hp-inverted difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)],
+        at each of `orders`."""
         if z <= 0.0:
-            return 0.0
+            return (0.0,) * len(orders)
         arg = self.phi0 * (z - d)
         if arg > 700.0:
             raise NumericalOverflowError("potential density evaluated too far out")
-        lead = self._w_nat_hp(z, order)
-        lag = self._w_nat_hp(z - d, order) if z > d else 0.0
-        return math.exp(arg) * (lead - lag)
+        leads = self._w_nat_hp(z, orders)
+        lags = self._w_nat_hp(z - d, orders) if z > d else (0.0,) * len(orders)
+        return tuple(math.exp(arg) * (lead - lag) for lead, lag in zip(leads, lags))
 
-    def _potential_density_fn(self, d: float, order: Optional[int] = None) -> Callable:
+    def _potential_density_fn(self, d: float) -> Callable:
         """Pointwise evaluator of z -> e^{-Phi(0)d} W(z) - W(z-d)."""
         if self.closed_form is not None:
             return lambda z: self._potential_density_closed(z, d)
-        order = order or self.order
         phi0 = self.phi0
+        # with Phi(0) > 0 the table below is taken at a doubled order
+        order = max(2 * self.order, 28) if phi0 > 0.0 else self.order
+
+        def direct(z: float) -> float:
+            (val,) = self._potential_direct(z, d, (order,))
+            return val
 
         if phi0 > 0.0:
             # The transient above the plateau decays at rate Phi(0) (next
@@ -331,12 +357,11 @@ class ScaleEvaluator:
             # noise is amplified by e^{Phi(0)(z-d)}; a doubled-order table on
             # the resolvable window, interpolated monotonically, covers the
             # region before the plateau takes over.
-            hi_order = max(2 * self.order, 28)
             plateau = self._potential_plateau(d)
-            ref = max(abs(plateau), abs(self._potential_direct(d, d, hi_order)), 1e-300)
+            ref = max(abs(plateau), abs(direct(d)), 1e-300)
             z_hi = d + 12.0 / phi0
             for _ in range(3):
-                if abs(self._potential_direct(z_hi, d, hi_order) - plateau) <= 1e-3 * ref:
+                if abs(direct(z_hi) - plateau) <= 1e-3 * ref:
                     break
                 z_hi -= 3.0 / phi0
             else:
@@ -347,10 +372,8 @@ class ScaleEvaluator:
             # derivative kink (W turning on)
             head_x = np.linspace(0.0, d, 60)
             tail_x = np.linspace(d, z_hi, 140)
-            head_v = np.array([self._potential_direct(float(z), d, hi_order)
-                               for z in head_x])
-            tail_v = np.array([self._potential_direct(float(z), d, hi_order)
-                               for z in tail_x])
+            head_v = np.array([direct(float(z)) for z in head_x])
+            tail_v = np.array([direct(float(z)) for z in tail_x])
             head = PchipInterpolator(head_x, head_v, extrapolate=False)
             tail = PchipInterpolator(tail_x, tail_v, extrapolate=False)
 
@@ -366,13 +389,13 @@ class ScaleEvaluator:
         # Phi(0) = 0: differences stay bounded, so the direct evaluation is
         # safe everywhere; values below the cancellation noise floor are
         # clamped to zero so spurious increments cannot masquerade as a tail
-        ref = max(abs(self._potential_direct(max(d, 1.0), d, order)), 1e-300)
+        ref = max(abs(direct(max(d, 1.0))), 1e-300)
         floor = 1e-12 * ref
 
         def density(z: float) -> float:
             if z <= 0.0:
                 return 0.0
-            val = self._potential_direct(z, d, order)
+            val = direct(z)
             return val if abs(val) > floor else 0.0
 
         return density
@@ -389,8 +412,7 @@ class ScaleEvaluator:
         # the difference is checked at consecutive doubled orders: the base
         # order's truncation error is magnified once the two scale values
         # nearly cancel
-        lo = self._potential_direct(y, x, 2 * self.order)
-        hi = self._potential_direct(y, x, 2 * self.order + 2)
+        lo, hi = self._potential_direct(y, x, (2 * self.order, 2 * self.order + 2))
         if abs(hi - lo) > ORDER_AGREEMENT_RTOL * max(abs(hi), self._w_nat_fast(y), 1e-300):
             raise InversionUnstableError(
                 f"potential density orders disagree at (x={x:g}, y={y:g})")

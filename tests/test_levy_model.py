@@ -26,7 +26,7 @@ from levyfn.errors import (
     NonPositiveStartError,
     SubordinatorError,
 )
-from levyfn.levy_model import laplace_exponent_hp
+from levyfn.levy_model import _hp_consts, jump_small_variance, laplace_exponent_hp
 
 # scale making psi(lam) = lam^1.5: C = 1/Gamma(-1.5) = 3/(4 sqrt(pi))
 C15 = 3.0 / (4.0 * math.sqrt(math.pi))
@@ -165,6 +165,31 @@ class TestHighPrecisionAgreement:
                 ref = laplace_exponent_hp(m, mp.mpf(lam))
                 rel = abs((m.laplace_exponent(lam) - ref) / ref)
                 assert rel <= 1e-12, f"lam=1e{k}: rel err {float(rel):.2e}"
+
+    @pytest.mark.parametrize("dps", [38, 69])
+    @pytest.mark.parametrize("name", ["tempered06", "tempered115_phi0", "tempered199"])
+    def test_tempered_hp_is_direct_form(self, name, dps):
+        m = validate(*self.MODELS[name])
+        k = _hp_consts(m, dps)
+        with mp.workdps(dps):
+            a, q = mp.mpf(m.jumps.alpha), mp.mpf(m.jumps.tempering)
+            for e in range(-14, 9):
+                lam = mp.mpf(10) ** e
+                direct = k["b"] * lam + k["c"] * lam * lam + k["CG"] * (
+                    (lam + q) ** a - q**a - a * q ** (a - 1) * lam)
+                assert laplace_exponent_hp(m, lam) == direct
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("q, eps", [(2.0, 1e-3), (5.0, 1e-4), (0.5, 0.1)])
+def test_tempered_small_jump_variance(alpha, q, eps):
+    """integral_0^eps u^2 pi(du) = C q^(alpha-2) gamma(2-alpha, q eps)."""
+    C = 0.7
+    got = jump_small_variance(TemperedStable(alpha=alpha, scale=C, tempering=q), eps)
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        want = C * mp.mpf(q) ** (a - 2) * mp.gammainc(2 - a, 0, mp.mpf(q) * mp.mpf(eps))
+    assert got == pytest.approx(float(want), rel=1e-12)
 
 
 class TestDerivative:

@@ -10,6 +10,7 @@ from levyfn import (
     NoJumps,
     PowerLaw,
     ScaleEvaluator,
+    TemperedStable,
     brownian_model,
     builtin_model,
     conditional_exp_constant_closed_form,
@@ -260,3 +261,38 @@ class TestTemperedFamily:
         ev = ScaleEvaluator(tempered)
         for y in (0.1, 0.7, 1.5, 4.0, 12.0):
             assert ev.potential_density(1.0, y) >= -1e-6 * ev.scale_w(y)
+
+
+class TestSharedNodes:
+    """The order-N check and the returned order 2N share one set of hp node
+    evaluations; the returned value is the plain order-2N inversion."""
+
+    @pytest.fixture(scope="class", params=["cpexp", "tempered_phi0", "stable15"])
+    def ev(self, request):
+        model = {"cpexp": lambda: builtin_model("cpexp"),
+                 "tempered_phi0": lambda: validate(
+                     -0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0)),
+                 "stable15": lambda: stable_power_model(1.5)}[request.param]()
+        return ScaleEvaluator(model, use_closed_form=False)
+
+    def test_returns_doubled_order_inversion(self, ev):
+        for x in np.geomspace(0.05, 20.0, 9):
+            x = float(x)
+            (w_2n,) = ev._w_nat_hp(x, (2 * ev.order,))
+            assert ev.scale_w(x) == math.exp(ev.phi0 * x) * w_2n
+
+    def test_hp_psi_calls_per_point(self, ev, monkeypatch):
+        from levyfn import scale_fn
+
+        calls = []
+        orig = scale_fn.laplace_exponent_hp
+
+        def counting(model, lam):
+            calls.append(lam)
+            return orig(model, lam)
+
+        monkeypatch.setattr(scale_fn, "laplace_exponent_hp", counting)
+        xs = [0.3, 1.0, 4.0]
+        for x in xs:
+            ev.scale_w(x)
+        assert len(calls) == 2 * ev.order * len(xs)
