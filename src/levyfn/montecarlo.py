@@ -4,10 +4,21 @@ Paths follow the Euler skeleton of the triplet representation: a drift and
 Gaussian increment per step, jumps of size >= eps drawn at Poisson rate
 pi([eps, inf)) from the normalized restriction of the jump measure, the
 compensator of retained jumps in [eps, 1], and (optionally) a Gaussian
-correction with the variance of the discarded jumps below eps.  Downward
-motion has no jumps, so first passage is detected on the grid and the
-crossing time interpolated linearly; the O(sqrt(dt)) overshoot bias this
-leaves is budgeted in the acceptance tolerances rather than corrected.
+correction with the variance of the discarded jumps below eps (Asmussen &
+Rosinski, J. Appl. Prob. 2001).  Downward motion has no jumps, so first
+passage is detected on the grid and the crossing time interpolated
+linearly; the O(sqrt(dt)) overshoot bias this leaves is budgeted in the
+acceptance tolerances rather than corrected.
+
+A path is drawn in blocks of 256 steps, doubling up to 16384, so it never
+draws more than twice the steps it uses plus 256.  Each step draws one
+normal, with the variance of the Gaussian part and the small-jump
+correction together.  A block's jumps come from Poisson splitting: one
+Poisson(n pi([eps, inf)) dt) total for the block's n steps, placed on
+uniformly drawn steps, which has the law of independent per-step Poisson
+counts.  A path without jumps therefore draws its substream's normals in
+order, one per step.  `PathSample.steps_drawn` and `jumps_drawn` count
+what a path drew; `mc_estimate` sums them into its extras.
 
 Reproducibility contract: each path owns a counter-based Philox substream
 keyed by (seed, path index), and estimates reduce in path-index order, so
@@ -49,7 +60,7 @@ HIT_BARRIER = "hit_barrier"
 CENSORED = "censored"
 
 _MASK64 = (1 << 64) - 1
-_BLOCK_START = 1024
+_BLOCK_START = 256
 _BLOCK_MAX = 16384
 
 
@@ -86,6 +97,8 @@ class PathSample:
     below the stop level and `stop_time` is the linearly interpolated
     crossing.  `subgrid_exponent` is the local scale-function power used to
     weight sub-grid occupation in the final panel of integral functionals.
+    `steps_drawn` counts the steps drawn, at least the `len(values) - 1`
+    used, and `jumps_drawn` the jumps drawn in them.
     """
 
     times: np.ndarray
@@ -95,6 +108,8 @@ class PathSample:
     substream: int
     subgrid_exponent: float
     stop_level: float
+    steps_drawn: int = 0
+    jumps_drawn: int = 0
 
     @property
     def zeta(self) -> Optional[float]:
@@ -158,46 +173,52 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
     n_total = int(math.ceil(cfg.horizon / dt))
 
     base = -model.drift * dt
-    sig = math.sqrt(2.0 * model.gaussian * dt) if model.gaussian > 0.0 else 0.0
+    # the Gaussian part and the small-jump compensation are independent
+    # centred normals, so each step draws their sum as one normal
+    var = 2.0 * model.gaussian * dt
     has_jumps = not isinstance(model.jumps, NoJumps)
     if has_jumps:
         pois_mean = jump_tail_mass(model.jumps, cfg.eps) * dt
         base -= dt * jump_mean_eps_to_one(model.jumps, cfg.eps)
-        small_sd = (math.sqrt(dt * jump_small_variance(model.jumps, cfg.eps))
-                    if cfg.gaussian_compensation else 0.0)
+        if cfg.gaussian_compensation:
+            var += dt * jump_small_variance(model.jumps, cfg.eps)
         sampler = _make_jump_sampler(model.jumps, cfg.eps)
+    sd = math.sqrt(var)
 
     chunks = [np.array([x])]
     z = x
     steps_done = 0
+    jumps_drawn = 0
     status = CENSORED
     stop_time = n_total * dt
     block = _BLOCK_START
     while steps_done < n_total:
         n = min(block, n_total - steps_done)
-        block = min(block * 4, _BLOCK_MAX)
-        inc = np.full(n, base)
-        if sig:
-            inc += sig * gen.standard_normal(n)
+        block = min(block * 2, _BLOCK_MAX)
+        start = steps_done
+        steps_done += n
+        if sd:
+            inc = gen.standard_normal(n)
+            inc *= sd
+            inc += base
+        else:
+            inc = np.full(n, base)
         if has_jumps:
-            counts = gen.poisson(pois_mean, n)
-            total = int(counts.sum())
+            # Poisson splitting: a Poisson(n * pois_mean) total placed on
+            # uniform steps has the law of n i.i.d. Poisson(pois_mean) counts
+            total = int(gen.poisson(pois_mean * n))
             if total:
-                sizes = sampler(gen, total)
-                inc += np.bincount(np.repeat(np.arange(n), counts),
-                                   weights=sizes, minlength=n)
-            if small_sd:
-                inc += small_sd * gen.standard_normal(n)
-        vals = z + np.cumsum(inc)
-        low = vals <= cfg.stop_level
-        high = vals >= cfg.barrier
-        i0 = int(np.argmax(low)) if low.any() else n
-        ib = int(np.argmax(high)) if high.any() else n
-        i = min(i0, ib)
-        if i < n:
+                idx = gen.integers(0, n, total)
+                inc += np.bincount(idx, weights=sampler(gen, total), minlength=n)
+            jumps_drawn += total
+        vals = np.cumsum(inc, out=inc)
+        vals += z
+        stopped = (vals <= cfg.stop_level) | (vals >= cfg.barrier)
+        i = int(np.argmax(stopped))
+        if stopped[i]:
             chunks.append(vals[:i + 1])
-            t_prev = (steps_done + i) * dt
-            if i0 <= ib:
+            t_prev = (start + i) * dt
+            if vals[i] <= cfg.stop_level:
                 status = HIT_ZERO
                 z_prev = vals[i - 1] if i > 0 else z
                 frac = (z_prev - cfg.stop_level) / (z_prev - vals[i])
@@ -208,7 +229,6 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
             break
         chunks.append(vals)
         z = float(vals[-1])
-        steps_done += n
 
     values = np.concatenate(chunks)
     times = dt * np.arange(len(values))
@@ -217,7 +237,8 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
     return PathSample(times=times, values=values, status=status,
                       stop_time=stop_time, substream=substream,
                       subgrid_exponent=local_power_near_zero(model),
-                      stop_level=cfg.stop_level)
+                      stop_level=cfg.stop_level,
+                      steps_drawn=steps_done, jumps_drawn=jumps_drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +297,12 @@ def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSamp
     npos = len(vals) - 1 if hit else len(vals)
     grid_vals = vals[:npos]
     fv = f_eval_array(f, grid_vals)
-    steps = np.diff(path.times[:npos])
-    A = np.concatenate(([0.0], np.cumsum(steps * 0.5 * (fv[:-1] + fv[1:]))))
+    inc = np.diff(path.times[:npos])
+    inc *= 0.5
+    inc *= fv[:-1] + fv[1:]
+    A = np.empty(npos)
+    A[0] = 0.0
+    np.cumsum(inc, out=A[1:])
     A_final = float(A[-1])
 
     if hit:
@@ -367,27 +392,37 @@ class MCSummary:
 def _weighted_spec(f: FunctionalSpec, lam: float) -> Generic:
     def fn(z):
         arr = np.asarray(z, dtype=float)
-        out = f_eval_array(f, arr) * np.exp(-lam * arr)
-        return out if arr.ndim else float(out)
+        if not arr.ndim:
+            return float(f_eval_array(f, arr) * np.exp(-lam * arr))
+        out = np.multiply(arr, -lam)
+        np.exp(out, out=out)
+        out *= f_eval_array(f, arr)
+        return out
 
     return Generic(fn=fn, decreasing=False, bounded_away_from_origin=False)
+
+
+def _path_value(path, f, estimator):
+    """The estimator's value on one path, and A at its stopping time."""
+    if isinstance(estimator, HitProb):
+        return (1.0 if path.status == HIT_ZERO else 0.0), math.nan
+    if isinstance(estimator, CondExpFunctional):
+        fs = functional_along_path(path, _weighted_spec(f, estimator.lam))
+        return (fs.A_final if path.status == HIT_ZERO else math.nan), fs.A_final
+    fs = functional_along_path(path, f)
+    if isinstance(estimator, MeanPassage):
+        return fs.A_final, fs.A_final
+    # FunctionalFiniteness
+    val = (1.0 if math.isfinite(fs.A_final) else 0.0) if path.status == HIT_ZERO else math.nan
+    return val, fs.A_final
 
 
 def _path_record(model, x, f, estimator, cfg, idx):
     path = sample_path(model, x, cfg, idx)
     zeta = path.zeta if path.zeta is not None else math.nan
-    if isinstance(estimator, HitProb):
-        return (path.status, 1.0 if path.status == HIT_ZERO else 0.0, math.nan, zeta)
-    if isinstance(estimator, CondExpFunctional):
-        fs = functional_along_path(path, _weighted_spec(f, estimator.lam))
-        val = fs.A_final if path.status == HIT_ZERO else math.nan
-        return (path.status, val, fs.A_final, zeta)
-    fs = functional_along_path(path, f)
-    if isinstance(estimator, MeanPassage):
-        return (path.status, fs.A_final, fs.A_final, zeta)
-    # FunctionalFiniteness
-    val = (1.0 if math.isfinite(fs.A_final) else 0.0) if path.status == HIT_ZERO else math.nan
-    return (path.status, val, fs.A_final, zeta)
+    val, a_final = _path_value(path, f, estimator)
+    return (path.status, val, a_final, zeta,
+            path.steps_drawn, len(path.values) - 1, path.jumps_drawn)
 
 
 def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
@@ -431,7 +466,10 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
 
     extras: dict = {"n_hit": sum(1 for s in statuses if s == HIT_ZERO),
                     "n_barrier": sum(1 for s in statuses if s == HIT_BARRIER),
-                    "n_censored": n_censored}
+                    "n_censored": n_censored,
+                    "steps_drawn": sum(r[4] for r in records),
+                    "steps_used": sum(r[5] for r in records),
+                    "jumps_drawn": sum(r[6] for r in records)}
 
     if isinstance(estimator, (HitProb, MeanPassage)):
         used = values

@@ -11,6 +11,7 @@ from levyfn import (
     NoJumps,
     PathConfig,
     PowerLaw,
+    TemperedStable,
     brownian_model,
     builtin_model,
     constant_functional,
@@ -23,6 +24,9 @@ from levyfn import (
     validate,
 )
 from levyfn.errors import AllCensoredError, PreconditionViolatedError
+from levyfn.integral_tests import f_eval_array
+from levyfn.levy_model import jump_tail_mass
+from levyfn.montecarlo import substream_generator
 
 DRIFT_LINE = validate(1.0, 0.0, NoJumps())  # Z = x - t, deterministic
 
@@ -92,6 +96,33 @@ class TestSamplePath:
         assert np.array_equal(p1.values, p2.values)
         assert not np.array_equal(p1.values[:10], p3.values[:10])
 
+    @pytest.mark.parametrize("model", [builtin_model("bmdrift"), builtin_model("bmup"),
+                                       brownian_model(0.0, 0.5)])
+    def test_jump_free_path_uses_first_normals(self, model):
+        # one normal per step, drawn in order from the path's own substream
+        cfg = PathConfig(dt=1e-3, horizon=8.0, barrier=6.0, seed=17)
+        for i in range(4):
+            p = sample_path(model, 1.0, cfg, i)
+            steps = len(p.values) - 1
+            normals = substream_generator(cfg.seed, i).standard_normal(steps)
+            sd = math.sqrt(2.0 * model.gaussian * cfg.dt)
+            ref = 1.0 + np.cumsum(-model.drift * cfg.dt + sd * normals)
+            assert p.values[0] == 1.0
+            np.testing.assert_allclose(p.values[1:], ref, rtol=0.0, atol=1e-12)
+
+    def test_blocks_overdraw_at_most_twice(self):
+        cases = [("stable15", 20.0, 1e6), ("cpexp", 20.0, 8.0), ("bmdrift", 7.7, 8.0)]
+        seen = set()
+        for name, horizon, barrier in cases:
+            model = builtin_model(name)
+            cfg = PathConfig(dt=1e-3, horizon=horizon, barrier=barrier, seed=3)
+            for i in range(30):
+                p = sample_path(model, 1.0, cfg, i)
+                used = len(p.values) - 1
+                assert used <= p.steps_drawn <= 2 * used + 256
+                seen.add(p.status)
+        assert seen == {"hit_zero", "hit_barrier", "censored"}
+
 
 class TestFunctionalAlongPath:
     def test_sqrt_singularity_value(self):
@@ -115,6 +146,21 @@ class TestFunctionalAlongPath:
         p = sample_path(m, 1.0, cfg, 7)
         fs = functional_along_path(p, PowerLaw(0.7))
         assert (np.diff(fs.A) >= 0.0).all()
+
+    def test_trapezoid_sum_bitwise(self):
+        # the accumulated clock is exactly the cumulative trapezoid rule
+        cases = [(stable_power_model(1.5), PowerLaw(0.7)),
+                 (builtin_model("cpexp"), constant_functional()),
+                 (builtin_model("bmdrift"), PowerLaw(1.3))]
+        cfg = PathConfig(dt=1e-3, horizon=10.0, barrier=1e3, seed=4)
+        for model, f in cases:
+            for i in range(5):
+                p = sample_path(model, 1.0, cfg, i)
+                fs = functional_along_path(p, f)
+                fv = f_eval_array(f, fs.values)
+                steps = np.diff(fs.times)
+                ref = np.concatenate(([0.0], np.cumsum(steps * 0.5 * (fv[:-1] + fv[1:]))))
+                assert np.array_equal(fs.A, ref)
 
     def test_finite_at_subcritical_power_on_stable(self):
         m = stable_power_model(1.5)
@@ -225,6 +271,46 @@ class TestMcEstimate:
         assert runs[0].estimate == runs[1].estimate
         assert runs[0].stderr == runs[1].stderr
         assert runs[0].censored_fraction == runs[1].censored_fraction
+
+    @pytest.mark.parametrize("model", [
+        builtin_model("cpexp"),
+        stable_power_model(1.5),
+        validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0)),
+    ])
+    def test_worker_determinism_with_jumps(self, model):
+        cfg = PathConfig(dt=1e-3, horizon=3.0, barrier=10.0, seed=23)
+        runs = [mc_estimate(model, 1.0, PowerLaw(0.5), FunctionalFiniteness(), 120, cfg,
+                            workers=w, keep_path_rows=True)
+                for w in (1, 2)]
+        a, b = runs
+        assert (a.estimate, a.stderr, a.censored_fraction) == \
+            (b.estimate, b.stderr, b.censored_fraction)
+        assert repr(a.extras) == repr(b.extras)
+
+    def test_rows_are_sample_paths(self):
+        m = stable_power_model(1.5)
+        cfg = PathConfig(dt=1e-3, horizon=3.0, barrier=1e6, seed=24)
+        s = mc_estimate(m, 1.0, PowerLaw(0.5), FunctionalFiniteness(), 100, cfg,
+                        workers=2, keep_path_rows=True)
+        for i, status, zeta, a_final, t_boundary in s.extras["path_rows"][::9]:
+            p = sample_path(m, 1.0, cfg, i)
+            assert status == p.status
+            assert zeta == p.zeta or (math.isnan(zeta) and p.zeta is None)
+            assert a_final == t_boundary == functional_along_path(p, PowerLaw(0.5)).A_final
+
+    @pytest.mark.parametrize("name,barrier", [("cpexp", 8.0), ("stable15", 1e6)])
+    def test_draw_counters(self, name, barrier):
+        m = builtin_model(name)
+        cfg = PathConfig(dt=1e-3, horizon=4.0, barrier=barrier, seed=25)
+        s = mc_estimate(m, 1.0, None, HitProb(), 150, cfg)
+        paths = [sample_path(m, 1.0, cfg, i) for i in range(150)]
+        assert s.extras["steps_drawn"] == sum(p.steps_drawn for p in paths)
+        assert s.extras["steps_used"] == sum(len(p.values) - 1 for p in paths)
+        assert s.extras["jumps_drawn"] == sum(p.jumps_drawn for p in paths)
+        assert s.extras["steps_used"] <= s.extras["steps_drawn"]
+        # jump totals are Poisson given the steps drawn
+        mean = jump_tail_mass(m.jumps, cfg.eps) * cfg.dt * s.extras["steps_drawn"]
+        assert abs(s.extras["jumps_drawn"] - mean) <= 4.0 * math.sqrt(mean)
 
     def test_seed_changes_result(self):
         m = builtin_model("bmdrift")
