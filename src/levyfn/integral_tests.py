@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolatedError,
     SignChangeError,
 )
-from .levy_model import LevyModel, NoJumps, StablePositive
+from .levy_model import LevyModel
 
 # Verdict heuristics: geometric-decay ratio for "converges", ratio margin
 # 2**(-DIVERGE_MARGIN) for "diverges", judged over the last WINDOW doublings.
@@ -259,23 +259,6 @@ def improper_integral_verdict(integrand: Callable[[float], float],
 # Extinction / explosion tests
 # ---------------------------------------------------------------------------
 
-def _pure_power_form(model: LevyModel) -> Optional[tuple[float, float]]:
-    """(kappa, p) when psi(lam) = kappa * lam**p exactly, else None."""
-    c, b = model.gaussian, model.drift
-    if isinstance(model.jumps, NoJumps):
-        if c > 0.0 and b == 0.0:
-            return (c, 2.0)
-        if c == 0.0 and b > 0.0:
-            return (b, 1.0)
-        return None
-    if isinstance(model.jumps, StablePositive) and c == 0.0:
-        k = model._consts
-        if k["kind"] == "stable" and k["alpha"] > 1.0:
-            if abs(k["beff"]) <= 1e-14 * max(1.0, abs(b)):
-                return (k["CG"], k["alpha"])
-    return None
-
-
 def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     """Finiteness of the accumulated functional on paths that hit 0.
 
@@ -289,9 +272,9 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     phi0 = model.phi_zero().value
     start = max(1.0, 2.0 * phi0)
 
-    power = _pure_power_form(model)
-    if power is not None and isinstance(f, PowerLaw):
-        kappa, p = power
+    closed = model.jumps.closed_form(model) if isinstance(f, PowerLaw) else None
+    if closed is not None and closed.power is not None:
+        kappa, p = closed.power
         theta = f.theta
         diag = {"route": "analytic_power", "kappa": kappa, "power": p, "start": start}
         if theta < p:

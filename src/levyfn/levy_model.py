@@ -13,18 +13,26 @@ whose Laplace exponent
 satisfies E_x[exp(-lam*Z_t)] = exp(-lam*x + psi(lam)*t).  psi is strictly
 convex with psi(0) = 0, and for a non-monotone process psi(lam) -> +inf.
 
-All supported jump families admit closed forms for psi and psi'; a direct
-quadrature evaluation of the jump integral is kept alongside as an
-independent cross-check.
+Each jump family is one frozen dataclass, and everything the package knows
+about a family lives in it: its JSON tag and parameter checks, its density
+and jump integrals, psi and psi' as closures, its closed-form scale function
+if psi has one, and its jump-size sampler.  `_Family` states this contract;
+its defaults describe the empty measure.  Callers ask the family instead of
+branching on it, so a new family is one class plus its entry in `JumpSpec`.
+A family writes its psi constants once, against float (`math`) or mpmath
+arithmetic, and the model builds the float closures once.  All families
+admit closed forms for psi and psi'; a direct quadrature evaluation of the
+jump integral is kept alongside as an independent cross-check.
 
 The tempered-stable jump part, C*Gamma(-alpha)*((lam+q)**alpha - q**alpha -
 alpha*q**(alpha-1)*lam), is an O(lam**2) remainder of O(q**alpha) terms near
-lam = 0, so it is evaluated as K*(expm1(alpha*log1p(u)) - alpha*u) with
-u = lam/q and K = C*Gamma(-alpha)*q**alpha.  Its rounding error is then
+lam = 0, so the float psi evaluates it as K*(expm1(alpha*log1p(u)) - alpha*u)
+with u = lam/q and K = C*Gamma(-alpha)*q**alpha.  Its rounding error is then
 O(eps*lam) instead of O(eps*q**alpha), and psi keeps full relative accuracy
 down to lam ~ 1e-14 wherever psi'(0+) != 0, as the explosion test's
-integral near 0+ needs.  A high-precision (mpmath) evaluation path backs
-the numerical Laplace inversion in :mod:`levyfn.scale_fn`.
+integral near 0+ needs.  The high-precision (mpmath) psi, which backs the
+numerical Laplace inversion in :mod:`levyfn.scale_fn`, keeps the direct
+form: at its working precision the cancellation is harmless.
 """
 
 from __future__ import annotations
@@ -32,10 +40,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
+from typing import Callable, ClassVar, Optional, get_args
 
 import mpmath as mp
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import exp1, gamma, gammainc, gammaincc
 
@@ -59,116 +70,6 @@ PROBE_RATIO = 2.0
 ROOT_TOL = 1e-10
 
 
-# ---------------------------------------------------------------------------
-# Jump measure families
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NoJumps:
-    """Empty jump measure (Brownian motion with drift, or pure drift)."""
-
-
-@dataclass(frozen=True)
-class StablePositive:
-    """One-sided stable jumps, density scale * z**(-1-alpha) dz on (0, inf)."""
-
-    alpha: float
-    scale: float
-
-
-@dataclass(frozen=True)
-class CompoundPoissonExp:
-    """Compound Poisson jumps at `rate`, exponential sizes with mean `jump_mean`.
-
-    Density: rate * mu * exp(-mu*z) dz with mu = 1/jump_mean.
-    """
-
-    rate: float
-    jump_mean: float
-
-    @property
-    def mu(self) -> float:
-        return 1.0 / self.jump_mean
-
-
-@dataclass(frozen=True)
-class TemperedStable:
-    """Exponentially tempered stable jumps, density scale * exp(-q z) * z**(-1-alpha) dz."""
-
-    alpha: float
-    scale: float
-    tempering: float
-
-
-JumpSpec = NoJumps | StablePositive | CompoundPoissonExp | TemperedStable
-
-
-def jump_density(jumps: JumpSpec, u: float) -> float:
-    """Pointwise Levy density pi(u) for u > 0 (0 for NoJumps)."""
-    if isinstance(jumps, NoJumps):
-        return 0.0
-    if isinstance(jumps, StablePositive):
-        return jumps.scale * u ** (-1.0 - jumps.alpha)
-    if isinstance(jumps, CompoundPoissonExp):
-        mu = jumps.mu
-        return jumps.rate * mu * math.exp(-mu * u)
-    if isinstance(jumps, TemperedStable):
-        return jumps.scale * math.exp(-jumps.tempering * u) * u ** (-1.0 - jumps.alpha)
-    raise TypeError(f"unknown jump spec {jumps!r}")
-
-
-@lru_cache(maxsize=256)
-def jump_tail_mass(jumps: JumpSpec, eps: float) -> float:
-    """pi([eps, inf)): the rate of jumps of size >= eps."""
-    if isinstance(jumps, NoJumps):
-        return 0.0
-    if isinstance(jumps, StablePositive):
-        return jumps.scale * eps ** (-jumps.alpha) / jumps.alpha
-    if isinstance(jumps, CompoundPoissonExp):
-        return jumps.rate * math.exp(-jumps.mu * eps)
-    if isinstance(jumps, TemperedStable):
-        val, _ = quad(lambda u: jump_density(jumps, u), eps, math.inf, limit=200)
-        return val
-    raise TypeError(f"unknown jump spec {jumps!r}")
-
-
-@lru_cache(maxsize=256)
-def jump_mean_eps_to_one(jumps: JumpSpec, eps: float) -> float:
-    """integral_{[eps, 1]} u pi(du), the compensator mean of retained small jumps."""
-    if eps >= 1.0 or isinstance(jumps, NoJumps):
-        return 0.0
-    if isinstance(jumps, StablePositive):
-        a, C = jumps.alpha, jumps.scale
-        if a == 1.0:
-            return C * math.log(1.0 / eps)
-        return C * (1.0 - eps ** (1.0 - a)) / (1.0 - a)
-    if isinstance(jumps, CompoundPoissonExp):
-        mu, rho = jumps.mu, jumps.rate
-        return rho * (math.exp(-mu * eps) * (mu * eps + 1.0) - math.exp(-mu) * (mu + 1.0)) / mu
-    if isinstance(jumps, TemperedStable):
-        val, _ = quad(lambda u: u * jump_density(jumps, u), eps, 1.0, limit=200)
-        return val
-    raise TypeError(f"unknown jump spec {jumps!r}")
-
-
-@lru_cache(maxsize=256)
-def jump_small_variance(jumps: JumpSpec, eps: float) -> float:
-    """integral_{(0, eps)} u^2 pi(du), the variance of discarded small jumps."""
-    if isinstance(jumps, NoJumps):
-        return 0.0
-    if isinstance(jumps, StablePositive):
-        a, C = jumps.alpha, jumps.scale
-        return C * eps ** (2.0 - a) / (2.0 - a)
-    if isinstance(jumps, CompoundPoissonExp):
-        mu, rho = jumps.mu, jumps.rate
-        return rho * (2.0 - math.exp(-mu * eps) * (mu * eps * (mu * eps + 2.0) + 2.0)) / mu**2
-    if isinstance(jumps, TemperedStable):
-        # C q^(a-2) gamma(2-a, q eps), with the lower incomplete gamma
-        a, C, q = jumps.alpha, jumps.scale, jumps.tempering
-        return float(C * q ** (a - 2.0) * gammainc(2.0 - a, q * eps) * gamma(2.0 - a))
-    raise TypeError(f"unknown jump spec {jumps!r}")
-
-
 def _upper_gamma(s: float, x: float) -> float:
     """Upper incomplete gamma Gamma(s, x) for s in (-1, 1) and x > 0."""
     if s > 0.0:
@@ -177,6 +78,351 @@ def _upper_gamma(s: float, x: float) -> float:
         return float(exp1(x))
     # Gamma(s, x) = (Gamma(s+1, x) - x**s e^-x) / s, with s + 1 in (0, 1)
     return float(gammaincc(s + 1.0, x) * gamma(s + 1.0) - x**s * math.exp(-x)) / s
+
+
+# The arithmetic a family writes its psi constants against: float64, or
+# mpmath at the caller's working precision.
+_FLOAT = SimpleNamespace(real=float, gamma=math.gamma, exp=math.exp, log=math.log,
+                         expm1=math.expm1, log1p=math.log1p, euler=EULER_GAMMA,
+                         upper_gamma=_upper_gamma)
+# hp psi keeps log(1 + x): it loses digits only at x << 1, below every
+# inversion node.
+_MP = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
+                      expm1=mp.expm1, log1p=lambda x: mp.log(1 + x), euler=mp.euler,
+                      upper_gamma=mp.gammainc)
+
+
+# ---------------------------------------------------------------------------
+# Jump measure families
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed-form scale function.
+
+    `w_shifted(x)` is W_shift(x) = e^{-Phi(0)x} W(x) for x >= 0,
+    `potential(z, d)` the potential density e^{-Phi(0)d} W(z) - W(z-d) for
+    z > 0, and `power` is (kappa, p) when psi(lam) = kappa * lam**p exactly.
+    """
+
+    w_shifted: Callable[[float], float]
+    potential: Callable[[float, float], float]
+    power: Optional[tuple[float, float]] = None
+
+
+class _Family:
+    """The contract of a jump family; the defaults are the empty measure's."""
+
+    tag: ClassVar[str]
+
+    def check(self) -> None:
+        """Raise for parameters outside the family's domain."""
+
+    def density(self, u: float) -> float:
+        """Levy density pi(u) for u > 0."""
+        return 0.0
+
+    def tail_mass(self, eps: float) -> float:
+        """pi([eps, inf)): the rate of jumps of size >= eps."""
+        return 0.0
+
+    def mean_eps_to_one(self, eps: float) -> float:
+        """integral_{[eps, 1]} u pi(du) for eps < 1."""
+        return 0.0
+
+    def small_variance(self, eps: float) -> float:
+        """integral_{(0, eps)} u^2 pi(du)."""
+        return 0.0
+
+    def exponent(self, b, c, ops) -> dict:
+        """psi and psi' as closures ("psi", "dpsi"), with the constants they use.
+
+        "b" is the drift with the jump compensator folded in.  Constants are
+        computed in `ops` arithmetic (`_FLOAT` or `_MP`, inside the working
+        precision), from drift `b` and Gaussian coefficient `c` given in it.
+        """
+        def psi(lam):
+            return b * lam + c * lam * lam
+
+        def dpsi(lam):
+            return b + 2 * c * lam
+
+        return {"b": b, "c": c, "psi": psi, "dpsi": dpsi}
+
+    def closed_form(self, model: LevyModel) -> Optional[ClosedForm]:
+        """The closed-form scale function of `model`, if there is one."""
+        return None
+
+    def sampler(self, eps: float) -> Optional[Callable]:
+        """`sample(gen, n)`: n jump sizes from pi restricted to [eps, inf),
+        normalized; None when there are no jumps."""
+        return None
+
+
+def _check_index_and_scale(alpha: float, scale: float) -> None:
+    if not 0.0 < alpha < 2.0:
+        raise InvalidJumpIndexError(f"alpha={alpha} outside (0, 2)")
+    if scale <= 0.0:
+        raise ValueError("jump scale must be > 0")
+
+
+@dataclass(frozen=True)
+class NoJumps(_Family):
+    """Empty jump measure (Brownian motion with drift, or pure drift)."""
+
+    tag: ClassVar[str] = "none"
+
+    def closed_form(self, model):
+        b, c = model.drift, model.gaussian
+        if c == 0.0:  # pure drift
+            if b <= 0.0:
+                return None
+            return ClosedForm(lambda x: 1.0 / b, lambda z, d: 1.0 / b if z <= d else 0.0, (b, 1.0))
+        if b == 0.0:
+            return ClosedForm(lambda x: x / c, lambda z, d: min(z, d) / c, (c, 2.0))
+        if b > 0.0:  # Phi(0) = 0
+            return ClosedForm(
+                lambda x: -math.expm1(-b * x / c) / b,
+                lambda z, d: (-math.expm1(-b * z / c) / b if z <= d
+                              else math.exp(-b * z / c) * math.expm1(b * d / c) / b))
+        phi0 = model.phi_zero().value  # = -b/c
+        return ClosedForm(
+            lambda x: math.expm1(-phi0 * x) / b,
+            lambda z, d: (math.exp(-phi0 * d) * math.expm1(phi0 * z) / (-b) if z <= d
+                          else -math.expm1(-phi0 * d) / (-b)))
+
+
+@dataclass(frozen=True)
+class StablePositive(_Family):
+    """One-sided stable jumps, density scale * z**(-1-alpha) dz on (0, inf)."""
+
+    alpha: float
+    scale: float
+    tag: ClassVar[str] = "stable"
+
+    def check(self):
+        _check_index_and_scale(self.alpha, self.scale)
+
+    def density(self, u):
+        return self.scale * u ** (-1.0 - self.alpha)
+
+    def tail_mass(self, eps):
+        return self.scale * eps ** (-self.alpha) / self.alpha
+
+    def mean_eps_to_one(self, eps):
+        a, C = self.alpha, self.scale
+        if a == 1.0:
+            return C * math.log(1.0 / eps)
+        return C * (1.0 - eps ** (1.0 - a)) / (1.0 - a)
+
+    def small_variance(self, eps):
+        a = self.alpha
+        return self.scale * eps ** (2.0 - a) / (2.0 - a)
+
+    def exponent(self, b, c, ops):
+        a, C = ops.real(self.alpha), ops.real(self.scale)
+        if self.alpha == 1.0:
+            beff, log = b + C * (ops.euler - 1), ops.log
+
+            def psi(lam):
+                return beff * lam + c * lam * lam + C * (lam * log(lam) if lam > 0 else 0.0)
+
+            def dpsi(lam):
+                return beff + 2 * c * lam + C * (1 + log(lam)) if lam > 0 else -math.inf
+
+            return {"b": beff, "c": c, "psi": psi, "dpsi": dpsi}
+        CG = C * ops.gamma(-a)  # Gamma(-a) > 0 for a in (1,2), < 0 for a in (0,1)
+        beff = b - C / (a - 1) if self.alpha > 1.0 else b + C / (1 - a)
+
+        def psi(lam):
+            return beff * lam + c * lam * lam + CG * lam**a
+
+        def dpsi(lam):
+            if lam == 0.0:
+                return beff if a > 1.0 else -math.inf
+            return beff + 2 * c * lam + CG * a * lam ** (a - 1)
+
+        return {"b": beff, "c": c, "CG": CG, "psi": psi, "dpsi": dpsi}
+
+    def closed_form(self, model):
+        # psi(lam) = C Gamma(-a) lam**a when c = 0 and psi'(0+), the net drift, is 0
+        a = self.alpha
+        if (model.gaussian != 0.0 or a <= 1.0 or abs(model.laplace_exponent_derivative(0.0))
+                > 1e-14 * max(1.0, abs(model.drift))):
+            return None
+        g = math.gamma(a)
+
+        def potential(z, d):
+            if z <= d:
+                return z ** (a - 1.0) / g
+            # z^(a-1) - (z-d)^(a-1) without large-z cancellation
+            return -(z ** (a - 1.0)) * math.expm1((a - 1.0) * math.log1p(-d / z)) / g
+
+        return ClosedForm(lambda x: x ** (a - 1.0) / g, potential,
+                          (self.scale * math.gamma(-a), a))
+
+    def sampler(self, eps):
+        inv = -1.0 / self.alpha
+
+        def sample(gen, n):
+            # inverse transform of the Pareto tail: pi|[eps,inf) has cdf
+            # 1 - (u/eps)^(-alpha)
+            return eps * (1.0 - gen.random(n)) ** inv
+
+        return sample
+
+
+@dataclass(frozen=True)
+class CompoundPoissonExp(_Family):
+    """Compound Poisson jumps at `rate`, exponential sizes with mean `jump_mean`.
+
+    Density: rate * mu * exp(-mu*z) dz with mu = 1/jump_mean.
+    """
+
+    rate: float
+    jump_mean: float
+    tag: ClassVar[str] = "cpexp"
+
+    @property
+    def mu(self) -> float:
+        return 1.0 / self.jump_mean
+
+    def check(self):
+        if self.rate <= 0.0 or self.jump_mean <= 0.0:
+            raise ValueError("rate and jump_mean must be > 0")
+
+    def density(self, u):
+        mu = self.mu
+        return self.rate * mu * math.exp(-mu * u)
+
+    def tail_mass(self, eps):
+        return self.rate * math.exp(-self.mu * eps)
+
+    def mean_eps_to_one(self, eps):
+        mu, rho = self.mu, self.rate
+        return rho * (math.exp(-mu * eps) * (mu * eps + 1.0) - math.exp(-mu) * (mu + 1.0)) / mu
+
+    def small_variance(self, eps):
+        mu, rho = self.mu, self.rate
+        return rho * (2.0 - math.exp(-mu * eps) * (mu * eps * (mu * eps + 2.0) + 2.0)) / mu**2
+
+    def exponent(self, b, c, ops):
+        mu, rho = 1 / ops.real(self.jump_mean), ops.real(self.rate)
+        beff = b + rho * (1 - ops.exp(-mu) * (1 + mu)) / mu
+
+        def psi(lam):
+            return beff * lam + c * lam * lam - rho * lam / (lam + mu)
+
+        def dpsi(lam):
+            return beff + 2 * c * lam - rho * mu / (lam + mu) ** 2
+
+        return {"b": beff, "c": c, "psi": psi, "dpsi": dpsi}
+
+    def sampler(self, eps):
+        mean = self.jump_mean
+        # memoryless: the restriction to [eps, inf) is eps + Exp(mu)
+        return lambda gen, n: eps + gen.exponential(mean, n)
+
+
+@dataclass(frozen=True)
+class TemperedStable(_Family):
+    """Exponentially tempered stable jumps, density scale * exp(-q z) * z**(-1-alpha) dz."""
+
+    alpha: float
+    scale: float
+    tempering: float
+    tag: ClassVar[str] = "tempered"
+
+    def check(self):
+        _check_index_and_scale(self.alpha, self.scale)
+        if self.tempering <= 0.0:
+            raise ValueError("tempering must be > 0")
+
+    def density(self, u):
+        return self.scale * math.exp(-self.tempering * u) * u ** (-1.0 - self.alpha)
+
+    def tail_mass(self, eps):
+        val, _ = quad(self.density, eps, math.inf, limit=200)
+        return val
+
+    def mean_eps_to_one(self, eps):
+        val, _ = quad(lambda u: u * self.density(u), eps, 1.0, limit=200)
+        return val
+
+    def small_variance(self, eps):
+        # C q^(a-2) gamma(2-a, q eps), with the lower incomplete gamma
+        a, C, q = self.alpha, self.scale, self.tempering
+        return float(C * q ** (a - 2.0) * gammainc(2.0 - a, q * eps) * gamma(2.0 - a))
+
+    def exponent(self, b, c, ops):
+        a, C, q = ops.real(self.alpha), ops.real(self.scale), ops.real(self.tempering)
+        # tail mean: integral_1^inf u * C e^{-qu} u^{-1-a} du = C q^{a-1} Gamma(1-a, q)
+        beff = b - C * q ** (a - 1) * ops.upper_gamma(1 - a, q)
+        log1p = ops.log1p
+        if self.alpha == 1.0:
+            def psi(lam):
+                return beff * lam + c * lam * lam + C * ((lam + q) * log1p(lam / q) - lam)
+
+            def dpsi(lam):
+                return beff + 2 * c * lam + C * log1p(lam / q)
+
+            return {"b": beff, "c": c, "psi": psi, "dpsi": dpsi}
+        CG, qa, expm1 = C * ops.gamma(-a), q**a, ops.expm1
+        K = CG * qa
+        if ops is _FLOAT:
+            def psi(lam):  # cancellation-free form, see the module docstring
+                u = lam / q
+                return beff * lam + c * lam * lam + K * (expm1(a * log1p(u)) - a * u)
+        else:
+            aqa1 = a * q ** (a - 1)
+
+            def psi(lam):
+                return beff * lam + c * lam * lam + CG * ((lam + q) ** a - qa - aqa1 * lam)
+
+        def dpsi(lam):
+            return beff + 2 * c * lam + K * a / q * expm1((a - 1) * log1p(lam / q))
+
+        return {"b": beff, "c": c, "CG": CG, "psi": psi, "dpsi": dpsi}
+
+    def sampler(self, eps):
+        # rejection from the stable proposal, accepted with e^{-q(u-eps)}
+        inv = -1.0 / self.alpha
+        q = self.tempering
+
+        def sample(gen, n):
+            out = np.empty(n)
+            filled = 0
+            while filled < n:
+                m = n - filled
+                props = eps * (1.0 - gen.random(m)) ** inv
+                keep = props[gen.random(m) < np.exp(-q * (props - eps))]
+                take = min(len(keep), m)
+                out[filled:filled + take] = keep[:take]
+                filled += take
+            return out
+
+        return sample
+
+
+JumpSpec = NoJumps | StablePositive | CompoundPoissonExp | TemperedStable
+
+
+@lru_cache(maxsize=256)
+def jump_tail_mass(jumps: JumpSpec, eps: float) -> float:
+    """pi([eps, inf)): the rate of jumps of size >= eps."""
+    return jumps.tail_mass(eps)
+
+
+@lru_cache(maxsize=256)
+def jump_mean_eps_to_one(jumps: JumpSpec, eps: float) -> float:
+    """integral_{[eps, 1]} u pi(du), the compensator mean of retained small jumps."""
+    return 0.0 if eps >= 1.0 else jumps.mean_eps_to_one(eps)
+
+
+@lru_cache(maxsize=256)
+def jump_small_variance(jumps: JumpSpec, eps: float) -> float:
+    """integral_{(0, eps)} u^2 pi(du), the variance of discarded small jumps."""
+    return jumps.small_variance(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -208,32 +454,9 @@ class LevyModel:
     jumps: JumpSpec
     validated: bool = False
 
-    # -- cached per-family constants -------------------------------------
-
     @cached_property
-    def _consts(self) -> dict:
-        b, c, j = self.drift, self.gaussian, self.jumps
-        if isinstance(j, NoJumps):
-            return {"kind": "none"}
-        if isinstance(j, StablePositive):
-            a, C = j.alpha, j.scale
-            if a == 1.0:
-                return {"kind": "stable1", "beff": b + C * (EULER_GAMMA - 1.0), "C": C}
-            g = math.gamma(-a)  # > 0 for a in (1,2), < 0 for a in (0,1)
-            beff = b - C / (a - 1.0) if a > 1.0 else b + C / (1.0 - a)
-            return {"kind": "stable", "beff": beff, "CG": C * g, "alpha": a}
-        if isinstance(j, CompoundPoissonExp):
-            mu, rho = j.mu, j.rate
-            m01 = rho * (1.0 - math.exp(-mu) * (1.0 + mu)) / mu
-            return {"kind": "cpexp", "beff": b + m01, "rho": rho, "mu": mu}
-        if isinstance(j, TemperedStable):
-            a, C, q = j.alpha, j.scale, j.tempering
-            beff = b - C * q ** (a - 1.0) * _upper_gamma(1.0 - a, q)
-            if a == 1.0:
-                return {"kind": "tempered1", "beff": beff, "C": C, "q": q}
-            return {"kind": "tempered", "beff": beff, "K": C * math.gamma(-a) * q**a,
-                    "alpha": a, "q": q}
-        raise TypeError(f"unknown jump spec {j!r}")
+    def _exponent(self) -> dict:
+        return self.jumps.exponent(self.drift, self.gaussian, _FLOAT)
 
     # -- Laplace exponent -------------------------------------------------
 
@@ -241,26 +464,7 @@ class LevyModel:
         """psi(lam) for lam >= 0, via the family's closed form."""
         if lam < 0:
             raise ValueError("lam must be >= 0")
-        k = self._consts
-        c = self.gaussian
-        kind = k["kind"]
-        if kind == "none":
-            val = self.drift * lam + c * lam * lam
-        elif kind == "stable":
-            val = k["beff"] * lam + c * lam * lam + k["CG"] * lam ** k["alpha"]
-        elif kind == "stable1":
-            ll = lam * math.log(lam) if lam > 0 else 0.0
-            val = k["beff"] * lam + c * lam * lam + k["C"] * ll
-        elif kind == "cpexp":
-            val = k["beff"] * lam + c * lam * lam - k["rho"] * lam / (lam + k["mu"])
-        elif kind == "tempered":
-            a, u = k["alpha"], lam / k["q"]
-            val = (k["beff"] * lam + c * lam * lam
-                   + k["K"] * (math.expm1(a * math.log1p(u)) - a * u))
-        else:  # tempered1
-            q = k["q"]
-            val = (k["beff"] * lam + c * lam * lam
-                   + k["C"] * ((lam + q) * math.log1p(lam / q) - lam))
+        val = self._exponent["psi"](lam)
         if not math.isfinite(val):
             raise NumericalOverflowError(f"psi({lam}) is not representable")
         return val
@@ -269,29 +473,7 @@ class LevyModel:
         """psi'(lam); at lam = 0 this is psi'(0+), which may be -inf."""
         if lam < 0:
             raise ValueError("lam must be >= 0")
-        k = self._consts
-        c = self.gaussian
-        kind = k["kind"]
-        if kind == "none":
-            return self.drift + 2.0 * c * lam
-        if kind == "stable":
-            a = k["alpha"]
-            if lam == 0.0:
-                return k["beff"] if a > 1.0 else -math.inf
-            return k["beff"] + 2.0 * c * lam + k["CG"] * a * lam ** (a - 1.0)
-        if kind == "stable1":
-            if lam == 0.0:
-                return -math.inf
-            return k["beff"] + 2.0 * c * lam + k["C"] * (1.0 + math.log(lam))
-        if kind == "cpexp":
-            mu = k["mu"]
-            return k["beff"] + 2.0 * c * lam - k["rho"] * mu / (lam + mu) ** 2
-        if kind == "tempered":
-            a, q = k["alpha"], k["q"]
-            return (k["beff"] + 2.0 * c * lam
-                    + k["K"] * a / q * math.expm1((a - 1.0) * math.log1p(lam / q)))
-        # tempered1
-        return k["beff"] + 2.0 * c * lam + k["C"] * math.log1p(lam / k["q"])
+        return self._exponent["dpsi"](lam)
 
     # -- root of psi and derived quantities --------------------------------
 
@@ -357,21 +539,11 @@ def validate(drift: float, gaussian: float, jumps: JumpSpec) -> LevyModel:
     non-positive parameters, and SubordinatorError when no probed lambda
     has psi(lambda) > 0 (a monotone process).
     """
-    params = {"drift": drift, "gaussian": gaussian,
-              **{f.name: getattr(jumps, f.name) for f in fields(jumps)}}
+    params = {"drift": drift, "gaussian": gaussian, **asdict(jumps)}
     bad = [name for name, v in params.items() if not math.isfinite(v)]
     if bad:
         raise ValueError(f"non-finite model parameters: {', '.join(bad)}")
-    if isinstance(jumps, (StablePositive, TemperedStable)):
-        if not 0.0 < jumps.alpha < 2.0:
-            raise InvalidJumpIndexError(f"alpha={jumps.alpha} outside (0, 2)")
-        if jumps.scale <= 0.0:
-            raise ValueError("jump scale must be > 0")
-        if isinstance(jumps, TemperedStable) and jumps.tempering <= 0.0:
-            raise ValueError("tempering must be > 0")
-    if isinstance(jumps, CompoundPoissonExp):
-        if jumps.rate <= 0.0 or jumps.jump_mean <= 0.0:
-            raise ValueError("rate and jump_mean must be > 0")
+    jumps.check()
     if gaussian < 0.0:
         raise NegativeGaussianError(f"gaussian coefficient c={gaussian} < 0")
 
@@ -388,8 +560,7 @@ def validate(drift: float, gaussian: float, jumps: JumpSpec) -> LevyModel:
 # JSON configuration (schema shared with the CLI)
 # ---------------------------------------------------------------------------
 
-_FAMILY_TAGS = {"none": NoJumps, "stable": StablePositive,
-                "cpexp": CompoundPoissonExp, "tempered": TemperedStable}
+_FAMILY_TAGS = {cls.tag: cls for cls in get_args(JumpSpec)}
 
 
 def model_from_dict(cfg: dict) -> LevyModel:
@@ -412,16 +583,7 @@ def model_from_dict(cfg: dict) -> LevyModel:
 
 
 def model_to_dict(model: LevyModel) -> dict:
-    j = model.jumps
-    if isinstance(j, NoJumps):
-        jumps = {"family": "none"}
-    elif isinstance(j, StablePositive):
-        jumps = {"family": "stable", "alpha": j.alpha, "scale": j.scale}
-    elif isinstance(j, CompoundPoissonExp):
-        jumps = {"family": "cpexp", "rate": j.rate, "jump_mean": j.jump_mean}
-    else:
-        jumps = {"family": "tempered", "alpha": j.alpha, "scale": j.scale,
-                 "tempering": j.tempering}
+    jumps = {"family": model.jumps.tag, **asdict(model.jumps)}
     return {"drift": model.drift, "gaussian": model.gaussian, "jumps": jumps}
 
 
@@ -441,16 +603,16 @@ def laplace_exponent_quadrature(model: LevyModel, lam: float) -> float:
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    b, c, j = model.drift, model.gaussian, model.jumps
+    b, c, density = model.drift, model.gaussian, model.jumps.density
     base = b * lam + c * lam * lam
-    if isinstance(j, NoJumps) or lam == 0.0:
+    if lam == 0.0:
         return base
 
     def small(u: float) -> float:
-        return (math.exp(-lam * u) - 1.0 + lam * u) * jump_density(j, u)
+        return (math.exp(-lam * u) - 1.0 + lam * u) * density(u)
 
     def large(u: float) -> float:
-        return (math.exp(-lam * u) - 1.0) * jump_density(j, u)
+        return (math.exp(-lam * u) - 1.0) * density(u)
 
     with warnings.catch_warnings():
         # the u^(1-alpha) endpoint singularity trips quad's roundoff check
@@ -467,51 +629,14 @@ def laplace_exponent_quadrature(model: LevyModel, lam: float) -> float:
 
 @lru_cache(maxsize=128)
 def _hp_consts(model: LevyModel, dps: int) -> dict:
-    """Family constants recomputed at `dps` decimal digits."""
+    """The family's psi constants and closures at `dps` decimal digits."""
     with mp.workdps(dps):
-        b = mp.mpf(model.drift)
-        c = mp.mpf(model.gaussian)
-        j = model.jumps
-        if isinstance(j, NoJumps):
-            return {"kind": "none", "b": b, "c": c}
-        if isinstance(j, StablePositive):
-            a, C = mp.mpf(j.alpha), mp.mpf(j.scale)
-            if j.alpha == 1.0:
-                return {"kind": "stable1", "b": b + C * (mp.euler - 1), "c": c, "C": C}
-            g = mp.gamma(-a)
-            beff = b - C / (a - 1) if j.alpha > 1.0 else b + C / (1 - a)
-            return {"kind": "stable", "b": beff, "c": c, "CG": C * g, "alpha": a}
-        if isinstance(j, CompoundPoissonExp):
-            mu, rho = mp.mpf(1) / mp.mpf(j.jump_mean), mp.mpf(j.rate)
-            m01 = rho * (1 - mp.e**(-mu) * (1 + mu)) / mu
-            return {"kind": "cpexp", "b": b + m01, "c": c, "rho": rho, "mu": mu}
-        a, C, q = mp.mpf(j.alpha), mp.mpf(j.scale), mp.mpf(j.tempering)
-        # tail mean: integral_1^inf u * C e^{-qu} u^{-1-a} du = C q^{a-1} Gamma(1-a, q)
-        tail = C * q ** (a - 1) * mp.gammainc(1 - a, q)
-        if j.alpha == 1.0:
-            return {"kind": "tempered1", "b": b - tail, "c": c, "C": C, "q": q}
-        # q**a and a*q**(a-1), the lam-free terms of the jump part
-        return {"kind": "tempered", "b": b - tail, "c": c, "CG": C * mp.gamma(-a),
-                "alpha": a, "q": q, "qa": q**a, "aqa1": a * q ** (a - 1)}
+        return model.jumps.exponent(mp.mpf(model.drift), mp.mpf(model.gaussian), _MP)
 
 
 def laplace_exponent_hp(model: LevyModel, lam) -> "mp.mpf":
     """psi(lam) on mpmath floats at the caller's working precision."""
-    k = _hp_consts(model, mp.mp.dps)
-    kind = k["kind"]
-    base = k["b"] * lam + k["c"] * lam * lam
-    if kind == "none":
-        return base
-    if kind == "stable":
-        return base + k["CG"] * lam ** k["alpha"]
-    if kind == "stable1":
-        return base + (k["C"] * lam * mp.log(lam) if lam > 0 else 0)
-    if kind == "cpexp":
-        return base - k["rho"] * lam / (lam + k["mu"])
-    if kind == "tempered":
-        return base + k["CG"] * ((lam + k["q"]) ** k["alpha"] - k["qa"] - k["aqa1"] * lam)
-    q = k["q"]
-    return base + k["C"] * ((lam + q) * mp.log(1 + lam / q) - lam)
+    return _hp_consts(model, mp.mp.dps)["psi"](lam)
 
 
 @lru_cache(maxsize=128)

@@ -44,11 +44,7 @@ from .integral_tests import (
     f_eval_array,
 )
 from .levy_model import (
-    CompoundPoissonExp,
     LevyModel,
-    NoJumps,
-    StablePositive,
-    TemperedStable,
     jump_mean_eps_to_one,
     jump_small_variance,
     jump_tail_mass,
@@ -122,45 +118,6 @@ def substream_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _make_jump_sampler(jumps, eps: float):
-    """Sampler for jump sizes drawn from pi restricted to [eps, inf), normalized."""
-    if isinstance(jumps, StablePositive):
-        inv = -1.0 / jumps.alpha
-
-        def sample(gen, n):
-            # inverse transform of the Pareto tail: pi|[eps,inf) has cdf
-            # 1 - (u/eps)^(-alpha)
-            return eps * (1.0 - gen.random(n)) ** inv
-
-        return sample
-    if isinstance(jumps, CompoundPoissonExp):
-        mean = jumps.jump_mean
-
-        def sample(gen, n):
-            # memoryless: the restriction to [eps, inf) is eps + Exp(mu)
-            return eps + gen.exponential(mean, n)
-
-        return sample
-    if isinstance(jumps, TemperedStable):
-        inv = -1.0 / jumps.alpha
-        q = jumps.tempering
-
-        def sample(gen, n):
-            out = np.empty(n)
-            filled = 0
-            while filled < n:
-                m = n - filled
-                props = eps * (1.0 - gen.random(m)) ** inv
-                keep = props[gen.random(m) < np.exp(-q * (props - eps))]
-                take = min(len(keep), m)
-                out[filled:filled + take] = keep[:take]
-                filled += take
-            return out
-
-        return sample
-    raise TypeError(f"no sampler for {jumps!r}")
-
-
 def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> PathSample:
     """Simulate one Euler skeleton until first passage, barrier, or horizon."""
     if not model.validated:
@@ -176,13 +133,12 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
     # the Gaussian part and the small-jump compensation are independent
     # centred normals, so each step draws their sum as one normal
     var = 2.0 * model.gaussian * dt
-    has_jumps = not isinstance(model.jumps, NoJumps)
-    if has_jumps:
+    sampler = model.jumps.sampler(cfg.eps)
+    if sampler is not None:
         pois_mean = jump_tail_mass(model.jumps, cfg.eps) * dt
         base -= dt * jump_mean_eps_to_one(model.jumps, cfg.eps)
         if cfg.gaussian_compensation:
             var += dt * jump_small_variance(model.jumps, cfg.eps)
-        sampler = _make_jump_sampler(model.jumps, cfg.eps)
     sd = math.sqrt(var)
 
     chunks = [np.array([x])]
@@ -203,7 +159,7 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
             inc += base
         else:
             inc = np.full(n, base)
-        if has_jumps:
+        if sampler is not None:
             # Poisson splitting: a Poisson(n * pois_mean) total placed on
             # uniform steps has the law of n i.i.d. Poisson(pois_mean) counts
             total = int(gen.poisson(pois_mean * n))

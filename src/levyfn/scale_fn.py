@@ -48,13 +48,7 @@ from .integral_tests import (
     f_eval,
     improper_integral_verdict,
 )
-from .levy_model import (
-    LevyModel,
-    NoJumps,
-    StablePositive,
-    laplace_exponent_hp,
-    phi_zero_hp,
-)
+from .levy_model import ClosedForm, LevyModel, laplace_exponent_hp, phi_zero_hp
 
 LN2 = math.log(2.0)
 
@@ -169,10 +163,8 @@ class ScaleEvaluator:
     model: LevyModel
     order: int = 14
     use_closed_form: bool = True
-    closed_form: Optional[str] = field(init=False, default=None)
+    closed_form: Optional[ClosedForm] = field(init=False, default=None)
     phi0: float = field(init=False, default=0.0)
-    grid_x: np.ndarray = field(init=False, default=None)
-    grid_w: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
         if not self.model.validated:
@@ -180,55 +172,20 @@ class ScaleEvaluator:
         if self.order % 2 != 0 or self.order < 4:
             raise ValueError("order must be an even integer >= 4")
         self.phi0 = self.model.phi_zero().value
-        self.closed_form = self._detect_closed_form() if self.use_closed_form else None
-        self.grid_x = np.geomspace(0.05, 20.0, 16)
-        self.grid_w = np.array([self.scale_w(float(x)) for x in self.grid_x])
-        scale = max(self.grid_w.max(), 1e-300)
-        if (self.grid_w <= 0.0).any() or (np.diff(self.grid_w) < -1e-9 * scale).any():
+        if self.use_closed_form:
+            self.closed_form = self.model.jumps.closed_form(self.model)
+        grid_w = np.array([self.scale_w(float(x)) for x in np.geomspace(0.05, 20.0, 16)])
+        scale = max(grid_w.max(), 1e-300)
+        if (grid_w <= 0.0).any() or (np.diff(grid_w) < -1e-9 * scale).any():
             raise InversionUnstableError(
                 "scale function not positive/nondecreasing on the cache grid")
-
-    # -- closed forms ------------------------------------------------------
-
-    def _detect_closed_form(self) -> Optional[str]:
-        m = self.model
-        if isinstance(m.jumps, NoJumps):
-            if m.gaussian > 0.0:
-                return "gauss_drift"
-            if m.drift > 0.0:
-                return "drift_only"
-        if isinstance(m.jumps, StablePositive) and m.gaussian == 0.0:
-            k = m._consts
-            if (k["kind"] == "stable" and k["alpha"] > 1.0
-                    and abs(k["beff"]) <= 1e-14 * max(1.0, abs(m.drift))):
-                return "stable_power"
-        return None
-
-    def _w_nat_closed(self, x: float) -> float:
-        """Closed-form shifted scale function W_shift(x) = e^{-Phi(0)x} W(x)."""
-        m = self.model
-        if self.closed_form == "stable_power":
-            a = m.jumps.alpha
-            return x ** (a - 1.0) / math.gamma(a)
-        if self.closed_form == "gauss_drift":
-            b, c = m.drift, m.gaussian
-            if b == 0.0:
-                return x / c
-            if b > 0.0:  # Phi(0) = 0
-                return -math.expm1(-b * x / c) / b
-            return math.expm1(-self.phi0 * x) / b  # Phi(0) = -b/c
-        if self.closed_form == "drift_only":
-            return 1.0 / m.drift
-        raise RuntimeError("no closed form")
 
     # -- core inversions -----------------------------------------------------
 
     def _w_nat_hp(self, x: float, orders: tuple[int, ...]) -> tuple[float, ...]:
         """W_shift(x) at each of `orders`, from one set of hp transform values."""
         model = self.model
-        exact_zero = self.model.phi_zero().exact_zero or self.phi0 == 0.0
-        dps = _dps_for(max(orders))
-        phi0_hp = mp.mpf(0) if exact_zero else phi_zero_hp(model, dps)
+        phi0_hp = phi_zero_hp(model, _dps_for(max(orders)))
 
         def transform(s):
             denom = laplace_exponent_hp(model, s + phi0_hp)
@@ -244,7 +201,7 @@ class ScaleEvaluator:
         if x < 0.0:
             return 0.0
         if self.closed_form is not None:
-            return self._w_nat_closed(x)
+            return self.closed_form.w_shifted(x)
         x = max(x, 1e-300)
         lo, hi = self._w_nat_hp(x, (self.order, 2 * self.order))
         if abs(hi - lo) > ORDER_AGREEMENT_RTOL * max(abs(hi), 1e-300):
@@ -269,7 +226,7 @@ class ScaleEvaluator:
         if x < 0.0:
             return 0.0
         if self.closed_form is not None:
-            return self._w_nat_closed(x)
+            return self.closed_form.w_shifted(x)
         # float64 nodes overflow psi beyond ~1e150, bounding the resolvable x
         x = max(x, 1e-120)
         phi0 = self.phi0
@@ -290,42 +247,6 @@ class ScaleEvaluator:
     # scale-function inversions loses all signal once that transient falls
     # below the inversion noise; past the switch point we return the plateau.
 
-    def _potential_plateau(self, d: float) -> float:
-        """lim_{z->inf} e^{-Phi(0)d} W(z) - W(z-d)."""
-        phi0 = self.phi0
-        d0 = self.model.laplace_exponent_derivative(0.0)
-        if phi0 > 0.0:
-            return math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
-        if d0 > 0.0 or not isinstance(self.model.jumps, NoJumps):
-            return 0.0
-        return d / self.model.gaussian  # driftless Brownian: W(z) = z/c
-
-    def _potential_density_closed(self, z: float, d: float) -> float:
-        m = self.model
-        if z <= 0.0:
-            return 0.0
-        if self.closed_form == "stable_power":
-            a = m.jumps.alpha
-            if z <= d:
-                return z ** (a - 1.0) / math.gamma(a)
-            # z^(a-1) - (z-d)^(a-1) without large-z cancellation
-            return -(z ** (a - 1.0)) * math.expm1((a - 1.0) * math.log1p(-d / z)) / math.gamma(a)
-        if self.closed_form == "gauss_drift":
-            b, c = m.drift, m.gaussian
-            if b == 0.0:
-                return min(z, d) / c
-            if b > 0.0:
-                if z <= d:
-                    return -math.expm1(-b * z / c) / b
-                return math.exp(-b * z / c) * math.expm1(b * d / c) / b
-            phi0 = self.phi0  # = -b/c
-            if z <= d:
-                return math.exp(-phi0 * d) * math.expm1(phi0 * z) / (-b)
-            return -math.expm1(-phi0 * d) / (-b)
-        if self.closed_form == "drift_only":
-            return 1.0 / m.drift if z <= d else 0.0
-        raise RuntimeError("no closed form")
-
     def _potential_direct(self, z: float, d: float,
                           orders: tuple[int, ...]) -> tuple[float, ...]:
         """Direct hp-inverted difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)],
@@ -342,7 +263,7 @@ class ScaleEvaluator:
     def _potential_density_fn(self, d: float) -> Callable:
         """Pointwise evaluator of z -> e^{-Phi(0)d} W(z) - W(z-d)."""
         if self.closed_form is not None:
-            return lambda z: self._potential_density_closed(z, d)
+            return lambda z: self.closed_form.potential(z, d) if z > 0.0 else 0.0
         phi0 = self.phi0
         # with Phi(0) > 0 the table below is taken at a doubled order
         order = max(2 * self.order, 28) if phi0 > 0.0 else self.order
@@ -357,7 +278,8 @@ class ScaleEvaluator:
             # noise is amplified by e^{Phi(0)(z-d)}; a doubled-order table on
             # the resolvable window, interpolated monotonically, covers the
             # region before the plateau takes over.
-            plateau = self._potential_plateau(d)
+            d0 = self.model.laplace_exponent_derivative(0.0)
+            plateau = math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
             ref = max(abs(plateau), abs(direct(d)), 1e-300)
             z_hi = d + 12.0 / phi0
             for _ in range(3):
@@ -408,7 +330,7 @@ class ScaleEvaluator:
         if x <= 0.0 or y <= 0.0:
             raise ValueError("x and y must be > 0")
         if self.closed_form is not None:
-            return self._potential_density_closed(y, x)
+            return self.closed_form.potential(y, x)
         # the difference is checked at consecutive doubled orders: the base
         # order's truncation error is magnified once the two scale values
         # nearly cancel

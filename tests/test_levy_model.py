@@ -26,7 +26,13 @@ from levyfn.errors import (
     NonPositiveStartError,
     SubordinatorError,
 )
-from levyfn.levy_model import _hp_consts, jump_small_variance, laplace_exponent_hp
+from levyfn.levy_model import (
+    _hp_consts,
+    jump_mean_eps_to_one,
+    jump_small_variance,
+    jump_tail_mass,
+    laplace_exponent_hp,
+)
 
 # scale making psi(lam) = lam^1.5: C = 1/Gamma(-1.5) = 3/(4 sqrt(pi))
 C15 = 3.0 / (4.0 * math.sqrt(math.pi))
@@ -60,6 +66,8 @@ class TestValidate:
             validate(0.0, 0.0, StablePositive(alpha=2.5, scale=1.0))
         with pytest.raises(InvalidJumpIndexError):
             validate(0.0, 0.0, StablePositive(alpha=-0.3, scale=1.0))
+        with pytest.raises(InvalidJumpIndexError):
+            validate(0.0, 0.0, TemperedStable(alpha=2.5, scale=1.0, tempering=1.0))
 
     def test_normalized_stable_valid(self):
         m = validate(0.0, 0.0, StablePositive(alpha=1.5, scale=C15))
@@ -83,6 +91,8 @@ class TestValidate:
             validate(0.0, 1.0, StablePositive(alpha=1.5, scale=-1.0))
         with pytest.raises(ValueError):
             validate(0.0, 1.0, CompoundPoissonExp(rate=0.0, jump_mean=1.0))
+        with pytest.raises(ValueError):
+            validate(0.0, 1.0, TemperedStable(alpha=1.2, scale=1.0, tempering=0.0))
 
 
 class TestLaplaceExponent:
@@ -192,6 +202,42 @@ def test_tempered_small_jump_variance(alpha, q, eps):
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
+# One family of each kind, with the Levy density written out in mpmath.
+JUMP_FAMILIES = {
+    "stable06": (StablePositive(alpha=0.6, scale=0.7), lambda u: 0.7 * u ** mp.mpf(-1.6)),
+    "stable1": (StablePositive(alpha=1.0, scale=0.7), lambda u: 0.7 * u ** -2),
+    "stable15": (StablePositive(alpha=1.5, scale=0.7), lambda u: 0.7 * u ** mp.mpf(-2.5)),
+    "cpexp": (CompoundPoissonExp(rate=2.0, jump_mean=0.5), lambda u: 4 * mp.exp(-2 * u)),
+    **{f"tempered{a}": (TemperedStable(alpha=a, scale=0.7, tempering=2.0),
+                        lambda u, a=a: 0.7 * mp.exp(-2 * u) * u ** (-1 - mp.mpf(a)))
+       for a in (0.6, 1.0, 1.3)},
+}
+
+
+class TestJumpIntegrals:
+    """The three jump integrals against mpmath quadrature of the density."""
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
+    @pytest.mark.parametrize("name", sorted(JUMP_FAMILIES))
+    def test_against_mpmath_quad(self, name, eps):
+        jumps, density = JUMP_FAMILIES[name]
+        with mp.workdps(30):
+            e = mp.mpf(eps)
+            want = (mp.quad(density, [e, 1, mp.inf]),
+                    mp.quad(lambda u: u * density(u), [e, 1]),
+                    mp.quad(lambda u: u * u * density(u), [0, e]))
+        got = (jump_tail_mass(jumps, eps), jump_mean_eps_to_one(jumps, eps),
+               jump_small_variance(jumps, eps))
+        for g, w in zip(got, want):
+            assert g == pytest.approx(float(w), rel=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
+    def test_no_jumps_are_zero(self, eps):
+        assert jump_tail_mass(NoJumps(), eps) == 0.0
+        assert jump_mean_eps_to_one(NoJumps(), eps) == 0.0
+        assert jump_small_variance(NoJumps(), eps) == 0.0
+
+
 class TestDerivative:
     def test_brownian_values(self):
         assert brownian_model(1.0).laplace_exponent_derivative(0.0) == 1.0
@@ -284,9 +330,16 @@ class TestHitProbability:
 
 
 class TestJsonConfig:
-    @pytest.mark.parametrize("name", sorted(example_models()))
+    TRIPLETS = {
+        "tempered06": (0.3, 0.1, TemperedStable(alpha=0.6, scale=1.0, tempering=2.0)),
+        "tempered1": (-0.5, 0.1, TemperedStable(alpha=1.0, scale=1.0, tempering=1.5)),
+        "tempered12": (0.3, 0.0, TemperedStable(alpha=1.2, scale=0.8, tempering=1.0)),
+        "stable1": (0.5, 0.1, StablePositive(alpha=1.0, scale=0.7)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(example_models()) + sorted(TRIPLETS))
     def test_roundtrip(self, name):
-        m = builtin_model(name)
+        m = validate(*self.TRIPLETS[name]) if name in self.TRIPLETS else builtin_model(name)
         again = model_from_dict(model_to_dict(m))
         assert again == m
 

@@ -1,9 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from levyfn import (
+    CompoundPoissonExp,
     CondExpFunctional,
     FunctionalFiniteness,
     HitProb,
@@ -11,6 +14,7 @@ from levyfn import (
     NoJumps,
     PathConfig,
     PowerLaw,
+    StablePositive,
     TemperedStable,
     brownian_model,
     builtin_model,
@@ -122,6 +126,38 @@ class TestSamplePath:
                 assert used <= p.steps_drawn <= 2 * used + 256
                 seen.add(p.status)
         assert seen == {"hit_zero", "hit_barrier", "censored"}
+
+
+# pi([u, inf)) up to a constant factor, in mpmath, for one family of each kind
+JUMP_TAILS = {
+    "stable06": (StablePositive(alpha=0.6, scale=0.7), lambda u: u ** mp.mpf(-0.6)),
+    "stable1": (StablePositive(alpha=1.0, scale=0.7), lambda u: 1 / u),
+    "stable15": (StablePositive(alpha=1.5, scale=0.7), lambda u: u ** mp.mpf(-1.5)),
+    "cpexp": (CompoundPoissonExp(rate=2.0, jump_mean=0.5), lambda u: mp.exp(-2 * u)),
+    **{f"tempered{a}": (TemperedStable(alpha=a, scale=0.7, tempering=2.0),
+                        lambda u, a=a: mp.gammainc(-mp.mpf(a), 2 * u))
+       for a in (0.6, 1.0, 1.3)},
+}
+
+
+class TestJumpSizeLaw:
+    """Jump sizes drawn by each family's sampler follow pi restricted to [eps, inf)."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.1])
+    @pytest.mark.parametrize("name", sorted(JUMP_TAILS))
+    def test_ks_against_normalized_tail(self, name, eps):
+        jumps, tail = JUMP_TAILS[name]
+        draws = jumps.sampler(eps)(substream_generator(2718, 0), 5000)
+        assert draws.shape == (5000,) and draws.min() >= eps
+        t_eps = tail(mp.mpf(eps))
+
+        def cdf(u):
+            return np.array([float(1 - tail(mp.mpf(v)) / t_eps) for v in u])
+
+        assert kstest(draws, cdf).pvalue >= 1e-3
+
+    def test_no_jumps_have_no_sampler(self):
+        assert NoJumps().sampler(1e-3) is None
 
 
 class TestFunctionalAlongPath:
