@@ -57,8 +57,10 @@ from .montecarlo import (
 from .scale_fn import (
     ScaleEvaluator,
     conditional_exp_constant_closed_form,
+    conditional_exp_transform,
     laplace_identity_residual,
     local_power_near_zero,
+    occupation_transform,
 )
 
 __version__ = "0.1.0"

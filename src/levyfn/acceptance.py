@@ -26,7 +26,7 @@ from .integral_tests import (
     explosion_test,
     extinction_test,
 )
-from .levy_model import laplace_exponent_quadrature, validate, NoJumps
+from .levy_model import NoJumps, TemperedStable, laplace_exponent_quadrature, validate
 from .montecarlo import (
     CondExpFunctional,
     HitProb,
@@ -194,7 +194,8 @@ def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
             for y in (0.05, 0.5, 1.0, 2.0, 5.0, 20.0):
                 if ev.potential_density(x, y) < -1e-6 * ev.scale_w(y):
                     failures.append(f"{name}: negative potential density at ({x},{y})")
-        got = ev.conditional_exp_functional(constant_functional(), 1.0, 1.0)
+        got = ev.conditional_exp_functional(constant_functional(), 1.0, 1.0,
+                                            route="inversion")
         want = conditional_exp_constant_closed_form(m, 1.0, 1.0)
         if abs(got - want) > 1e-3 * tol_scale * abs(want):
             failures.append(f"{name}: conditional-exp closed form mismatch")
@@ -217,7 +218,9 @@ def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
                not extinction_test(model, PowerLaw(lo)).converges:
                 failures.append(f"theta monotonicity {lo} vs {hi}")
 
-    # finiteness equivalence: extinction verdict <-> conditional expectation finite
+    # finiteness equivalence: extinction verdict <-> conditional expectation
+    # finite; the transform route decides finiteness by the extinction verdict
+    # itself, so the inversion route is the one compared
     cases = [(s15, 1.0), (s15, 1.5), (bmdrift, 1.0), (bmdrift, 2.0),
              (builtin_model("bmup"), 1.5), (builtin_model("cpexp"), 1.0),
              (builtin_model("cpexp"), 2.5)]
@@ -226,7 +229,8 @@ def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
         if verdict.verdict == "inconclusive":
             failures.append(f"inconclusive extinction theta={theta}")
             continue
-        val = ScaleEvaluator(model).conditional_exp_functional(PowerLaw(theta), 1.0, 1.0)
+        val = ScaleEvaluator(model).conditional_exp_functional(PowerLaw(theta), 1.0, 1.0,
+                                                               route="inversion")
         if verdict.converges != math.isfinite(val):
             failures.append(
                 f"(iii)<->(iv) mismatch theta={theta}: {verdict.verdict} vs {val}")
@@ -243,6 +247,43 @@ def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
     return _result("property_sweeps", start, passed,
                    "all invariants hold" if not failures else "; ".join(failures[:4]),
                    "module invariants", "as stated per invariant")
+
+
+def check_expectation_routes(tol_scale: float = 1.0) -> CheckResult:
+    """Transform route vs inversion route of the two expectation formulas.
+
+    Closed forms are off, so the inversion route inverts W.  The occupation
+    tolerance is set by the inversion route's own error (4.3e-4 on cpexp
+    against a 30-digit quadrature of the transform integral).
+    """
+    start = time.perf_counter()
+    tempered = validate(-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
+    cases = [("condexp", "cpexp", builtin_model("cpexp"), (0.5, 1.0)),
+             ("condexp", "stable15", builtin_model("stable15"), (0.5, 1.0)),
+             ("condexp", "tempered", tempered, (0.5, 1.0)),
+             ("occupation", "cpexp", builtin_model("cpexp"), (1.5, 2.5)),
+             ("occupation", "bmdrift", builtin_model("bmdrift"), (1.5, 2.5))]
+    tols = {"condexp": 1e-5 * tol_scale, "occupation": 1e-3 * tol_scale}
+    worst = {"condexp": (0.0, ""), "occupation": (0.0, "")}
+    for kind, name, model, thetas in cases:
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        for theta in thetas:
+            f = PowerLaw(theta)
+            if kind == "condexp":
+                a = ev.conditional_exp_functional(f, 1.0, 1.0)
+                b = ev.conditional_exp_functional(f, 1.0, 1.0, route="inversion")
+            else:
+                a = ev.occupation_expectation(f, 1.0, 0.2)
+                b = ev.occupation_expectation(f, 1.0, 0.2, route="inversion")
+            rel = abs(a - b) / abs(a) if math.isfinite(a) and math.isfinite(b) else math.inf
+            if rel >= worst[kind][0]:
+                worst[kind] = (rel, f"{name}@theta={theta}")
+    passed = all(worst[k][0] <= tols[k] for k in tols)
+    return _result("expectation_routes_agree", start, passed,
+                   f"condexp rel {worst['condexp'][0]:.2e} ({worst['condexp'][1]}), "
+                   f"occupation rel {worst['occupation'][0]:.2e} ({worst['occupation'][1]})",
+                   "transform = inversion",
+                   f"{tols['condexp']:.0e} / {tols['occupation']:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +328,7 @@ def check_conditional_exp(tol_scale: float = 1.0, n: int = 9000) -> CheckResult:
     target = conditional_exp_constant_closed_form(model, 1.0, 1.0)  # 1 - e^{-1}
 
     quad_val = ScaleEvaluator(model).conditional_exp_functional(
-        constant_functional(), 1.0, 1.0)
+        constant_functional(), 1.0, 1.0, route="inversion")
     quad_ok = abs(quad_val - target) <= 1e-3 * tol_scale * target
 
     cfg = PathConfig(dt=5e-4, horizon=2000.0, barrier=300.0, seed=SEED_CONDEXP)
@@ -375,6 +416,12 @@ ANALYTIC_CHECKS: list[Callable[[float], CheckResult]] = [
     check_property_sweeps,
 ]
 
+# Deterministic like the analytic checks, but slower (each inversion-route
+# value takes 0.2-3 s); `verify` runs them with the full suite.
+ROUTE_CHECKS: list[Callable[[float], CheckResult]] = [
+    check_expectation_routes,
+]
+
 MC_CHECKS: list[Callable[[float], CheckResult]] = [
     check_mc_determinism,
     check_hitprob_mc,
@@ -392,7 +439,7 @@ def run_suite(suite: str = "all", tol_scale: float = 1.0,
     elif suite in ("montecarlo", "mc"):
         checks = list(MC_CHECKS)
     elif suite == "all":
-        checks = list(ANALYTIC_CHECKS) + list(MC_CHECKS)
+        checks = list(ANALYTIC_CHECKS) + list(ROUTE_CHECKS) + list(MC_CHECKS)
     else:
         raise ValueError(f"unknown suite {suite!r}")
     results = []

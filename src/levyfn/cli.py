@@ -37,7 +37,12 @@ from .montecarlo import (
     PathConfig,
     mc_estimate,
 )
-from .scale_fn import ScaleEvaluator, conditional_exp_constant_closed_form
+from .scale_fn import (
+    ScaleEvaluator,
+    conditional_exp_constant_closed_form,
+    conditional_exp_transform,
+    occupation_transform,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -156,18 +161,28 @@ def _estimator_from_args(args):
 
 
 def _analytic_oracle(model, args) -> dict:
-    """Closed-form or quadrature predictions matching the chosen estimator."""
+    """Closed-form or quadrature predictions matching the chosen estimator.
+
+    Both functionals the CLI offers have transform-domain formulas, so no
+    scale function is inverted here.
+    """
     oracle: dict = {}
+
+    def finite_or_inf(val: float):
+        return val if math.isfinite(val) else "inf"
+
     try:
         if args.estimator == "hitprob":
             oracle["hit_probability"] = model.hit_probability(args.x)
         elif args.estimator == "condexp" and args.f == "const":
             oracle["conditional_exp_closed_form"] = (
                 conditional_exp_constant_closed_form(model, args.x, args.lam))
+        elif args.estimator == "condexp":
+            oracle["conditional_exp_transform"] = finite_or_inf(conditional_exp_transform(
+                model, _functional_from_args(args), args.x, args.lam))
         elif args.estimator == "meanpassage":
-            ev = ScaleEvaluator(model)
-            val = ev.occupation_expectation(_functional_from_args(args), args.x, args.y)
-            oracle["occupation_quadrature"] = val if math.isfinite(val) else "inf"
+            oracle["occupation_quadrature"] = finite_or_inf(occupation_transform(
+                model, _functional_from_args(args), args.x, args.y))
     except LevyFnError as exc:
         oracle["note"] = f"no analytic oracle: {exc}"
     return oracle

@@ -84,15 +84,29 @@ class Generic:
 FunctionalSpec = PowerLaw | LaplaceRep | Generic
 
 
+@dataclass(frozen=True)
+class _Constant:
+    """The `fn` of :func:`constant_functional`; it carries its value, so the
+    expectation formulas can recognise a constant f."""
+
+    value: float
+
+    def __call__(self, x):
+        return self.value * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else self.value
+
+
 def constant_functional(value: float = 1.0) -> Generic:
     """f identically equal to `value` (> 0)."""
     if value <= 0:
         raise ValueError("constant must be > 0")
+    return Generic(fn=_Constant(value), decreasing=True, bounded_away_from_origin=True)
 
-    def fn(x):
-        return value * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else value
 
-    return Generic(fn=fn, decreasing=True, bounded_away_from_origin=True)
+def constant_value(f: FunctionalSpec) -> Optional[float]:
+    """The value of f when it was built by :func:`constant_functional`."""
+    if isinstance(f, Generic) and isinstance(f.fn, _Constant):
+        return f.fn.value
+    return None
 
 
 def f_eval(f: FunctionalSpec, x: float) -> float:

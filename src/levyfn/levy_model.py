@@ -48,7 +48,7 @@ from typing import Callable, ClassVar, Optional, get_args
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import exp1, gamma, gammainc, gammaincc
+from scipy.special import exp1, gamma, gammainc, gammaincc, zeta
 
 from .errors import (
     BracketNotFoundError,
@@ -70,12 +70,67 @@ PROBE_RATIO = 2.0
 ROOT_TOL = 1e-10
 
 
+# |s| below which Gamma(s, x < 1) is taken from a series that is smooth in s:
+# the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x)/s loses digits in
+# proportion to 1/|s|.
+SMALL_S = 0.1
+# (-1)^k zeta(k)/k for k = 2..25: the series of log Gamma(1+s) + gamma*s,
+# whose terms fall below 1e-17 at |s| <= SMALL_S well before k = 25.
+_LGAMMA1P_COEFFS = tuple((-1) ** k * float(zeta(k)) / k for k in range(2, 26))
+
+
+def _upper_gamma_cf(s: float, x: float) -> float:
+    """Gamma(s, x) for x >= 1 by Legendre's continued fraction
+    e^-x x^s / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(x+5-s - ...))),
+    evaluated by the modified Lentz method."""
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 300):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return math.exp(s * math.log(x) - x) * h
+
+
+def _upper_gamma_series(s: float, x: float) -> float:
+    """Gamma(s, x) for 0 < |s| <= SMALL_S and 0 < x < 1, as Gamma(s) -
+    gamma(s, x) with the two poles at s = 0 cancelled by hand:
+    (Gamma(1+s) - 1)/s - (x^s - 1)/s - x^s sum_{k>=1} (-x)^k / (k! (s+k))."""
+    acc = 0.0
+    for coeff in reversed(_LGAMMA1P_COEFFS):
+        acc = acc * s + coeff
+    gamma1pm1_over_s = math.expm1(s * (s * acc - EULER_GAMMA)) / s
+    log_x = math.log(x)
+    total, term, k = 0.0, 1.0, 1
+    while True:
+        term *= -x / k
+        inc = term / (s + k)
+        total += inc
+        if abs(inc) <= 1e-17 * abs(total):
+            break
+        k += 1
+    return gamma1pm1_over_s - math.expm1(s * log_x) / s - math.exp(s * log_x) * total
+
+
 def _upper_gamma(s: float, x: float) -> float:
     """Upper incomplete gamma Gamma(s, x) for s in (-1, 1) and x > 0."""
-    if s > 0.0:
-        return float(gammaincc(s, x) * gamma(s))
     if s == 0.0:
         return float(exp1(x))
+    if x >= 1.0:
+        return _upper_gamma_cf(s, x)
+    if abs(s) <= SMALL_S:
+        return _upper_gamma_series(s, x)
+    if s > 0.0:
+        return float(gammaincc(s, x) * gamma(s))
     # Gamma(s, x) = (Gamma(s+1, x) - x**s e^-x) / s, with s + 1 in (0, 1)
     return float(gammaincc(s + 1.0, x) * gamma(s + 1.0) - x**s * math.exp(-x)) / s
 

@@ -19,6 +19,32 @@ cancel catastrophically far from the origin, where both terms approach the
 same exponential growth; they are evaluated directly only on the window
 where the difference is resolvable and handed over to their analytically
 known plateau beyond it.
+
+The two expectation formulas are integrals of W against f, and when f has a
+Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
+`LaplaceRep`) Fubini turns each into one float quadrature of g against
+1/psi, with no inversion at all (the transform route):
+
+* the conditional-expectation bracket B(y) = e^{-Phi(0)y}[W(y) -
+  e^{Phi(0)x} W(y-x)] has transform (1 - e^{-sx})/psi(s + Phi(0)), so
+
+      condexp = integral_0^inf g(t) (1 - e^{-(t+lam)x}) / psi(t+lam+Phi(0)) dt,
+
+  finite exactly when the extinction integral converges (the same tail);
+* the potential density e^{-Phi(0)d} W(z) - W(z-d), d = x - y, has
+  transform (e^{-Phi(0)d} - e^{-sd})/psi(s) for s > 0, so
+
+      occupation = integral_0^inf g(t) e^{-yt} (e^{-Phi(0)d} - e^{-td}) / psi(t) dt.
+
+  Numerator and psi vanish together at t = Phi(0), a removable point that
+  is a quadrature breakpoint; finiteness is decided at 0+ by the verdict
+  engine whenever Phi(0) > 0 or psi'(0+) = 0.
+
+A constant f needs no quadrature: condexp is (1 - e^{-lam*x})/psi(lam +
+Phi(0)), and occupation is d/psi'(0+) when Phi(0) = 0 (+inf when psi'(0+) =
+0 or Phi(0) > 0).  Any other (`Generic`) f takes the inversion route, which
+integrates f against inverted scale-function values; it stays available for
+every f as the independent cross-check (``route="inversion"``).
 """
 
 from __future__ import annotations
@@ -45,8 +71,11 @@ from .integral_tests import (
     AtInfinity,
     AtZeroPlus,
     FunctionalSpec,
+    constant_value,
+    extinction_test,
     f_eval,
     improper_integral_verdict,
+    laplace_density,
 )
 from .levy_model import ClosedForm, LevyModel, laplace_exponent_hp, phi_zero_hp
 
@@ -54,6 +83,14 @@ LN2 = math.log(2.0)
 
 # Relative disagreement between consecutive orders that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
+
+# Routes of the expectation formulas: "auto" takes the transform route where
+# f allows it and inversion otherwise; "inversion" forces the cross-check.
+ROUTES = ("auto", "inversion")
+# quad target and the error estimate above which a flagged panel fails, for
+# the transform-domain integrals
+TRANSFORM_EPSREL = 1e-10
+TRANSFORM_FAIL_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +390,19 @@ class ScaleEvaluator:
 
     # -- expectation formulas -------------------------------------------------
 
-    def occupation_expectation(self, f: FunctionalSpec, x: float, y: float) -> float:
+    def occupation_expectation(self, f: FunctionalSpec, x: float, y: float,
+                               *, route: str = "auto") -> float:
         """E_x[time-integral of f(Z) until first passage below y], 0 < y < x.
 
         Equals integral_0^inf f(z+y) [e^{-Phi(0)(x-y)} W(z) - W(z-x+y)] dz;
-        returns +inf when the tail integral diverges.
+        returns +inf when the integral diverges.  `route` picks the formula
+        (see the module docstring): "auto" takes the transform route for
+        constant f and f with a Laplace density, "inversion" never does.
         """
         if not 0.0 < y < x:
             raise PreconditionViolatedError("need 0 < y < x")
+        if _transform_route(f, route):
+            return occupation_transform(self.model, f, x, y)
         d = x - y
         density = self._potential_density_fn(d)
 
@@ -379,7 +421,7 @@ class ScaleEvaluator:
         return head + tail.value
 
     def conditional_exp_functional(self, f: FunctionalSpec, x: float,
-                                   lam: float = 1.0) -> float:
+                                   lam: float = 1.0, *, route: str = "auto") -> float:
         """E_x[integral_0^{hit} f(Z_t) e^{-lam Z_t} dt | the process hits 0].
 
         Equals integral_0^inf f(y) e^{-lam*y} B(y) dy with
@@ -387,10 +429,13 @@ class ScaleEvaluator:
         singular at 0+ for the integral to exist.  Finiteness does not depend
         on lam, so the default lam = 1 suffices for the finiteness test; for
         f = 1 the closed form (1 - e^{-lam*x}) / psi(lam + Phi(0)) is
-        available as :func:`conditional_exp_constant_closed_form`.
+        available as :func:`conditional_exp_constant_closed_form`.  `route`
+        picks the formula as in :meth:`occupation_expectation`.
         """
         if x <= 0.0 or lam <= 0.0:
             raise PreconditionViolatedError("need x > 0 and lam > 0")
+        if _transform_route(f, route):
+            return conditional_exp_transform(self.model, f, x, lam)
 
         def integrand(y: float) -> float:
             return f_eval(f, y) * math.exp(-lam * y) * self._bracket_fast(y, x)
@@ -410,6 +455,104 @@ class ScaleEvaluator:
             raise QuadratureFailureError(
                 f"tail verdict not convergent: {tail.diagnostics}")
         return zero_side.value + mid + tail.value
+
+
+# ---------------------------------------------------------------------------
+# Transform-domain expectation formulas
+# ---------------------------------------------------------------------------
+
+def _transform_route(f: FunctionalSpec, route: str) -> bool:
+    """Whether `route` sends f to the transform-domain formulas."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
+    return route == "auto" and (constant_value(f) is not None
+                                or laplace_density(f) is not None)
+
+
+def _quad_sum(integrand: Callable[[float], float], edges: tuple[float, ...]) -> float:
+    """Sum of `quad` over consecutive panels [edges[i], edges[i+1]].
+
+    A panel that QUADPACK flags with an error estimate above
+    TRANSFORM_FAIL_RTOL of its value raises QuadratureFailureError.
+    """
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        val, abserr, _, *msg = quad(integrand, lo, hi, limit=200, epsabs=0.0,
+                                    epsrel=TRANSFORM_EPSREL, full_output=1)
+        if msg and abserr > TRANSFORM_FAIL_RTOL * abs(val):
+            raise QuadratureFailureError(f"quad on [{lo:g}, {hi:g}]: {msg[0]}")
+        total += val
+    return total
+
+
+def conditional_exp_transform(model: LevyModel, f: FunctionalSpec, x: float,
+                              lam: float) -> float:
+    """The conditional expectation of :meth:`ScaleEvaluator.conditional_exp_functional`
+    for constant f or f with a Laplace density g, without inversion:
+
+    integral_0^inf g(t) (1 - e^{-(t+lam)x}) / psi(t + lam + Phi(0)) dt.
+
+    Its tail at infinity is the extinction integral's, so `extinction_test`
+    decides finiteness.
+    """
+    if x <= 0.0 or lam <= 0.0:
+        raise PreconditionViolatedError("need x > 0 and lam > 0")
+    const = constant_value(f)
+    if const is not None:
+        return const * conditional_exp_constant_closed_form(model, x, lam)
+    g = laplace_density(f)
+    if g is None:
+        raise PreconditionViolatedError("f has no Laplace density")
+    tail = extinction_test(model, f)
+    if tail.diverges:
+        return math.inf
+    if not tail.converges:
+        raise QuadratureFailureError(f"extinction verdict inconclusive: {tail.diagnostics}")
+    shift = lam + model.phi_zero().value
+    psi = model.laplace_exponent
+
+    def integrand(t: float) -> float:
+        return g(t) * -math.expm1(-(t + lam) * x) / psi(t + shift)
+
+    return _quad_sum(integrand, (0.0, 1.0, math.inf))
+
+
+def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float) -> float:
+    """The occupation expectation of :meth:`ScaleEvaluator.occupation_expectation`
+    for constant f or f with a Laplace density g, without inversion:
+
+    integral_0^inf g(t) e^{-yt} (e^{-Phi(0)d} - e^{-td}) / psi(t) dt, d = x - y.
+    """
+    if not 0.0 < y < x:
+        raise PreconditionViolatedError("need 0 < y < x")
+    d = x - y
+    phi0 = model.phi_zero().value
+    d0 = model.laplace_exponent_derivative(0.0)
+    const = constant_value(f)
+    if const is not None:
+        # the integral of the potential density: the transform at s -> 0+
+        return const * d / d0 if phi0 == 0.0 and d0 > 0.0 else math.inf
+    g = laplace_density(f)
+    if g is None:
+        raise PreconditionViolatedError("f has no Laplace density")
+    psi = model.laplace_exponent
+
+    def integrand(t: float) -> float:
+        # e^{-Phi(0)d} - e^{-td} as a product, exact through t = Phi(0)
+        return g(t) * math.exp(-y * t - phi0 * d) * -math.expm1((phi0 - t) * d) / psi(t)
+
+    if phi0 > 0.0:
+        edges = (0.0, phi0 / 2.0, phi0, max(2.0 * phi0, 1.0), math.inf)
+    else:
+        edges = (0.0, 1.0, math.inf)
+    # with psi'(0+) > 0 the integrand is g(t) times a bounded factor near 0+
+    if phi0 > 0.0 or d0 == 0.0:
+        head = improper_integral_verdict(integrand, AtZeroPlus(edges[1]))
+        if head.diverges:
+            return math.inf
+        if not head.converges:
+            raise QuadratureFailureError(f"0+ verdict inconclusive: {head.diagnostics}")
+    return _quad_sum(integrand, edges)
 
 
 def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float) -> float:

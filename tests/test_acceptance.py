@@ -10,6 +10,7 @@ import pytest
 from levyfn.acceptance import (
     check_classification_table,
     check_conditional_exp,
+    check_expectation_routes,
     check_functional_corroboration,
     check_hitprob_mc,
     check_laplace_identity,
@@ -24,6 +25,7 @@ BUDGETS = {
     "laplace_transform_identity": 10.0,
     "classification_table": 5.0,
     "property_sweeps": 60.0,
+    "expectation_routes_agree": 60.0,
     "mc_worker_determinism": 60.0,
     "hitting_probability_mc": 120.0,
     "conditional_exp_functional": 120.0,
@@ -41,6 +43,7 @@ ALL_CHECKS = [
     check_functional_corroboration,
     check_property_sweeps,
     check_mc_determinism,
+    check_expectation_routes,
 ]
 
 

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from levyfn.cli import main
+from levyfn import PowerLaw, builtin_model, conditional_exp_transform, resolve_model
+from levyfn.cli import _analytic_oracle, build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -159,6 +161,42 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["oracles"]["occupation_quadrature"] == pytest.approx(0.99, rel=1e-4)
         assert payload["estimate"] == pytest.approx(0.99, abs=0.15)
+
+
+class TestSimulateOracles:
+    """Oracles that come from the transform-domain formulas."""
+
+    def test_condexp_power_oracle(self):
+        code, out, _ = run_cli("simulate", "--model", "cpexp", "--estimator", "condexp",
+                               "--f", "power", "--theta", "0.5", "--paths", "100",
+                               "--dt", "5e-3", "--horizon", "5", "--barrier", "10",
+                               "--seed", "3")
+        assert code == 0
+        oracles = json.loads(out)["oracles"]
+        want = conditional_exp_transform(builtin_model("cpexp"), PowerLaw(0.5), 1.0, 1.0)
+        assert oracles["conditional_exp_transform"] == want
+
+    def test_meanpassage_power_oracle_tempered_fast(self, tmp_path):
+        # a tempered model with Phi(0) = 0, where the inversion route fails
+        model_path = tmp_path / "tempered.json"
+        model_path.write_text(json.dumps(
+            {"drift": 0.5, "gaussian": 0.1,
+             "jumps": {"family": "tempered", "alpha": 1.15, "scale": 1.0,
+                       "tempering": 1.5}}))
+        argv = ["simulate", "--model", str(model_path), "--estimator", "meanpassage",
+                "--f", "power", "--theta", "1.5", "--paths", "100", "--dt", "5e-3",
+                "--horizon", "5", "--barrier", "10", "--seed", "3"]
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        got = json.loads(out)["oracles"]["occupation_quadrature"]
+        assert isinstance(got, float) and got > 0.0
+
+        args = build_parser().parse_args(argv)
+        model = resolve_model(str(model_path))
+        start = time.perf_counter()
+        again = _analytic_oracle(model, args)["occupation_quadrature"]
+        assert time.perf_counter() - start < 1.0
+        assert again == got
 
 
 class TestVerify:

@@ -28,6 +28,7 @@ from levyfn.errors import (
 )
 from levyfn.levy_model import (
     _hp_consts,
+    _upper_gamma,
     jump_mean_eps_to_one,
     jump_small_variance,
     jump_tail_mass,
@@ -351,3 +352,24 @@ class TestJsonConfig:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             model_from_dict({"gaussian": 1.0, "jumps": {"family": "none"}})
+
+
+class TestUpperGamma:
+    """Gamma(s, q) = C q^(a-1) tail-mean constant of the tempered family, at
+    s = 1 - alpha near 0, where the recurrence through Gamma(s+1, q) loses
+    digits in proportion to 1/|s|."""
+
+    @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.05, 0.99, 0.95])
+    @pytest.mark.parametrize("q", [0.5, 5.0, 30.0])
+    def test_matches_mpmath_near_s_zero(self, alpha, q):
+        s = 1.0 - alpha
+        with mp.workdps(40):
+            want = mp.gammainc(mp.mpf(s), mp.mpf(q))
+            assert abs(_upper_gamma(s, q) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("s", [-0.9, -0.5, -0.2, 0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("q", [0.2, 1.0, 3.0, 60.0])
+    def test_matches_mpmath_elsewhere(self, s, q):
+        with mp.workdps(40):
+            want = mp.gammainc(mp.mpf(s), mp.mpf(q))
+            assert abs(_upper_gamma(s, q) - want) <= 1e-13 * abs(want)

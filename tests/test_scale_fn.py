@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from levyfn import (
     Generic,
+    LaplaceRep,
     NoJumps,
     PowerLaw,
     ScaleEvaluator,
@@ -14,9 +15,11 @@ from levyfn import (
     brownian_model,
     builtin_model,
     conditional_exp_constant_closed_form,
+    conditional_exp_transform,
     constant_functional,
     laplace_identity_residual,
     local_power_near_zero,
+    occupation_transform,
     stable_power_model,
     validate,
 )
@@ -296,3 +299,182 @@ class TestSharedNodes:
         for x in xs:
             ev.scale_w(x)
         assert len(calls) == 2 * ev.order * len(xs)
+
+
+def _tempered_phi0():
+    """Tempered model with Phi(0) > 0 (drift up)."""
+    from levyfn import TemperedStable
+
+    return validate(-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
+
+
+def _mp_condexp(model, g, x, lam):
+    """30-digit quadrature of integral g(t)(1 - e^{-(t+lam)x}) / psi(t+lam+Phi(0)) dt."""
+    import mpmath as mp
+    from levyfn.levy_model import laplace_exponent_hp, phi_zero_hp
+
+    with mp.workdps(30):
+        shift = lam + phi_zero_hp(model, 30)
+        return float(mp.quad(lambda t: g(t) * -mp.expm1(-(t + lam) * x)
+                             / laplace_exponent_hp(model, t + shift), [0, 1, mp.inf]))
+
+
+def _mp_occupation(model, g, x, y):
+    """30-digit quadrature of integral g(t) e^{-yt}(e^{-Phi(0)d} - e^{-td}) / psi(t) dt."""
+    import mpmath as mp
+    from levyfn.levy_model import laplace_exponent_hp, phi_zero_hp
+
+    with mp.workdps(30):
+        phi0 = phi_zero_hp(model, 30)
+        d = mp.mpf(x) - mp.mpf(y)
+        pts = [0, phi0, 2 * phi0 + 1, mp.inf] if phi0 > 0 else [0, 1, mp.inf]
+        return float(mp.quad(lambda t: g(t) * mp.exp(-y * t - phi0 * d)
+                             * -mp.expm1((phi0 - t) * d) / laplace_exponent_hp(model, t),
+                             pts))
+
+
+def _mp_power_density(theta):
+    import mpmath as mp
+
+    return lambda t: t ** (theta - 1) / mp.gamma(theta)
+
+
+# f(y) = 1/(1+y) and 1/(1+y)^2, with Laplace densities e^{-t} and t e^{-t}
+LAPLACE_REP = LaplaceRep(g=lambda t: math.exp(-t))
+LAPLACE_REP2 = LaplaceRep(g=lambda t: t * math.exp(-t))
+
+
+class TestTransformRoute:
+    """condexp and occupation in the transform domain: one float quadrature
+    of the Laplace density against 1/psi, checked against 30-digit mpmath
+    quadratures of the same integrals."""
+
+    @pytest.mark.parametrize("name,f,g_mp,x,y", [
+        ("cpexp", PowerLaw(1.5), _mp_power_density(1.5), 1.0, 0.2),
+        ("cpexp", PowerLaw(2.5), _mp_power_density(2.5), 1.0, 0.2),
+        ("tempered_phi0", PowerLaw(1.5), _mp_power_density(1.5), 1.0, 0.2),
+        ("bmdrift", LAPLACE_REP2, lambda t: t * math.e ** -t, 1.5, 0.3),
+        ("bmup", LAPLACE_REP, lambda t: math.e ** -t, 1.5, 0.3),
+        ("stable15", PowerLaw(1.5), _mp_power_density(1.5), 2.0, 0.5),
+    ], ids=["cpexp-1.5", "cpexp-2.5", "tempered_phi0-1.5", "bmdrift-laplacerep",
+            "bmup-laplacerep", "stable15-1.5"])
+    def test_occupation_matches_mp_oracle(self, name, f, g_mp, x, y):
+        model = _tempered_phi0() if name == "tempered_phi0" else builtin_model(name)
+        got = occupation_transform(model, f, x, y)
+        want = _mp_occupation(model, g_mp, x, y)
+        assert got == pytest.approx(want, rel=1e-8)
+
+    def test_cpexp_occupation_value(self):
+        # the 30-digit value of the transform integral; the inversion route
+        # reads 3.459875 here
+        ev = ScaleEvaluator(builtin_model("cpexp"))
+        got = ev.occupation_expectation(PowerLaw(1.5), 1.0, 0.2)
+        assert got == pytest.approx(3.458389093610389, rel=1e-8)
+
+    @pytest.mark.parametrize("name,f,g_mp,x,lam", [
+        ("cpexp", PowerLaw(0.5), _mp_power_density(0.5), 1.0, 1.0),
+        ("stable15", PowerLaw(1.0), _mp_power_density(1.0), 1.0, 1.0),
+        ("tempered_phi0", PowerLaw(0.5), _mp_power_density(0.5), 1.0, 1.0),
+        ("tempered_phi0", PowerLaw(1.0), _mp_power_density(1.0), 2.0, 0.5),
+        ("cpexp", LAPLACE_REP, lambda t: math.e ** -t, 1.0, 1.0),
+    ], ids=["cpexp-0.5", "stable15-1.0", "tempered_phi0-0.5", "tempered_phi0-1.0",
+            "cpexp-laplacerep"])
+    def test_condexp_matches_mp_oracle(self, name, f, g_mp, x, lam):
+        model = _tempered_phi0() if name == "tempered_phi0" else builtin_model(name)
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        got = ev.conditional_exp_functional(f, x, lam)
+        want = _mp_condexp(model, g_mp, x, lam)
+        assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["bmup", "cpexp", "bmdrift", "stable15"])
+    def test_constant_occupation_exact(self, name):
+        model = builtin_model(name)
+        ev = ScaleEvaluator(model)
+        d0 = model.laplace_exponent_derivative(0.0)
+        for x, y in [(1.0, 0.01), (2.5, 0.4)]:
+            got = ev.occupation_expectation(constant_functional(2.0), x, y)
+            if model.phi_zero().value == 0.0 and d0 > 0.0:
+                assert got == 2.0 * (x - y) / d0
+            else:
+                assert got == math.inf
+
+    def test_constant_occupation_tempered(self):
+        from levyfn import TemperedStable
+
+        model = validate(0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
+        d0 = model.laplace_exponent_derivative(0.0)
+        assert model.phi_zero().value == 0.0 and d0 > 0.0
+        assert occupation_transform(model, constant_functional(), 1.0, 0.01) == 0.99 / d0
+
+    def test_constant_condexp_is_closed_form(self):
+        model = builtin_model("cpexp")
+        ev = ScaleEvaluator(model)
+        got = ev.conditional_exp_functional(constant_functional(3.0), 1.5, 0.7)
+        assert got == 3.0 * conditional_exp_constant_closed_form(model, 1.5, 0.7)
+
+    def test_bmup_without_closed_form_is_finite(self):
+        # the inversion route raises SignChangeError here
+        ev = ScaleEvaluator(builtin_model("bmup"), use_closed_form=False)
+        got = ev.occupation_expectation(PowerLaw(1.5), 1.0, 0.2)
+        assert math.isfinite(got) and got > 0.0
+        # the closed-form potential density, integrated against f
+        want = ScaleEvaluator(builtin_model("bmup")).occupation_expectation(
+            PowerLaw(1.5), 1.0, 0.2, route="inversion")
+        assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["stable15", "bmdrift", "bmup", "cpexp",
+                                      "tempered_phi0"])
+    def test_finiteness_is_extinction_verdict(self, name):
+        from levyfn import extinction_test
+        from levyfn.errors import QuadratureFailureError
+
+        model = _tempered_phi0() if name == "tempered_phi0" else builtin_model(name)
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        for theta in np.linspace(0.25, 3.0, 12):
+            f = PowerLaw(float(theta))
+            verdict = extinction_test(model, f)
+            if verdict.verdict == "inconclusive":
+                with pytest.raises(QuadratureFailureError):
+                    ev.conditional_exp_functional(f, 1.0, 1.0)
+                continue
+            val = ev.conditional_exp_functional(f, 1.0, 1.0)
+            assert verdict.converges == math.isfinite(val), (name, theta)
+            assert val > 0.0
+
+    def test_occupation_finiteness_at_zero(self):
+        # with Phi(0) > 0 the potential density has a positive plateau, so
+        # the occupation of (z+y)^-theta is finite exactly when theta > 1
+        ev = ScaleEvaluator(builtin_model("cpexp"))
+        for theta in (0.5, 0.8, 1.5, 2.0):
+            val = ev.occupation_expectation(PowerLaw(theta), 1.0, 0.2)
+            assert math.isfinite(val) == (theta > 1.0), theta
+        # psi = lam^1.5: W(z) - W(z-d) ~ z^-0.5, finite exactly when theta > 0.5
+        ev = ScaleEvaluator(stable_power_model(1.5), use_closed_form=False)
+        for theta in (0.3, 0.7, 1.2):
+            val = ev.occupation_expectation(PowerLaw(theta), 1.0, 0.2)
+            assert math.isfinite(val) == (theta > 0.5), theta
+
+    def test_no_integration_warnings(self):
+        import warnings
+
+        models = [builtin_model(n) for n in ("stable15", "bmdrift", "bmup", "cpexp")]
+        models.append(_tempered_phi0())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in models:
+                for theta in (0.5, 1.0, 1.5, 2.5):
+                    conditional_exp_transform(model, PowerLaw(theta), 1.0, 1.0)
+                    occupation_transform(model, PowerLaw(theta), 1.0, 0.2)
+                conditional_exp_transform(model, LAPLACE_REP, 1.0, 1.0)
+                occupation_transform(model, LAPLACE_REP2, 1.0, 0.2)
+
+    def test_routing(self):
+        ev = ScaleEvaluator(builtin_model("bmup"))
+        hand_built = Generic(fn=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+                             decreasing=True, bounded_away_from_origin=True)
+        # a hand-built constant keeps the inversion route
+        got = ev.occupation_expectation(hand_built, 1.0, 0.01)
+        assert got == ev.occupation_expectation(constant_functional(), 1.0, 0.01,
+                                                route="inversion")
+        with pytest.raises(ValueError):
+            ev.conditional_exp_functional(PowerLaw(1.0), 1.0, 1.0, route="fast")
