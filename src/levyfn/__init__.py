@@ -14,6 +14,7 @@ from .integral_tests import (
     AtInfinity,
     AtZeroPlus,
     BoundaryReport,
+    Constant,
     FunctionalSpec,
     Generic,
     LaplaceRep,

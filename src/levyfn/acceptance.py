@@ -60,6 +60,12 @@ class CheckResult:
     detail: str = ""
 
 
+def _as_generic(f) -> Generic:
+    """The same function as a `Generic`, which takes the general route."""
+    return Generic(fn=f.value, decreasing=f.decreasing,
+                   bounded_away_from_origin=f.bounded_away_from_origin)
+
+
 def _result(name: str, start: float, passed: bool, measured, expected,
             tolerance, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), measured=str(measured),
@@ -71,7 +77,7 @@ def _result(name: str, start: float, passed: bool, measured, expected,
 # Analytic checks
 # ---------------------------------------------------------------------------
 
-def check_scale_oracles(tol_scale: float = 1.0) -> CheckResult:
+def check_scale_oracles() -> CheckResult:
     """Inversion vs closed forms: x^{a-1}/Gamma(a) and 1 - e^{-x}."""
     start = time.perf_counter()
     xs = np.geomspace(0.1, 10.0, 50)
@@ -85,17 +91,17 @@ def check_scale_oracles(tol_scale: float = 1.0) -> CheckResult:
     ev = ScaleEvaluator(builtin_model("bmup"), use_closed_form=False)
     worst_bm = max(abs(ev.scale_w(float(x)) - (-math.expm1(-x))) / (-math.expm1(-x))
                    for x in xs)
-    tol_s, tol_b = 1e-4 * tol_scale, 1e-6 * tol_scale
+    tol_s, tol_b = 1e-4, 1e-6
     passed = worst_stable <= tol_s and worst_bm <= tol_b
     return _result("scale_function_oracles", start, passed,
                    f"stable rel {worst_stable:.2e}, bm-drift rel {worst_bm:.2e}",
                    "closed forms", f"{tol_s:.0e} / {tol_b:.0e}")
 
 
-def check_laplace_identity(tol_scale: float = 1.0) -> CheckResult:
+def check_laplace_identity() -> CheckResult:
     """psi(lam) * transform(W)(lam) = 1 across the shipped models."""
     start = time.perf_counter()
-    tol = 1e-3 * tol_scale
+    tol = 1e-3
     worst, worst_at = 0.0, ""
     for name, model in example_models().items():
         ev = ScaleEvaluator(model)
@@ -108,7 +114,7 @@ def check_laplace_identity(tol_scale: float = 1.0) -> CheckResult:
                    f"max residual {worst:.2e} ({worst_at})", "0", f"{tol:.0e}")
 
 
-def check_classification_table(tol_scale: float = 1.0) -> CheckResult:
+def check_classification_table() -> CheckResult:
     """Decisive extinction/extinguishing/explosion calls on benchmark models."""
     start = time.perf_counter()
     failures = []
@@ -129,7 +135,7 @@ def check_classification_table(tol_scale: float = 1.0) -> CheckResult:
     if not (rep.hit_prob == 1.0 and rep.extinction_possible
             and rep.explosion_possible is False):
         failures.append("stable15 theta=1 classification")
-    passed = not failures and tol_scale > 0.0
+    passed = not failures
     return _result("classification_table", start, passed,
                    "all verdicts decisive and correct" if not failures else "; ".join(failures),
                    "benchmark table", "exact verdicts")
@@ -147,7 +153,7 @@ def _check_convexity(model) -> Optional[str]:
     return None
 
 
-def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
+def check_property_sweeps() -> CheckResult:
     """Deterministic sweep of the module invariants (non-MC)."""
     start = time.perf_counter()
     failures = []
@@ -194,10 +200,9 @@ def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
             for y in (0.05, 0.5, 1.0, 2.0, 5.0, 20.0):
                 if ev.potential_density(x, y) < -1e-6 * ev.scale_w(y):
                     failures.append(f"{name}: negative potential density at ({x},{y})")
-        got = ev.conditional_exp_functional(constant_functional(), 1.0, 1.0,
-                                            route="inversion")
+        got = ev.conditional_exp_functional(_as_generic(constant_functional()), 1.0, 1.0)
         want = conditional_exp_constant_closed_form(m, 1.0, 1.0)
-        if abs(got - want) > 1e-3 * tol_scale * abs(want):
+        if abs(got - want) > 1e-3 * abs(want):
             failures.append(f"{name}: conditional-exp closed form mismatch")
 
     # verdict scaling invariance (engine route) and theta monotonicity
@@ -220,7 +225,7 @@ def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
 
     # finiteness equivalence: extinction verdict <-> conditional expectation
     # finite; the transform route decides finiteness by the extinction verdict
-    # itself, so the inversion route is the one compared
+    # itself, so the inversion route (a Generic f) is the one compared
     cases = [(s15, 1.0), (s15, 1.5), (bmdrift, 1.0), (bmdrift, 2.0),
              (builtin_model("bmup"), 1.5), (builtin_model("cpexp"), 1.0),
              (builtin_model("cpexp"), 2.5)]
@@ -229,32 +234,34 @@ def check_property_sweeps(tol_scale: float = 1.0) -> CheckResult:
         if verdict.verdict == "inconclusive":
             failures.append(f"inconclusive extinction theta={theta}")
             continue
-        val = ScaleEvaluator(model).conditional_exp_functional(PowerLaw(theta), 1.0, 1.0,
-                                                               route="inversion")
+        val = ScaleEvaluator(model).conditional_exp_functional(
+            _as_generic(PowerLaw(theta)), 1.0, 1.0)
         if verdict.converges != math.isfinite(val):
             failures.append(
                 f"(iii)<->(iv) mismatch theta={theta}: {verdict.verdict} vs {val}")
 
-    # explosion routes agree where both apply
+    # explosion routes agree where both apply: tail integral (Generic f) and
+    # Laplace density at 0+
     for model in (bmdrift, builtin_model("cpexp")):
         for theta in (1.5, 2.0, 3.0):
-            a = explosion_test(model, PowerLaw(theta), route="tail_integral").verdict
-            b = explosion_test(model, PowerLaw(theta), route="laplace_zero").verdict
+            a = explosion_test(model, _as_generic(PowerLaw(theta))).verdict
+            b = explosion_test(model, PowerLaw(theta)).verdict
             if a != b:
                 failures.append(f"route disagreement theta={theta}: {a} vs {b}")
 
-    passed = not failures and tol_scale > 0.0
+    passed = not failures
     return _result("property_sweeps", start, passed,
                    "all invariants hold" if not failures else "; ".join(failures[:4]),
                    "module invariants", "as stated per invariant")
 
 
-def check_expectation_routes(tol_scale: float = 1.0) -> CheckResult:
+def check_expectation_routes() -> CheckResult:
     """Transform route vs inversion route of the two expectation formulas.
 
-    Closed forms are off, so the inversion route inverts W.  The occupation
-    tolerance is set by the inversion route's own error (4.3e-4 on cpexp
-    against a 30-digit quadrature of the transform integral).
+    The inversion route is named by passing f as a `Generic`.  Closed forms
+    are off, so the inversion route inverts W.  The occupation tolerance is
+    set by the inversion route's own error (4.3e-4 on cpexp against a
+    30-digit quadrature of the transform integral).
     """
     start = time.perf_counter()
     tempered = validate(-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
@@ -263,7 +270,7 @@ def check_expectation_routes(tol_scale: float = 1.0) -> CheckResult:
              ("condexp", "tempered", tempered, (0.5, 1.0)),
              ("occupation", "cpexp", builtin_model("cpexp"), (1.5, 2.5)),
              ("occupation", "bmdrift", builtin_model("bmdrift"), (1.5, 2.5))]
-    tols = {"condexp": 1e-5 * tol_scale, "occupation": 1e-3 * tol_scale}
+    tols = {"condexp": 1e-5, "occupation": 1e-3}
     worst = {"condexp": (0.0, ""), "occupation": (0.0, "")}
     for kind, name, model, thetas in cases:
         ev = ScaleEvaluator(model, use_closed_form=False)
@@ -271,10 +278,10 @@ def check_expectation_routes(tol_scale: float = 1.0) -> CheckResult:
             f = PowerLaw(theta)
             if kind == "condexp":
                 a = ev.conditional_exp_functional(f, 1.0, 1.0)
-                b = ev.conditional_exp_functional(f, 1.0, 1.0, route="inversion")
+                b = ev.conditional_exp_functional(_as_generic(f), 1.0, 1.0)
             else:
                 a = ev.occupation_expectation(f, 1.0, 0.2)
-                b = ev.occupation_expectation(f, 1.0, 0.2, route="inversion")
+                b = ev.occupation_expectation(_as_generic(f), 1.0, 0.2)
             rel = abs(a - b) / abs(a) if math.isfinite(a) and math.isfinite(b) else math.inf
             if rel >= worst[kind][0]:
                 worst[kind] = (rel, f"{name}@theta={theta}")
@@ -290,7 +297,7 @@ def check_expectation_routes(tol_scale: float = 1.0) -> CheckResult:
 # Monte Carlo checks
 # ---------------------------------------------------------------------------
 
-def check_mc_determinism(tol_scale: float = 1.0) -> CheckResult:
+def check_mc_determinism() -> CheckResult:
     """Same seed, different worker counts: bit-identical summaries."""
     start = time.perf_counter()
     model = builtin_model("bmdrift")
@@ -300,20 +307,20 @@ def check_mc_determinism(tol_scale: float = 1.0) -> CheckResult:
     same = (runs[0].estimate == runs[1].estimate == runs[2].estimate
             and runs[0].stderr == runs[1].stderr == runs[2].stderr
             and runs[0].censored_fraction == runs[1].censored_fraction)
-    passed = same and tol_scale > 0.0
+    passed = same
     return _result("mc_worker_determinism", start, passed,
                    f"estimates {[r.estimate for r in runs]}", "identical across workers",
                    "bitwise")
 
 
-def check_hitprob_mc(tol_scale: float = 1.0, n: int = 20000) -> CheckResult:
+def check_hitprob_mc(n: int = 20000) -> CheckResult:
     """Hitting probability of 0 vs e^{-Phi(0)x} for psi = lam^2 - lam."""
     start = time.perf_counter()
     model = builtin_model("bmdrift")
     cfg = PathConfig(dt=1e-3, horizon=80.0, barrier=30.0, seed=SEED_HITPROB)
     summary = mc_estimate(model, 1.0, None, HitProb(), n, cfg, workers=4)
     target = math.exp(-1.0)
-    tol = (3.0 * summary.stderr + 0.01) * tol_scale
+    tol = 3.0 * summary.stderr + 0.01
     err = abs(summary.estimate - target)
     return _result("hitting_probability_mc", start, err <= tol,
                    f"{summary.estimate:.4f} (se {summary.stderr:.4f})",
@@ -321,20 +328,20 @@ def check_hitprob_mc(tol_scale: float = 1.0, n: int = 20000) -> CheckResult:
                    detail=f"censored {summary.censored_fraction:.4f}")
 
 
-def check_conditional_exp(tol_scale: float = 1.0, n: int = 9000) -> CheckResult:
+def check_conditional_exp(n: int = 9000) -> CheckResult:
     """E_1[int e^{-Z} dt | hit] for driftless Brownian: MC and quadrature vs closed form."""
     start = time.perf_counter()
     model = validate(0.0, 1.0, NoJumps())
     target = conditional_exp_constant_closed_form(model, 1.0, 1.0)  # 1 - e^{-1}
 
     quad_val = ScaleEvaluator(model).conditional_exp_functional(
-        constant_functional(), 1.0, 1.0, route="inversion")
-    quad_ok = abs(quad_val - target) <= 1e-3 * tol_scale * target
+        _as_generic(constant_functional()), 1.0, 1.0)
+    quad_ok = abs(quad_val - target) <= 1e-3 * target
 
     cfg = PathConfig(dt=5e-4, horizon=2000.0, barrier=300.0, seed=SEED_CONDEXP)
     summary = mc_estimate(model, 1.0, constant_functional(),
                           CondExpFunctional(lam=1.0), n, cfg, workers=4)
-    tol = (3.0 * summary.stderr + 0.01) * tol_scale
+    tol = 3.0 * summary.stderr + 0.01
     mc_ok = abs(summary.estimate - target) <= tol
     return _result("conditional_exp_functional", start, quad_ok and mc_ok,
                    f"mc {summary.estimate:.4f} (se {summary.stderr:.4f}), quad {quad_val:.6f}",
@@ -342,7 +349,7 @@ def check_conditional_exp(tol_scale: float = 1.0, n: int = 9000) -> CheckResult:
                    detail=f"censored {summary.censored_fraction:.4f}")
 
 
-def check_occupation(tol_scale: float = 1.0, n: int = 20000) -> CheckResult:
+def check_occupation(n: int = 20000) -> CheckResult:
     """Mean passage time from 1 to 0.01 for psi = lam^2 + lam, three ways."""
     start = time.perf_counter()
     model = builtin_model("bmup")
@@ -355,18 +362,18 @@ def check_occupation(tol_scale: float = 1.0, n: int = 20000) -> CheckResult:
 
     ev = ScaleEvaluator(model)
     quad_val = ev.occupation_expectation(constant_functional(), x, y)
-    quad_ok = abs(quad_val - oracle) <= 0.02 * tol_scale * oracle
+    quad_ok = abs(quad_val - oracle) <= 0.02 * oracle
 
     cfg = PathConfig(dt=2e-4, horizon=100.0, barrier=50.0, seed=SEED_OCCUPATION)
     summary = mc_estimate(model, x, constant_functional(), MeanPassage(y=y), n,
                           cfg, workers=4)
-    mc_ok = abs(summary.estimate - quad_val) <= 0.05 * tol_scale * quad_val
+    mc_ok = abs(summary.estimate - quad_val) <= 0.05 * quad_val
     return _result("occupation_formula", start, quad_ok and mc_ok,
                    f"quad {quad_val:.4f}, mc {summary.estimate:.4f} (se {summary.stderr:.4f})",
                    f"oracle {oracle:.4f}", "quad rel 2%; mc vs quad rel 5%")
 
 
-def check_functional_corroboration(tol_scale: float = 1.0) -> CheckResult:
+def check_functional_corroboration() -> CheckResult:
     """Time-changed boundary clocks for the critical stable model.
 
     At theta = 1.0 (< alpha) at least 99% of hitting paths must report a
@@ -387,7 +394,7 @@ def check_functional_corroboration(tol_scale: float = 1.0) -> CheckResult:
         if math.isfinite(fs.A_final):
             n_finite += 1
     finite_frac = n_finite / max(n_hit, 1)
-    part_a = finite_frac >= 0.99 * tol_scale and n_hit >= 4000
+    part_a = finite_frac >= 0.99 and n_hit >= 4000
 
     horizons = [0.05, 0.1, 0.2, 0.4]
     cfg2 = PathConfig(dt=1e-3, horizon=horizons[-1], barrier=1e6,
@@ -402,27 +409,22 @@ def check_functional_corroboration(tol_scale: float = 1.0) -> CheckResult:
     medians = [float(np.median(v)) for v in per_horizon]
     part_b = all(b > a for a, b in zip(medians, medians[1:]))
 
-    passed = part_a and part_b and tol_scale > 0.0
+    passed = part_a and part_b
     return _result("functional_finiteness_mc", start, passed,
                    f"finite clock on {finite_frac:.4f} of {n_hit} hits; medians {['%.3g' % m for m in medians]}",
                    ">= 0.99 finite; strictly growing medians", "as stated",
                    detail="truncated functional medians at doubling horizons")
 
 
-ANALYTIC_CHECKS: list[Callable[[float], CheckResult]] = [
+ANALYTIC_CHECKS: list[Callable[[], CheckResult]] = [
     check_scale_oracles,
     check_laplace_identity,
     check_classification_table,
     check_property_sweeps,
-]
-
-# Deterministic like the analytic checks, but slower (each inversion-route
-# value takes 0.2-3 s); `verify` runs them with the full suite.
-ROUTE_CHECKS: list[Callable[[float], CheckResult]] = [
     check_expectation_routes,
 ]
 
-MC_CHECKS: list[Callable[[float], CheckResult]] = [
+MC_CHECKS: list[Callable[[], CheckResult]] = [
     check_mc_determinism,
     check_hitprob_mc,
     check_conditional_exp,
@@ -431,7 +433,7 @@ MC_CHECKS: list[Callable[[float], CheckResult]] = [
 ]
 
 
-def run_suite(suite: str = "all", tol_scale: float = 1.0,
+def run_suite(suite: str = "all",
               report: Optional[Callable[[CheckResult], None]] = None) -> list[CheckResult]:
     """Run the requested check suite; `report` is called after each check."""
     if suite == "analytic":
@@ -439,14 +441,14 @@ def run_suite(suite: str = "all", tol_scale: float = 1.0,
     elif suite in ("montecarlo", "mc"):
         checks = list(MC_CHECKS)
     elif suite == "all":
-        checks = list(ANALYTIC_CHECKS) + list(ROUTE_CHECKS) + list(MC_CHECKS)
+        checks = list(ANALYTIC_CHECKS) + list(MC_CHECKS)
     else:
         raise ValueError(f"unknown suite {suite!r}")
     results = []
     for check in checks:
         start = time.perf_counter()
         try:
-            res = check(tol_scale)
+            res = check()
         except Exception as exc:  # a crashing check is a failing check
             res = _result(check.__name__.removeprefix("check_"), start, False,
                           f"{type(exc).__name__}: {exc}", "no exception", "-")

@@ -245,7 +245,7 @@ def cmd_verify(args) -> int:
         if res.detail:
             print(f"       {res.detail}")
 
-    results = run_suite(suite=args.suite, tol_scale=args.tol, report=report)
+    results = run_suite(suite=args.suite, report=report)
     n_fail = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAILED
@@ -314,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--suite", choices=["all", "analytic", "montecarlo"],
                    default="all")
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="tolerance scale factor (0 forces failure)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -7,6 +7,12 @@ decay certifies convergence with a summable tail estimate, non-decaying
 increments certify divergence (this catches log-divergent integrands that a
 plain Cauchy criterion misses), and the gap in between is reported honestly
 as inconclusive.
+
+The kind of the functional f alone picks the formula each test uses.  Every
+kind owns `value(x)` in plain float arithmetic (one call per quadrature
+node), `values(arr)` on numpy arrays, the flags `decreasing` and
+`bounded_away_from_origin`, `laplace_density()`, `power` and `constant`.
+Wrapping any f as a `Generic` names the general (reference) route.
 """
 
 from __future__ import annotations
@@ -44,8 +50,21 @@ INCONCLUSIVE = "inconclusive"
 # Functionals f on (0, inf)
 # ---------------------------------------------------------------------------
 
+class _Functional:
+    """Contract defaults: decreasing and bounded f, no power, constant or g."""
+
+    decreasing = True
+    bounded_away_from_origin = True
+    power = None
+    constant = None
+
+    def laplace_density(self) -> Optional[Callable[[float], float]]:
+        """The density g with f(x) = integral exp(-x*z) g(z) dz, when known."""
+        return None
+
+
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Functional):
     """f(x) = x**(-theta) with theta > 0."""
 
     theta: float
@@ -54,9 +73,25 @@ class PowerLaw:
         if self.theta <= 0:
             raise ValueError("theta must be > 0")
 
+    @property
+    def power(self) -> float:
+        return self.theta
+
+    def value(self, x: float) -> float:
+        return x ** (-self.theta)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float) ** (-self.theta)
+
+    def laplace_density(self) -> Callable[[float], float]:
+        """g(z) = z**(theta-1) / Gamma(theta)."""
+        theta = self.theta
+        norm = math.gamma(theta)
+        return lambda z: z ** (theta - 1.0) / norm
+
 
 @dataclass(frozen=True)
-class LaplaceRep:
+class LaplaceRep(_Functional):
     """f(x) = integral_0^inf exp(-x*z) g(z) dz for a nonnegative density g.
 
     Such an f is completely monotone, hence strictly decreasing and bounded
@@ -65,87 +100,67 @@ class LaplaceRep:
 
     g: Callable[[float], float]
 
+    def value(self, x: float) -> float:
+        val, _ = quad(lambda z: math.exp(-x * z) * self.g(z), 0.0, math.inf, limit=200)
+        return val
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        vals = [self.value(float(xi)) for xi in np.asarray(x).ravel()]
+        return np.array(vals).reshape(np.shape(x))
+
+    def laplace_density(self) -> Callable[[float], float]:
+        return self.g
+
 
 @dataclass(frozen=True)
-class Generic:
+class Constant(_Functional):
+    """f identically equal to c > 0."""
+
+    c: float
+
+    def __post_init__(self):
+        if self.c <= 0:
+            raise ValueError("constant must be > 0")
+
+    @property
+    def constant(self) -> float:
+        return self.c
+
+    def value(self, x: float) -> float:
+        return self.c
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(x), self.c, dtype=float)
+
+
+@dataclass(frozen=True)
+class Generic(_Functional):
     """Pointwise evaluator with explicit shape flags.
 
     `fn` must accept floats and numpy arrays.  The flags gate which
     classification tests apply: `decreasing` for the explosion test,
     `bounded_away_from_origin` (sup of f on [eps, inf) finite for every
-    eps > 0) for the extinction test.
+    eps > 0) for the extinction test.  Nothing else is known about f, so
+    every formula takes its general route.
     """
 
     fn: Callable
     decreasing: bool = False
     bounded_away_from_origin: bool = False
 
+    def value(self, x: float) -> float:
+        return float(self.fn(x))
 
-FunctionalSpec = PowerLaw | LaplaceRep | Generic
-
-
-@dataclass(frozen=True)
-class _Constant:
-    """The `fn` of :func:`constant_functional`; it carries its value, so the
-    expectation formulas can recognise a constant f."""
-
-    value: float
-
-    def __call__(self, x):
-        return self.value * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else self.value
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
 
-def constant_functional(value: float = 1.0) -> Generic:
+FunctionalSpec = PowerLaw | LaplaceRep | Constant | Generic
+
+
+def constant_functional(value: float = 1.0) -> Constant:
     """f identically equal to `value` (> 0)."""
-    if value <= 0:
-        raise ValueError("constant must be > 0")
-    return Generic(fn=_Constant(value), decreasing=True, bounded_away_from_origin=True)
-
-
-def constant_value(f: FunctionalSpec) -> Optional[float]:
-    """The value of f when it was built by :func:`constant_functional`."""
-    if isinstance(f, Generic) and isinstance(f.fn, _Constant):
-        return f.fn.value
-    return None
-
-
-def f_eval(f: FunctionalSpec, x: float) -> float:
-    if isinstance(f, PowerLaw):
-        return x ** (-f.theta)
-    if isinstance(f, Generic):
-        return float(f.fn(x))
-    val, _ = quad(lambda z: math.exp(-x * z) * f.g(z), 0.0, math.inf, limit=200)
-    return val
-
-
-def f_eval_array(f: FunctionalSpec, x: np.ndarray) -> np.ndarray:
-    if isinstance(f, PowerLaw):
-        return np.asarray(x, dtype=float) ** (-f.theta)
-    if isinstance(f, Generic):
-        return np.asarray(f.fn(np.asarray(x, dtype=float)), dtype=float)
-    return np.array([f_eval(f, float(xi)) for xi in np.asarray(x).ravel()]).reshape(np.shape(x))
-
-
-def is_decreasing(f: FunctionalSpec) -> bool:
-    return isinstance(f, (PowerLaw, LaplaceRep)) or f.decreasing
-
-
-def bounded_away_from_origin(f: FunctionalSpec) -> bool:
-    return isinstance(f, (PowerLaw, LaplaceRep)) or f.bounded_away_from_origin
-
-
-def laplace_density(f: FunctionalSpec) -> Optional[Callable[[float], float]]:
-    """The density g with f(x) = integral exp(-x*z) g(z) dz, when known.
-
-    For f(x) = x**(-theta) this is g(z) = z**(theta-1) / Gamma(theta).
-    """
-    if isinstance(f, PowerLaw):
-        theta = f.theta
-        norm = math.gamma(theta)
-        return lambda z: z ** (theta - 1.0) / norm
-    if isinstance(f, LaplaceRep):
-        return f.g
-    return None
+    return Constant(value)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +205,7 @@ def _panel(integrand, lo, hi) -> tuple[float, float, int]:
 
 
 def improper_integral_verdict(integrand: Callable[[float], float],
-                              endpoint: AtInfinity | AtZeroPlus,
-                              *,
-                              doublings: int = DOUBLINGS,
-                              window: int = WINDOW,
-                              converge_ratio: float = CONVERGE_RATIO,
-                              diverge_margin: float = DIVERGE_MARGIN) -> TestVerdict:
+                              endpoint: AtInfinity | AtZeroPlus) -> TestVerdict:
     """Classify the improper integral of `integrand` at one endpoint.
 
     The integrand must have constant sign near the tested endpoint
@@ -214,7 +224,7 @@ def improper_integral_verdict(integrand: Callable[[float], float],
     negligible = 0
     max_rel_abserr = 0.0
     quad_warnings = 0
-    for k in range(doublings):
+    for k in range(DOUBLINGS):
         if at_inf:
             lo, hi = base * 2.0**k, base * 2.0 ** (k + 1)
         else:
@@ -240,18 +250,18 @@ def improper_integral_verdict(integrand: Callable[[float], float],
     sign = math.copysign(1.0, total) if total != 0.0 else 1.0
 
     mags = [abs(v) for v in increments]
-    diag = {"panels": len(mags), "partial": total, "increments": mags[-(window + 1):],
+    diag = {"panels": len(mags), "partial": total, "increments": mags[-(WINDOW + 1):],
             "max_rel_abserr": max_rel_abserr, "quad_warnings": quad_warnings}
 
-    if negligible >= 3 or all(m == 0.0 for m in mags[-window:]):
+    if negligible >= 3 or all(m == 0.0 for m in mags[-WINDOW:]):
         diag["reason"] = "tail negligible"
         return TestVerdict(CONVERGES, total, diag)
 
-    if len(mags) < window + 1:
+    if len(mags) < WINDOW + 1:
         return TestVerdict(INCONCLUSIVE, None, diag)
 
     ratios = []
-    for a, b in zip(mags[-(window + 1):-1], mags[-window:]):
+    for a, b in zip(mags[-(WINDOW + 1):-1], mags[-WINDOW:]):
         ratios.append(b / a if a > 0.0 else math.inf)
     diag["ratios"] = ratios
     geo = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-300)))))
@@ -259,12 +269,12 @@ def improper_integral_verdict(integrand: Callable[[float], float],
     # ~ t**(-q) at 0+ gives ratio 2**(q-1)
     diag["fitted_exponent"] = math.log2(geo) - 1.0 if at_inf else -(math.log2(geo) + 1.0)
 
-    if all(r <= converge_ratio for r in ratios):
+    if all(r <= CONVERGE_RATIO for r in ratios):
         rho = ratios[-1]
         tail = mags[-1] * rho / (1.0 - rho)
         diag["tail_estimate"] = tail
         return TestVerdict(CONVERGES, total + sign * tail, diag)
-    if all(r >= 2.0 ** (-diverge_margin) for r in ratios):
+    if all(r >= 2.0 ** (-DIVERGE_MARGIN) for r in ratios):
         return TestVerdict(DIVERGES, sign * math.inf, diag)
     return TestVerdict(INCONCLUSIVE, None, diag)
 
@@ -280,16 +290,16 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     <=> the time-changed process dies out in finite time (given it hits 0);
     Diverges <=> it only extinguishes (approaches 0 without reaching it).
     """
-    if not bounded_away_from_origin(f):
+    if not f.bounded_away_from_origin:
         raise PreconditionViolatedError(
             "extinction test needs f bounded on [eps, inf) for every eps > 0")
     phi0 = model.phi_zero().value
     start = max(1.0, 2.0 * phi0)
 
-    closed = model.jumps.closed_form(model) if isinstance(f, PowerLaw) else None
+    theta = f.power
+    closed = model.jumps.closed_form(model) if theta is not None else None
     if closed is not None and closed.power is not None:
         kappa, p = closed.power
-        theta = f.theta
         diag = {"route": "analytic_power", "kappa": kappa, "power": p, "start": start}
         if theta < p:
             value = start ** (theta - p) / (kappa * (p - theta))
@@ -297,7 +307,7 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
         return TestVerdict(DIVERGES, math.inf, diag)
 
     def integrand(lam: float) -> float:
-        return f_eval(f, 1.0 / lam) / (lam * model.laplace_exponent(lam))
+        return f.value(1.0 / lam) / (lam * model.laplace_exponent(lam))
 
     verdict = improper_integral_verdict(integrand, AtInfinity(start))
     verdict.diagnostics["route"] = "doubling_panels"
@@ -305,37 +315,29 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     return verdict
 
 
-def explosion_test(model: LevyModel, f: FunctionalSpec, *, route: str = "auto") -> TestVerdict:
+def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     """Finiteness of the all-time functional on surviving paths.
 
     Requires Phi(0) > 0 (NotApplicableError otherwise) and decreasing f.
-    Two routes decide it:
+    The kind of f picks the route:
 
     * ``laplace_zero`` -- when f has a known Laplace density g, test
       integral_{0+} g(lam)/psi(lam) d lam > -inf (psi < 0 below Phi(0), so
-      the integrand is negative and divergence means -inf);
-    * ``tail_integral`` -- when psi'(0+) is finite, test
+      the integrand is negative and divergence means -inf); this needs no
+      moment assumption;
+    * ``tail_integral`` -- otherwise, when psi'(0+) is finite, test
       integral^inf f(y) dy < inf.
 
-    ``auto`` prefers the Laplace route (no moment assumption), falling back
-    to the tail route, and returns an inconclusive verdict when neither
-    applies.
+    When neither applies the verdict is inconclusive.
     """
-    if route not in ("auto", "laplace_zero", "tail_integral"):
-        raise ValueError(f"unknown route {route!r}")
     phi0 = model.phi_zero().value
     if phi0 <= 0.0:
         raise NotApplicableError("Phi(0) = 0: survival has probability zero")
-    if not is_decreasing(f):
+    if not f.decreasing:
         raise PreconditionViolatedError("explosion test needs decreasing f")
 
-    g = laplace_density(f)
-    d0 = model.laplace_exponent_derivative(0.0)
-
-    if route == "laplace_zero" or (route == "auto" and g is not None):
-        if g is None:
-            raise PreconditionViolatedError("no Laplace density available for f")
-
+    g = f.laplace_density()
+    if g is not None:
         def integrand(lam: float) -> float:
             return g(lam) / model.laplace_exponent(lam)
 
@@ -343,10 +345,8 @@ def explosion_test(model: LevyModel, f: FunctionalSpec, *, route: str = "auto") 
         verdict.diagnostics["route"] = "laplace_zero"
         return verdict
 
-    if route == "tail_integral" or math.isfinite(d0):
-        if not math.isfinite(d0):
-            raise PreconditionViolatedError("tail-integral route needs psi'(0+) finite")
-        verdict = improper_integral_verdict(lambda y: f_eval(f, y), AtInfinity(1.0))
+    if math.isfinite(model.laplace_exponent_derivative(0.0)):
+        verdict = improper_integral_verdict(f.value, AtInfinity(1.0))
         verdict.diagnostics["route"] = "tail_integral"
         return verdict
 

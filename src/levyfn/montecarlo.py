@@ -36,13 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllCensoredError, PreconditionViolatedError
-from .integral_tests import (
-    FunctionalSpec,
-    Generic,
-    PowerLaw,
-    f_eval,
-    f_eval_array,
-)
+from .integral_tests import FunctionalSpec, Generic
 from .levy_model import (
     LevyModel,
     jump_mean_eps_to_one,
@@ -89,15 +83,16 @@ class PathConfig:
 class PathSample:
     """Grid skeleton of one simulated path.
 
-    `values[0]` is the start point; on HIT_ZERO the final value lies at or
-    below the stop level and `stop_time` is the linearly interpolated
-    crossing.  `subgrid_exponent` is the local scale-function power used to
-    weight sub-grid occupation in the final panel of integral functionals.
+    `values[i]` is the value at time i*dt and `values[0]` the start point.
+    On HIT_ZERO the final value lies at or below the stop level and
+    `stop_time` is the linearly interpolated crossing.  `subgrid_exponent`
+    is the local scale-function power used to weight sub-grid occupation in
+    the final panel of integral functionals.
     `steps_drawn` counts the steps drawn, at least the `len(values) - 1`
     used, and `jumps_drawn` the jumps drawn in them.
     """
 
-    times: np.ndarray
+    dt: float
     values: np.ndarray
     status: str
     stop_time: float
@@ -187,10 +182,9 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
         z = float(vals[-1])
 
     values = np.concatenate(chunks)
-    times = dt * np.arange(len(values))
     if status == CENSORED:
-        stop_time = float(times[-1])
-    return PathSample(times=times, values=values, status=status,
+        stop_time = dt * (len(values) - 1)
+    return PathSample(dt=dt, values=values, status=status,
                       stop_time=stop_time, substream=substream,
                       subgrid_exponent=local_power_near_zero(model),
                       stop_level=cfg.stop_level,
@@ -205,7 +199,8 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
 class FunctionalSample:
     """A path together with its accumulated functional A_t = int f(Z_s) ds.
 
-    `A` is aligned with `times`/`values` (A[0] = 0 and A is nondecreasing).
+    `A` is aligned with `values`, taken at times i*dt (A[0] = 0 and A is
+    nondecreasing).
     `A_final` is A at the stopping time: on a hit it includes the final
     sub-grid panel and may be +inf when f is too singular at the boundary;
     on a censored or barrier path it is the accumulated value so far, a
@@ -214,7 +209,7 @@ class FunctionalSample:
     `boundary_time` the extinction or explosion clock estimate.
     """
 
-    times: np.ndarray
+    dt: float
     values: np.ndarray
     A: np.ndarray
     A_final: float
@@ -236,12 +231,13 @@ def _subgrid_panel(f: FunctionalSpec, z_prev: float, slope: float, gamma: float)
     drift (gamma = 0) this is exactly the integral of f along the segment;
     for power laws it is finite precisely when theta < gamma + 1.
     """
-    if isinstance(f, PowerLaw):
-        if f.theta >= gamma + 1.0:
+    theta = f.power
+    if theta is not None:
+        if theta >= gamma + 1.0:
             return math.inf
-        return z_prev ** (1.0 - f.theta) / (slope * (gamma + 1.0 - f.theta))
+        return z_prev ** (1.0 - theta) / (slope * (gamma + 1.0 - theta))
     # locally constant f at the sub-grid scale
-    return f_eval(f, z_prev) * z_prev / (slope * (gamma + 1.0))
+    return f.value(z_prev) * z_prev / (slope * (gamma + 1.0))
 
 
 def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSample:
@@ -252,8 +248,10 @@ def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSamp
     # where f may be undefined; it is replaced by an explicit last panel
     npos = len(vals) - 1 if hit else len(vals)
     grid_vals = vals[:npos]
-    fv = f_eval_array(f, grid_vals)
-    inc = np.diff(path.times[:npos])
+    fv = f.values(grid_vals)
+    # differenced from the time grid, not taken as dt, so that A rounds as
+    # the trapezoid sum over the grid times i*dt
+    inc = np.diff(path.dt * np.arange(npos))
     inc *= 0.5
     inc *= fv[:-1] + fv[1:]
     A = np.empty(npos)
@@ -262,11 +260,11 @@ def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSamp
     A_final = float(A[-1])
 
     if hit:
-        t_prev = float(path.times[npos - 1])
+        t_prev = path.dt * (npos - 1)
         z_prev = float(vals[npos - 1])
         seg = path.stop_time - t_prev
         if path.stop_level > 0.0:
-            panel = seg * 0.5 * (f_eval(f, z_prev) + f_eval(f, path.stop_level))
+            panel = seg * 0.5 * (f.value(z_prev) + f.value(path.stop_level))
         elif seg > 0.0:
             slope = (z_prev - path.stop_level) / seg
             panel = _subgrid_panel(f, z_prev, slope, path.subgrid_exponent)
@@ -274,7 +272,7 @@ def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSamp
             panel = 0.0
         A_final = A_final + panel
 
-    return FunctionalSample(times=path.times[:npos], values=grid_vals,
+    return FunctionalSample(dt=path.dt, values=grid_vals,
                             A=A, A_final=A_final, status=path.status,
                             censored=path.status == CENSORED,
                             stop_time=path.stop_time)
@@ -349,10 +347,10 @@ def _weighted_spec(f: FunctionalSpec, lam: float) -> Generic:
     def fn(z):
         arr = np.asarray(z, dtype=float)
         if not arr.ndim:
-            return float(f_eval_array(f, arr) * np.exp(-lam * arr))
+            return float(f.values(arr) * np.exp(-lam * arr))
         out = np.multiply(arr, -lam)
         np.exp(out, out=out)
-        out *= f_eval_array(f, arr)
+        out *= f.values(arr)
         return out
 
     return Generic(fn=fn, decreasing=False, bounded_away_from_origin=False)

@@ -42,9 +42,11 @@ Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
 
 A constant f needs no quadrature: condexp is (1 - e^{-lam*x})/psi(lam +
 Phi(0)), and occupation is d/psi'(0+) when Phi(0) = 0 (+inf when psi'(0+) =
-0 or Phi(0) > 0).  Any other (`Generic`) f takes the inversion route, which
-integrates f against inverted scale-function values; it stays available for
-every f as the independent cross-check (``route="inversion"``).
+0 or Phi(0) > 0).  The kind of f picks the route, with no option to
+overrule it: a `Generic` f takes the inversion route, which integrates f
+against inverted scale-function values.  Wrapping a `PowerLaw`, `LaplaceRep`
+or `Constant` as a `Generic` names the inversion route for the same
+function; the cross-checks compare the two routes that way.
 """
 
 from __future__ import annotations
@@ -71,11 +73,8 @@ from .integral_tests import (
     AtInfinity,
     AtZeroPlus,
     FunctionalSpec,
-    constant_value,
     extinction_test,
-    f_eval,
     improper_integral_verdict,
-    laplace_density,
 )
 from .levy_model import ClosedForm, LevyModel, laplace_exponent_hp, phi_zero_hp
 
@@ -84,13 +83,14 @@ LN2 = math.log(2.0)
 # Relative disagreement between consecutive orders that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
 
-# Routes of the expectation formulas: "auto" takes the transform route where
-# f allows it and inversion otherwise; "inversion" forces the cross-check.
-ROUTES = ("auto", "inversion")
 # quad target and the error estimate above which a flagged panel fails, for
 # the transform-domain integrals
 TRANSFORM_EPSREL = 1e-10
 TRANSFORM_FAIL_RTOL = 1e-6
+# large lambda at which psi's local power is read (see local_power_near_zero)
+LOCAL_POWER_LAM = 1e8
+# truncation of the Laplace-identity integral: where e^{-lam*M} W(M) drops below
+IDENTITY_INTEGRAND_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +177,15 @@ def gs_invert_mp(transform_hp: Callable, t: float, order: int = 14) -> float:
 # Scale evaluator
 # ---------------------------------------------------------------------------
 
-def local_power_near_zero(model: LevyModel, lam: float = 1e8) -> float:
+def local_power_near_zero(model: LevyModel) -> float:
     """Local power gamma with W(z) ~ z**gamma as z -> 0+.
 
-    Read off the large-lambda behavior of psi: gamma = lam*psi'/psi - 1,
-    clipped to [0, 1].  Zero for finite-variation creep (W(0+) > 0), one for
-    a Gaussian component, alpha-1 for untempered stable-dominated small moves.
+    Read off the large-lambda behavior of psi: gamma = lam*psi'/psi - 1 at
+    lam = LOCAL_POWER_LAM, clipped to [0, 1].  Zero for finite-variation
+    creep (W(0+) > 0), one for a Gaussian component, alpha-1 for untempered
+    stable-dominated small moves.
     """
+    lam = LOCAL_POWER_LAM
     psi = model.laplace_exponent(lam)
     dpsi = model.laplace_exponent_derivative(lam)
     return float(np.clip(lam * dpsi / psi - 1.0, 0.0, 1.0))
@@ -390,24 +392,23 @@ class ScaleEvaluator:
 
     # -- expectation formulas -------------------------------------------------
 
-    def occupation_expectation(self, f: FunctionalSpec, x: float, y: float,
-                               *, route: str = "auto") -> float:
+    def occupation_expectation(self, f: FunctionalSpec, x: float, y: float) -> float:
         """E_x[time-integral of f(Z) until first passage below y], 0 < y < x.
 
         Equals integral_0^inf f(z+y) [e^{-Phi(0)(x-y)} W(z) - W(z-x+y)] dz;
-        returns +inf when the integral diverges.  `route` picks the formula
-        (see the module docstring): "auto" takes the transform route for
-        constant f and f with a Laplace density, "inversion" never does.
+        returns +inf when the integral diverges.  Constant f and f with a
+        Laplace density take the transform route, `Generic` f the inversion
+        route (see the module docstring).
         """
         if not 0.0 < y < x:
             raise PreconditionViolatedError("need 0 < y < x")
-        if _transform_route(f, route):
+        if _has_transform(f):
             return occupation_transform(self.model, f, x, y)
         d = x - y
         density = self._potential_density_fn(d)
 
         def integrand(z: float) -> float:
-            return f_eval(f, z + y) * density(z)
+            return f.value(z + y) * density(z)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -421,7 +422,7 @@ class ScaleEvaluator:
         return head + tail.value
 
     def conditional_exp_functional(self, f: FunctionalSpec, x: float,
-                                   lam: float = 1.0, *, route: str = "auto") -> float:
+                                   lam: float = 1.0) -> float:
         """E_x[integral_0^{hit} f(Z_t) e^{-lam Z_t} dt | the process hits 0].
 
         Equals integral_0^inf f(y) e^{-lam*y} B(y) dy with
@@ -429,16 +430,16 @@ class ScaleEvaluator:
         singular at 0+ for the integral to exist.  Finiteness does not depend
         on lam, so the default lam = 1 suffices for the finiteness test; for
         f = 1 the closed form (1 - e^{-lam*x}) / psi(lam + Phi(0)) is
-        available as :func:`conditional_exp_constant_closed_form`.  `route`
-        picks the formula as in :meth:`occupation_expectation`.
+        available as :func:`conditional_exp_constant_closed_form`.  The kind
+        of f picks the route as in :meth:`occupation_expectation`.
         """
         if x <= 0.0 or lam <= 0.0:
             raise PreconditionViolatedError("need x > 0 and lam > 0")
-        if _transform_route(f, route):
+        if _has_transform(f):
             return conditional_exp_transform(self.model, f, x, lam)
 
         def integrand(y: float) -> float:
-            return f_eval(f, y) * math.exp(-lam * y) * self._bracket_fast(y, x)
+            return f.value(y) * math.exp(-lam * y) * self._bracket_fast(y, x)
 
         split = min(x, 1.0) / 2.0
         zero_side = improper_integral_verdict(integrand, AtZeroPlus(split))
@@ -461,12 +462,9 @@ class ScaleEvaluator:
 # Transform-domain expectation formulas
 # ---------------------------------------------------------------------------
 
-def _transform_route(f: FunctionalSpec, route: str) -> bool:
-    """Whether `route` sends f to the transform-domain formulas."""
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
-    return route == "auto" and (constant_value(f) is not None
-                                or laplace_density(f) is not None)
+def _has_transform(f: FunctionalSpec) -> bool:
+    """Whether f is constant or has a Laplace density: the transform route."""
+    return f.constant is not None or f.laplace_density() is not None
 
 
 def _quad_sum(integrand: Callable[[float], float], edges: tuple[float, ...]) -> float:
@@ -497,10 +495,9 @@ def conditional_exp_transform(model: LevyModel, f: FunctionalSpec, x: float,
     """
     if x <= 0.0 or lam <= 0.0:
         raise PreconditionViolatedError("need x > 0 and lam > 0")
-    const = constant_value(f)
-    if const is not None:
-        return const * conditional_exp_constant_closed_form(model, x, lam)
-    g = laplace_density(f)
+    if f.constant is not None:
+        return f.constant * conditional_exp_constant_closed_form(model, x, lam)
+    g = f.laplace_density()
     if g is None:
         raise PreconditionViolatedError("f has no Laplace density")
     tail = extinction_test(model, f)
@@ -528,11 +525,10 @@ def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float
     d = x - y
     phi0 = model.phi_zero().value
     d0 = model.laplace_exponent_derivative(0.0)
-    const = constant_value(f)
-    if const is not None:
+    if f.constant is not None:
         # the integral of the potential density: the transform at s -> 0+
-        return const * d / d0 if phi0 == 0.0 and d0 > 0.0 else math.inf
-    g = laplace_density(f)
+        return f.constant * d / d0 if phi0 == 0.0 and d0 > 0.0 else math.inf
+    g = f.laplace_density()
     if g is None:
         raise PreconditionViolatedError("f has no Laplace density")
     psi = model.laplace_exponent
@@ -563,18 +559,17 @@ def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float)
     return -math.expm1(-lam * x) / model.laplace_exponent(lam + phi0)
 
 
-def laplace_identity_residual(ev: ScaleEvaluator, lam: float,
-                              integrand_tol: float = 1e-8) -> float:
+def laplace_identity_residual(ev: ScaleEvaluator, lam: float) -> float:
     """|psi(lam) * integral_0^M e^{-lam*y} W(y) dy - 1| for lam > Phi(0).
 
     M is grown until the integrand e^{-lam*M} W(M) (equivalently
-    e^{-(lam-Phi(0))M} W_shift(M)) drops below `integrand_tol`.
+    e^{-(lam-Phi(0))M} W_shift(M)) drops below IDENTITY_INTEGRAND_TOL.
     """
     phi0 = ev.phi0
     if lam <= phi0:
         raise PreconditionViolatedError("need lam > Phi(0)")
     M = 1.0
-    while math.exp(-(lam - phi0) * M) * ev._w_nat_fast(M) >= integrand_tol:
+    while math.exp(-(lam - phi0) * M) * ev._w_nat_fast(M) >= IDENTITY_INTEGRAND_TOL:
         M *= 2.0
         if M > 2.0**40:
             raise QuadratureFailureError("no usable truncation point found")

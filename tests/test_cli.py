@@ -201,14 +201,26 @@ class TestSimulateOracles:
 
 class TestVerify:
     def test_analytic_suite_passes(self):
+        from levyfn.acceptance import ANALYTIC_CHECKS
+
         code, out, _ = run_cli("verify", "--suite", "analytic")
         assert code == 0
-        assert "4/4 checks passed" in out
+        n = len(ANALYTIC_CHECKS)
+        assert f"{n}/{n} checks passed" in out
+        assert out.count("[PASS]") == n and "[FAIL]" not in out
 
-    def test_corrupted_tolerance_fails(self):
-        code, out, _ = run_cli("verify", "--suite", "analytic", "--tol", "0")
+    def test_failing_check_exits_3(self, monkeypatch, capsys):
+        from levyfn import acceptance
+
+        def check_always_fails():
+            return acceptance._result("always_fails", 0.0, False, "x", "y", "-")
+
+        monkeypatch.setattr(acceptance, "ANALYTIC_CHECKS", [check_always_fails])
+        code = main(["verify", "--suite", "analytic"])
+        out = capsys.readouterr().out
         assert code == 3
-        assert "FAIL" in out
+        assert "[FAIL] always_fails" in out
+        assert "0/1 checks passed" in out
 
 
 class TestMainEntry:

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from levyfn import (
     AtInfinity,
     AtZeroPlus,
+    Constant,
     Generic,
+    LaplaceRep,
     PowerLaw,
     TemperedStable,
     brownian_model,
@@ -20,12 +22,17 @@ from levyfn import (
     stable_power_model,
     validate,
 )
-from levyfn.integral_tests import f_eval, laplace_density
 from levyfn.errors import (
     NotApplicableError,
     PreconditionViolatedError,
     SignChangeError,
 )
+
+
+def as_generic(f):
+    """The same function as a Generic, which takes the general route."""
+    return Generic(fn=f.value, decreasing=f.decreasing,
+                   bounded_away_from_origin=f.bounded_away_from_origin)
 
 
 class TestVerdictEngine:
@@ -86,7 +93,7 @@ class TestFunctionalSpecs:
 
     def test_laplace_density_of_power_law(self):
         # x^{-theta} = integral e^{-xz} z^{theta-1}/Gamma(theta) dz
-        g = laplace_density(PowerLaw(1.5))
+        g = PowerLaw(1.5).laplace_density()
         from scipy.integrate import quad
 
         val, _ = quad(lambda z: math.exp(-2.0 * z) * g(z), 0.0, math.inf)
@@ -94,8 +101,26 @@ class TestFunctionalSpecs:
 
     def test_constant_functional(self):
         f = constant_functional(2.5)
-        assert f_eval(f, 0.3) == 2.5
+        assert isinstance(f, Constant) and f.constant == 2.5
+        assert f.value(0.3) == 2.5
         assert f.decreasing and f.bounded_away_from_origin
+
+    @pytest.mark.parametrize("f,flags,power,constant,has_density", [
+        (PowerLaw(1.5), (True, True), 1.5, None, True),
+        (LaplaceRep(g=lambda t: t * math.exp(-t)), (True, True), None, None, True),
+        (Constant(2.5), (True, True), None, 2.5, False),
+        (Generic(fn=lambda z: np.asarray(z, float) ** 2), (False, False), None, None, False),
+    ], ids=["powerlaw", "laplacerep", "constant", "generic"])
+    def test_contract(self, f, flags, power, constant, has_density):
+        grid = np.geomspace(0.05, 20.0, 9)
+        vals = f.values(grid)
+        assert vals.shape == grid.shape and vals.dtype == float
+        for x, v in zip(grid, vals):
+            assert f.value(float(x)) == pytest.approx(v, rel=1e-14)
+        assert (f.decreasing, f.bounded_away_from_origin) == flags
+        assert f.power == power
+        assert f.constant == constant
+        assert (f.laplace_density() is not None) == has_density
 
 
 class TestExtinction:
@@ -199,17 +224,22 @@ class TestExplosion:
     @pytest.mark.parametrize("name", ["bmdrift", "cpexp"])
     @pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
     def test_routes_agree(self, name, theta):
+        # the Generic wrapper has no Laplace density, so it takes the tail route
         model = builtin_model(name)
-        a = explosion_test(model, PowerLaw(theta), route="tail_integral")
-        b = explosion_test(model, PowerLaw(theta), route="laplace_zero")
+        a = explosion_test(model, as_generic(PowerLaw(theta)))
+        b = explosion_test(model, PowerLaw(theta))
+        assert a.diagnostics["route"] == "tail_integral"
+        assert b.diagnostics["route"] == "laplace_zero"
         assert a.verdict == b.verdict == "converges"
 
     def test_route_disagreement_boundary(self):
         # theta = 1: tail integral of y^-1 is log-divergent, and so is the
         # Laplace route near 0
         m = builtin_model("cpexp")
-        a = explosion_test(m, PowerLaw(1.0), route="tail_integral")
-        b = explosion_test(m, PowerLaw(1.0), route="laplace_zero")
+        a = explosion_test(m, as_generic(PowerLaw(1.0)))
+        b = explosion_test(m, PowerLaw(1.0))
+        assert a.diagnostics["route"] == "tail_integral"
+        assert b.diagnostics["route"] == "laplace_zero"
         assert a.diverges and b.diverges
 
 

@@ -28,7 +28,6 @@ from levyfn import (
     validate,
 )
 from levyfn.errors import AllCensoredError, PreconditionViolatedError
-from levyfn.integral_tests import f_eval_array
 from levyfn.levy_model import jump_tail_mass
 from levyfn.montecarlo import substream_generator
 
@@ -169,7 +168,7 @@ class TestFunctionalAlongPath:
     def test_constant_clock(self):
         p = drift_path()
         fs = functional_along_path(p, constant_functional())
-        assert np.allclose(fs.A, fs.times)
+        assert np.allclose(fs.A, fs.dt * np.arange(len(fs.values)))
         assert fs.A_final == pytest.approx(p.zeta, abs=1e-9)
 
     def test_log_divergence_flagged_infinite(self):
@@ -193,8 +192,8 @@ class TestFunctionalAlongPath:
             for i in range(5):
                 p = sample_path(model, 1.0, cfg, i)
                 fs = functional_along_path(p, f)
-                fv = f_eval_array(f, fs.values)
-                steps = np.diff(fs.times)
+                fv = f.values(fs.values)
+                steps = np.diff(fs.dt * np.arange(len(fs.values)))
                 ref = np.concatenate(([0.0], np.cumsum(steps * 0.5 * (fv[:-1] + fv[1:]))))
                 assert np.array_equal(fs.A, ref)
 
@@ -236,7 +235,8 @@ class TestTimeChange:
         p = drift_path()
         fs = time_change(functional_along_path(p, constant_functional()))
         for s in (0.1, 0.45, 0.8):
-            grid_val = p.values[np.searchsorted(p.times, s, side="right")]
+            times = p.dt * np.arange(len(p.values))
+            grid_val = p.values[np.searchsorted(times, s, side="right")]
             assert time_changed_value(fs, s) == pytest.approx(grid_val, abs=2e-3)
 
     def test_requires_filled_skeleton(self):

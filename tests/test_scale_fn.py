@@ -418,8 +418,9 @@ class TestTransformRoute:
         got = ev.occupation_expectation(PowerLaw(1.5), 1.0, 0.2)
         assert math.isfinite(got) and got > 0.0
         # the closed-form potential density, integrated against f
+        # (a Generic f takes the inversion route)
         want = ScaleEvaluator(builtin_model("bmup")).occupation_expectation(
-            PowerLaw(1.5), 1.0, 0.2, route="inversion")
+            Generic(fn=PowerLaw(1.5).value), 1.0, 0.2)
         assert got == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("name", ["stable15", "bmdrift", "bmup", "cpexp",
@@ -472,9 +473,13 @@ class TestTransformRoute:
         ev = ScaleEvaluator(builtin_model("bmup"))
         hand_built = Generic(fn=lambda z: np.ones_like(np.asarray(z, dtype=float)),
                              decreasing=True, bounded_away_from_origin=True)
-        # a hand-built constant keeps the inversion route
+        # a hand-built constant takes the inversion route, as does a Generic
+        # wrapper of constant_functional
         got = ev.occupation_expectation(hand_built, 1.0, 0.01)
-        assert got == ev.occupation_expectation(constant_functional(), 1.0, 0.01,
-                                                route="inversion")
-        with pytest.raises(ValueError):
-            ev.conditional_exp_functional(PowerLaw(1.0), 1.0, 1.0, route="fast")
+        wrapped = Generic(fn=constant_functional().value, decreasing=True,
+                          bounded_away_from_origin=True)
+        assert got == ev.occupation_expectation(wrapped, 1.0, 0.01)
+        # constant_functional takes the transform route: exactly d/psi'(0+)
+        exact = ev.occupation_expectation(constant_functional(), 1.0, 0.01)
+        assert exact == 0.99 / builtin_model("bmup").laplace_exponent_derivative(0.0)
+        assert got == pytest.approx(exact, rel=1e-3)
