@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--log", dest="log", action="store_true", default=True)
     grid.add_argument("--linear", dest="log", action="store_false")
-    p.add_argument("--order", type=int, default=14, help="inversion order")
+    p.add_argument("--order", type=int, default=14, help="Talbot node count")
     p.set_defaults(fn=cmd_scale_table)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimation with per-path dump")

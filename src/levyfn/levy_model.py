@@ -19,8 +19,10 @@ and jump integrals, psi and psi' as closures, its closed-form scale function
 if psi has one, and its jump-size sampler.  `_Family` states this contract;
 its defaults describe the empty measure.  Callers ask the family instead of
 branching on it, so a new family is one class plus its entry in `JumpSpec`.
-A family writes its psi constants once, against float (`math`) or mpmath
-arithmetic, and the model builds the float closures once.  All families
+A family writes its psi constants once, against float (`math`), numpy or
+mpmath arithmetic, and the model builds the float and numpy closures once;
+the numpy psi takes complex arrays, the nodes of the Laplace inversion in
+:mod:`levyfn.scale_fn`.  All families
 admit closed forms for psi and psi'; a direct quadrature evaluation of the
 jump integral is kept alongside as an independent cross-check.
 
@@ -30,9 +32,10 @@ lam = 0, so the float psi evaluates it as K*(expm1(alpha*log1p(u)) - alpha*u)
 with u = lam/q and K = C*Gamma(-alpha)*q**alpha.  Its rounding error is then
 O(eps*lam) instead of O(eps*q**alpha), and psi keeps full relative accuracy
 down to lam ~ 1e-14 wherever psi'(0+) != 0, as the explosion test's
-integral near 0+ needs.  The high-precision (mpmath) psi, which backs the
-numerical Laplace inversion in :mod:`levyfn.scale_fn`, keeps the direct
-form: at its working precision the cancellation is harmless.
+integral near 0+ needs.  The numpy psi takes the same form.  The
+high-precision (mpmath) psi, the reference the inversion is tested
+against, keeps the direct form: at its working precision the cancellation
+is harmless.
 """
 
 from __future__ import annotations
@@ -135,16 +138,19 @@ def _upper_gamma(s: float, x: float) -> float:
     return float(gammaincc(s + 1.0, x) * gamma(s + 1.0) - x**s * math.exp(-x)) / s
 
 
-# The arithmetic a family writes its psi constants against: float64, or
-# mpmath at the caller's working precision.
+# The arithmetic a family writes its psi constants against: float64, numpy
+# (float64 constants; psi then takes real or complex arrays), or mpmath at
+# the caller's working precision.  `xlogx(x)` is x*log(x), 0 at x = 0.
 _FLOAT = SimpleNamespace(real=float, gamma=math.gamma, exp=math.exp, log=math.log,
                          expm1=math.expm1, log1p=math.log1p, euler=EULER_GAMMA,
-                         upper_gamma=_upper_gamma)
-# hp psi keeps log(1 + x): it loses digits only at x << 1, below every
-# inversion node.
+                         upper_gamma=_upper_gamma,
+                         xlogx=lambda x: x * math.log(x) if x > 0 else 0.0)
+_NP = SimpleNamespace(**{**vars(_FLOAT), "log": np.log, "expm1": np.expm1,
+                         "log1p": np.log1p, "xlogx": lambda x: x * np.log(x)})
 _MP = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
-                      expm1=mp.expm1, log1p=lambda x: mp.log(1 + x), euler=mp.euler,
-                      upper_gamma=mp.gammainc)
+                      expm1=mp.expm1, log1p=mp.log1p, euler=mp.euler,
+                      upper_gamma=mp.gammainc,
+                      xlogx=lambda x: x * mp.log(x) if x > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +199,9 @@ class _Family:
         """psi and psi' as closures ("psi", "dpsi"), with the constants they use.
 
         "b" is the drift with the jump compensator folded in.  Constants are
-        computed in `ops` arithmetic (`_FLOAT` or `_MP`, inside the working
-        precision), from drift `b` and Gaussian coefficient `c` given in it.
+        computed in `ops` arithmetic (`_FLOAT`, `_NP` or `_MP`, inside the
+        working precision), from drift `b` and Gaussian coefficient `c` given
+        in it.  The `_NP` psi takes real or complex arrays.
         """
         def psi(lam):
             return b * lam + c * lam * lam
@@ -277,10 +284,10 @@ class StablePositive(_Family):
     def exponent(self, b, c, ops):
         a, C = ops.real(self.alpha), ops.real(self.scale)
         if self.alpha == 1.0:
-            beff, log = b + C * (ops.euler - 1), ops.log
+            beff, log, xlogx = b + C * (ops.euler - 1), ops.log, ops.xlogx
 
             def psi(lam):
-                return beff * lam + c * lam * lam + C * (lam * log(lam) if lam > 0 else 0.0)
+                return beff * lam + c * lam * lam + C * xlogx(lam)
 
             def dpsi(lam):
                 return beff + 2 * c * lam + C * (1 + log(lam)) if lam > 0 else -math.inf
@@ -424,7 +431,7 @@ class TemperedStable(_Family):
             return {"b": beff, "c": c, "psi": psi, "dpsi": dpsi}
         CG, qa, expm1 = C * ops.gamma(-a), q**a, ops.expm1
         K = CG * qa
-        if ops is _FLOAT:
+        if ops is not _MP:
             def psi(lam):  # cancellation-free form, see the module docstring
                 u = lam / q
                 return beff * lam + c * lam * lam + K * (expm1(a * log1p(u)) - a * u)
@@ -513,6 +520,10 @@ class LevyModel:
     def _exponent(self) -> dict:
         return self.jumps.exponent(self.drift, self.gaussian, _FLOAT)
 
+    @cached_property
+    def _exponent_np(self) -> dict:
+        return self.jumps.exponent(self.drift, self.gaussian, _NP)
+
     # -- Laplace exponent -------------------------------------------------
 
     def laplace_exponent(self, lam: float) -> float:
@@ -523,6 +534,11 @@ class LevyModel:
         if not math.isfinite(val):
             raise NumericalOverflowError(f"psi({lam}) is not representable")
         return val
+
+    def laplace_exponent_array(self, lam: np.ndarray) -> np.ndarray:
+        """psi elementwise on a real or complex array, off the non-positive
+        real axis; entries that overflow come back non-finite."""
+        return self._exponent_np["psi"](lam)
 
     def laplace_exponent_derivative(self, lam: float) -> float:
         """psi'(lam); at lam = 0 this is psi'(0+), which may be -inf."""
@@ -679,7 +695,7 @@ def laplace_exponent_quadrature(model: LevyModel, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# High-precision evaluation (backs the Laplace inversion)
+# High-precision evaluation (the reference for the Laplace inversion)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)

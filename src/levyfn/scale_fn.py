@@ -6,19 +6,33 @@ never invert 1/psi directly: the shifted exponent psi_shift(s) =
 psi(s + Phi(0)) has its transform abscissa at 0, so we invert 1/psi_shift to
 get W_shift and recover W(x) = exp(Phi(0)*x) * W_shift(x).
 
-The inversion is the Gaver-Stehfest series (real positive abscissae, fixed
-nodes).  The public evaluation runs it in arbitrary precision at the
-configured order and at twice that order; disagreement of the two flags
-instability, and the doubled-order value is returned.  The nodes k*ln2/x of
-an order are the first nodes of the doubled order, so the transform is
-evaluated once per point, at the doubled order's nodes and working
-precision, and both sums are taken from those values.  A fast float64
-backend at the base order (~1e-5 relative) serves the quadrature integrands
-built on top.  Scale-function differences such as the potential density
-cancel catastrophically far from the origin, where both terms approach the
-same exponential growth; they are evaluated directly only on the window
-where the difference is resolvable and handed over to their analytically
-known plateau beyond it.
+The public evaluation is the fixed Talbot rule (Abate & Valko 2004) in
+float64 complex arithmetic: with M nodes on the contour s(theta) =
+r theta (cot theta + i), theta_k = k pi/M, r = 2M/(5x), it sums the
+transform at the nodes against fixed weights.  x enters only through
+r, so the nodes are s_k = nu_k/x and the weights e^{x s_k}(1 + i sigma_k)
+do not depend on x; one W point is one numpy psi call on the nodes of M
+and 2M together.  The configured order is M: the M- and 2M-node values
+must agree to ORDER_AGREEMENT_RTOL or the evaluation reports instability,
+and the 2M-node value is returned (about 1e-12 relative at the default
+M = 14).  The contour wraps the negative real axis, so it needs the
+transform's singularities on the non-positive real axis: 1/psi_shift has
+its pole at 0, its branch cuts and other poles left of it and no complex
+zeros, which holds for the four jump families here, whose Levy densities
+are completely monotone (Kyprianou & Rivero, EJP 2008).  A new family must
+meet the same condition.  The nodes grow like 1/x, so below about
+x = 1e-140 psi overflows at them and the evaluation raises
+NumericalOverflowError instead of returning a value.
+
+The arbitrary-precision Gaver-Stehfest series (real nodes k*ln2/x,
+`gs_invert_mp` on `laplace_exponent_hp`) is the reference the inversion is
+tested against.  A float64 Gaver-Stehfest at the base order (~1e-5
+relative) serves the scalar quadrature integrands built on top.
+Scale-function differences such as the potential density cancel
+catastrophically far from the origin, where both terms approach the same
+exponential growth; they are evaluated directly only on the window where
+the difference is resolvable and handed over to their analytically known
+plateau beyond it.
 
 The two expectation formulas are integrals of W against f, and when f has a
 Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
@@ -61,7 +75,6 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     InversionUnstableError,
@@ -76,7 +89,7 @@ from .integral_tests import (
     extinction_test,
     improper_integral_verdict,
 )
-from .levy_model import ClosedForm, LevyModel, laplace_exponent_hp, phi_zero_hp
+from .levy_model import ClosedForm, LevyModel
 
 LN2 = math.log(2.0)
 
@@ -141,36 +154,52 @@ def gs_invert_float(transform: Callable[[float], float], t: float, order: int = 
     return scale * acc
 
 
-def _gs_mp_sums(transform_hp: Callable, t: float, orders: tuple[int, ...]) -> tuple[float, ...]:
-    """Arbitrary-precision Gaver-Stehfest inversions at t > 0, one per order.
-
-    The nodes k*ln2/t of an order are the first nodes of every higher order,
-    so `transform_hp` is called once per node of the highest order, with
-    mpmath arguments inside that order's working precision, and every
-    order's weighted sum is taken from those values.
-    """
-    top = max(orders)
-    dps = _dps_for(top)
-    with mp.workdps(dps):
-        scale = mp.ln(2) / mp.mpf(t)
-        values = [transform_hp((k + 1) * scale) for k in range(top)]
-        sums = []
-        for order in orders:
-            weights = _stehfest_weights_mp(order, dps)
-            acc = mp.mpf(0)
-            for k in range(order):
-                acc += weights[k] * values[k]
-            sums.append(float(scale * acc))
-        return tuple(sums)
-
-
 def gs_invert_mp(transform_hp: Callable, t: float, order: int = 14) -> float:
     """Arbitrary-precision Gaver-Stehfest inversion at t > 0.
 
     `transform_hp` is called with mpmath arguments inside a working
     precision chosen from the order.
     """
-    return _gs_mp_sums(transform_hp, t, (order,))[0]
+    dps = _dps_for(order)
+    with mp.workdps(dps):
+        scale = mp.ln(2) / mp.mpf(t)
+        weights = _stehfest_weights_mp(order, dps)
+        acc = mp.mpf(0)
+        for k in range(order):
+            acc += weights[k] * transform_hp((k + 1) * scale)
+        return float(scale * acc)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-Talbot machinery
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _talbot_rules(orders: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """The fixed Talbot rule of each order M in `orders`: the nodes nu_k of
+    every order, stacked, and per order its (slice into the stack, weights
+    omega_k), scaled so that f(x) = Re(sum_k omega_k F(nu_k / x)) / x.
+
+    Node k sits at s_k = r delta_k with r = 2M/(5x), delta_0 = 1 and
+    delta_k = theta_k (cot theta_k + i); its weight (r/M) e^{x s_k}
+    (1 + i sigma_k), sigma_k = theta_k + (theta_k cot theta_k - 1) cot theta_k,
+    is 2/(5x) times a constant (halved at k = 0).
+    """
+    nodes, parts, start = [], [], 0
+    for order in orders:
+        theta = np.pi * np.arange(1, order) / order
+        cot = 1.0 / np.tan(theta)
+        nu = 0.4 * order * np.concatenate(([1.0], theta * (cot + 1j)))
+        sigma = np.concatenate(([0.0], theta + (theta * cot - 1.0) * cot))
+        omega = 0.4 * np.exp(nu) * (1.0 + 1j * sigma)
+        omega[0] *= 0.5
+        omega.flags.writeable = False
+        nodes.append(nu)
+        parts.append((slice(start, start + order), omega))
+        start += order
+    stacked = np.concatenate(nodes)
+    stacked.flags.writeable = False
+    return stacked, tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +250,16 @@ class ScaleEvaluator:
 
     # -- core inversions -----------------------------------------------------
 
-    def _w_nat_hp(self, x: float, orders: tuple[int, ...]) -> tuple[float, ...]:
-        """W_shift(x) at each of `orders`, from one set of hp transform values."""
-        model = self.model
-        phi0_hp = phi_zero_hp(model, _dps_for(max(orders)))
-
-        def transform(s):
-            denom = laplace_exponent_hp(model, s + phi0_hp)
-            if denom <= 0:
-                raise InversionUnstableError(
-                    f"shifted exponent nonpositive at node {float(s):g}")
-            return 1 / denom
-
-        return _gs_mp_sums(transform, x, orders)
+    def _w_talbot(self, x: float, orders: tuple[int, ...]) -> tuple[float, ...]:
+        """W_shift(x) at each of `orders` Talbot nodes, from one psi call on
+        the nodes of all of them."""
+        nodes, parts = _talbot_rules(orders)
+        with np.errstate(all="ignore"):
+            psi = self.model.laplace_exponent_array(nodes / x + self.phi0)
+        if not np.isfinite(psi).all():
+            raise NumericalOverflowError(f"psi overflows at the Talbot nodes of x={x:g}")
+        transform = 1.0 / psi
+        return tuple(float((omega @ transform[part]).real) / x for part, omega in parts)
 
     def w_shifted(self, x: float) -> float:
         """W_shift(x) = e^{-Phi(0)x} W(x); bounded whenever psi'(Phi(0)) > 0."""
@@ -241,8 +267,7 @@ class ScaleEvaluator:
             return 0.0
         if self.closed_form is not None:
             return self.closed_form.w_shifted(x)
-        x = max(x, 1e-300)
-        lo, hi = self._w_nat_hp(x, (self.order, 2 * self.order))
+        lo, hi = self._w_talbot(x, (self.order, 2 * self.order))
         if abs(hi - lo) > ORDER_AGREEMENT_RTOL * max(abs(hi), 1e-300):
             raise InversionUnstableError(
                 f"orders {self.order} and {2 * self.order} disagree at x={x:g}: "
@@ -288,15 +313,15 @@ class ScaleEvaluator:
 
     def _potential_direct(self, z: float, d: float,
                           orders: tuple[int, ...]) -> tuple[float, ...]:
-        """Direct hp-inverted difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)],
+        """Direct Talbot-inverted difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)],
         at each of `orders`."""
         if z <= 0.0:
             return (0.0,) * len(orders)
         arg = self.phi0 * (z - d)
         if arg > 700.0:
             raise NumericalOverflowError("potential density evaluated too far out")
-        leads = self._w_nat_hp(z, orders)
-        lags = self._w_nat_hp(z - d, orders) if z > d else (0.0,) * len(orders)
+        leads = self._w_talbot(z, orders)
+        lags = self._w_talbot(z - d, orders) if z > d else (0.0,) * len(orders)
         return tuple(math.exp(arg) * (lead - lag) for lead, lag in zip(leads, lags))
 
     def _potential_density_fn(self, d: float) -> Callable:
@@ -304,19 +329,17 @@ class ScaleEvaluator:
         if self.closed_form is not None:
             return lambda z: self.closed_form.potential(z, d) if z > 0.0 else 0.0
         phi0 = self.phi0
-        # with Phi(0) > 0 the table below is taken at a doubled order
-        order = max(2 * self.order, 28) if phi0 > 0.0 else self.order
+        orders = (2 * self.order,)
 
         def direct(z: float) -> float:
-            (val,) = self._potential_direct(z, d, (order,))
+            (val,) = self._potential_direct(z, d, orders)
             return val
 
         if phi0 > 0.0:
             # The transient above the plateau decays at rate Phi(0) (next
             # transform singularity sits at -Phi(0)), while the inversion
-            # noise is amplified by e^{Phi(0)(z-d)}; a doubled-order table on
-            # the resolvable window, interpolated monotonically, covers the
-            # region before the plateau takes over.
+            # noise is amplified by e^{Phi(0)(z-d)}: direct evaluation covers
+            # the resolvable window, the plateau the rest.
             d0 = self.model.laplace_exponent_derivative(0.0)
             plateau = math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
             ref = max(abs(plateau), abs(direct(d)), 1e-300)
@@ -329,21 +352,10 @@ class ScaleEvaluator:
                 raise QuadratureFailureError(
                     "potential density transient not resolvable for this model")
 
-            # two tables sharing the knot at z = d, where the density has a
-            # derivative kink (W turning on)
-            head_x = np.linspace(0.0, d, 60)
-            tail_x = np.linspace(d, z_hi, 140)
-            head_v = np.array([direct(float(z)) for z in head_x])
-            tail_v = np.array([direct(float(z)) for z in tail_x])
-            head = PchipInterpolator(head_x, head_v, extrapolate=False)
-            tail = PchipInterpolator(tail_x, tail_v, extrapolate=False)
-
             def density(z: float) -> float:
                 if z <= 0.0:
                     return 0.0
-                if z <= d:
-                    return float(head(z))
-                return float(tail(z)) if z <= z_hi else plateau
+                return direct(z) if z <= z_hi else plateau
 
             return density
 

@@ -190,6 +190,19 @@ class TestHighPrecisionAgreement:
                     (lam + q) ** a - q**a - a * q ** (a - 1) * lam)
                 assert laplace_exponent_hp(m, lam) == direct
 
+    def test_tempered_alpha1_hp_keeps_digits_at_small_lambda(self):
+        # (lam + q) log1p(lam/q) - lam at lam << q: log(1 + lam/q) would lose
+        # 14 of the 30 digits
+        m = validate(-0.5, 0.1, TemperedStable(alpha=1.0, scale=1.0, tempering=1.5))
+        lam = mp.mpf(1e-14)
+        with mp.workdps(50):
+            q = mp.mpf(1.5)
+            beff = mp.mpf(-0.5) - mp.e1(q)  # the tail mean C Gamma(0, q)
+            want = beff * lam + mp.mpf(0.1) * lam**2 + (lam + q) * mp.log1p(lam / q) - lam
+        with mp.workdps(30):
+            got = laplace_exponent_hp(m, lam)
+        with mp.workdps(50):
+            assert abs(got / want - 1) <= 1e-25
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.5, 1.9])
 @pytest.mark.parametrize("q, eps", [(2.0, 1e-3), (5.0, 1e-4), (0.5, 0.1)])

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from levyfn import (
+    CompoundPoissonExp,
     Generic,
     LaplaceRep,
     NoJumps,
     PowerLaw,
     ScaleEvaluator,
+    StablePositive,
     TemperedStable,
     brownian_model,
     builtin_model,
@@ -23,7 +25,11 @@ from levyfn import (
     stable_power_model,
     validate,
 )
-from levyfn.errors import InversionUnstableError, PreconditionViolatedError
+from levyfn.errors import (
+    InversionUnstableError,
+    NumericalOverflowError,
+    PreconditionViolatedError,
+)
 
 EXP_DECAY = Generic(fn=lambda z: np.exp(-np.asarray(z, dtype=float)),
                     decreasing=True, bounded_away_from_origin=True)
@@ -266,9 +272,22 @@ class TestTemperedFamily:
             assert ev.potential_density(1.0, y) >= -1e-6 * ev.scale_w(y)
 
 
-class TestSharedNodes:
-    """The order-N check and the returned order 2N share one set of hp node
-    evaluations; the returned value is the plain order-2N inversion."""
+def _exact_w_cpexp(model, x):
+    """W of a Brownian-plus-exponential-jumps model by partial fractions:
+    psi(lam) (lam + mu) = lam (c lam^2 + (b + c mu) lam + b mu - rho) =: P(lam),
+    with b the drift net of the compensator of jumps <= 1, has simple real
+    roots r, and W(x) = sum_r e^{rx} (r + mu) / P'(r)."""
+    c, rho, mu = model.gaussian, model.jumps.rate, model.jumps.mu
+    b = model.drift + rho * (1.0 - math.exp(-mu) * (1.0 + mu)) / mu
+    poly = np.polymul([1.0, 0.0], [c, b + c * mu, b * mu - rho])
+    dpoly = np.polyder(poly)
+    return sum(math.exp(r * x) * (r + mu) / np.polyval(dpoly, r)
+               for r in np.roots(poly).real)
+
+
+class TestTalbot:
+    """W is the fixed-Talbot inversion at 2N nodes, checked against N nodes,
+    of a numpy psi; the hp psi takes no part in it."""
 
     @pytest.fixture(scope="class", params=["cpexp", "tempered_phi0", "stable15"])
     def ev(self, request):
@@ -281,24 +300,80 @@ class TestSharedNodes:
     def test_returns_doubled_order_inversion(self, ev):
         for x in np.geomspace(0.05, 20.0, 9):
             x = float(x)
-            (w_2n,) = ev._w_nat_hp(x, (2 * ev.order,))
+            (w_2n,) = ev._w_talbot(x, (2 * ev.order,))
             assert ev.scale_w(x) == math.exp(ev.phi0 * x) * w_2n
 
-    def test_hp_psi_calls_per_point(self, ev, monkeypatch):
-        from levyfn import scale_fn
+    def test_no_hp_psi_calls(self, ev, monkeypatch):
+        from levyfn import levy_model
 
         calls = []
-        orig = scale_fn.laplace_exponent_hp
+        orig = levy_model.laplace_exponent_hp
 
         def counting(model, lam):
             calls.append(lam)
             return orig(model, lam)
 
-        monkeypatch.setattr(scale_fn, "laplace_exponent_hp", counting)
-        xs = [0.3, 1.0, 4.0]
-        for x in xs:
-            ev.scale_w(x)
-        assert len(calls) == 2 * ev.order * len(xs)
+        monkeypatch.setattr(levy_model, "laplace_exponent_hp", counting)
+        fresh = ScaleEvaluator(ev.model, use_closed_form=False)
+        for x in (0.3, 1.0, 4.0):
+            fresh.scale_w(x)
+        fresh.potential_density(1.0, 2.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["bmup", "bmdrift", "cpexp"])
+    def test_matches_exact_w(self, name):
+        model = builtin_model(name)
+        exact = {"bmup": lambda x: -math.expm1(-x), "bmdrift": math.expm1,
+                 "cpexp": lambda x: _exact_w_cpexp(model, x)}[name]
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        for x in np.geomspace(0.01, 60.0, 40):
+            assert ev.scale_w(float(x)) == pytest.approx(exact(float(x)), rel=1e-10), x
+
+    @pytest.mark.parametrize("model", [
+        validate(0.3, 0.5, NoJumps()),
+        validate(0.4, 0.2, StablePositive(alpha=1.0, scale=0.8)),
+        validate(-0.2, 0.0, StablePositive(alpha=1.0, scale=0.8)),
+        validate(0.3, 0.0, StablePositive(alpha=1.6, scale=0.7)),
+        validate(-0.3, 0.0, StablePositive(alpha=0.6, scale=0.5)),
+        validate(0.2, 0.25, CompoundPoissonExp(rate=2.0, jump_mean=0.5)),
+        validate(0.5, 0.1, TemperedStable(alpha=1.0, scale=1.0, tempering=1.5)),
+        validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0)),
+        validate(0.4, 0.0, TemperedStable(alpha=0.7, scale=0.6, tempering=2.0)),
+    ], ids=["none", "stable1", "stable1_phi0", "stable1.6", "stable0.6",
+            "cpexp", "tempered1", "tempered1.3_phi0", "tempered0.7"])
+    def test_matches_hp_gaver_stehfest(self, model):
+        from levyfn.levy_model import laplace_exponent_hp, phi_zero_hp
+        from levyfn.scale_fn import gs_invert_mp
+
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        phi0_hp = phi_zero_hp(model, 70)
+        for x in (0.05, 0.4, 2.0, 9.0):
+            want = gs_invert_mp(lambda s: 1 / laplace_exponent_hp(model, s + phi0_hp), x, 28)
+            assert ev.w_shifted(x) == pytest.approx(want, rel=1e-7), x
+
+    def test_tiny_x(self):
+        ev = ScaleEvaluator(builtin_model("bmup"), use_closed_form=False)
+        # W(x) = x/c + O(x^2) with c = 1 at x far below any scale of the model
+        assert ev.scale_w(1e-100) == pytest.approx(1e-100, rel=1e-10)
+        # below ~1e-140 psi overflows at the contour's nodes: an error, never
+        # 0, NaN or the value at a clamped x
+        with pytest.raises(NumericalOverflowError):
+            ev.w_shifted(1e-200)
+        with pytest.raises(NumericalOverflowError):
+            ev.scale_w(1e-200)
+
+    def test_tempered_plateau_builds(self):
+        # Gaver-Stehfest noise (~1e-8) made W step down on this model's
+        # plateau, W(20) = 1.405031467195 after 1.405031481927, and the
+        # self-check rejected it; the limit is 1/psi'(0+) = 1.4050314735949
+        model = validate(0.7562156296137178, 0.0, TemperedStable(
+            alpha=1.196788081699263, scale=0.5768831600352027,
+            tempering=1.6333248701785947))
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        ws = np.array([ev.scale_w(float(x)) for x in np.geomspace(0.05, 20.0, 16)])
+        assert (np.diff(ws) >= 0.0).all()
+        limit = 1.0 / model.laplace_exponent_derivative(0.0)
+        assert abs(ev.scale_w(20.0) - limit) <= 1e-9 * limit
 
 
 def _tempered_phi0():
@@ -422,6 +497,13 @@ class TestTransformRoute:
         want = ScaleEvaluator(builtin_model("bmup")).occupation_expectation(
             Generic(fn=PowerLaw(1.5).value), 1.0, 0.2)
         assert got == pytest.approx(want, rel=1e-8)
+
+    def test_bmup_inversion_route_matches_transform(self):
+        # the inversion route on the Talbot-inverted potential density
+        ev = ScaleEvaluator(builtin_model("bmup"), use_closed_form=False)
+        got = ev.occupation_expectation(Generic(fn=PowerLaw(1.5).value), 1.0, 0.2)
+        want = ev.occupation_expectation(PowerLaw(1.5), 1.0, 0.2)
+        assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("name", ["stable15", "bmdrift", "bmup", "cpexp",
                                       "tempered_phi0"])
