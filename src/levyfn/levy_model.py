@@ -404,12 +404,22 @@ class TemperedStable(_Family):
         return self.scale * math.exp(-self.tempering * u) * u ** (-1.0 - self.alpha)
 
     def tail_mass(self, eps):
-        val, _ = quad(self.density, eps, math.inf, limit=200)
-        return val
+        # C q^a Gamma(-a, q eps); for a >= 1 below q eps = 1, Gamma(-a, x) =
+        # (x^-a e^-x - Gamma(1-a, x))/a with 1 - a in (-1, 0]
+        a, C, q = self.alpha, self.scale, self.tempering
+        x = q * eps
+        if a < 1.0:
+            g = _upper_gamma(-a, x)
+        elif x >= 1.0:
+            g = _upper_gamma_cf(-a, x)
+        else:
+            g = (x**-a * math.exp(-x) - _upper_gamma(1.0 - a, x)) / a
+        return C * q**a * g
 
     def mean_eps_to_one(self, eps):
-        val, _ = quad(lambda u: u * self.density(u), eps, 1.0, limit=200)
-        return val
+        # C q^(a-1) [Gamma(1-a, q eps) - Gamma(1-a, q)]
+        a, C, q = self.alpha, self.scale, self.tempering
+        return C * q ** (a - 1.0) * (_upper_gamma(1.0 - a, q * eps) - _upper_gamma(1.0 - a, q))
 
     def small_variance(self, eps):
         # C q^(a-2) gamma(2-a, q eps), with the lower incomplete gamma

@@ -26,8 +26,14 @@ NumericalOverflowError instead of returning a value.
 
 The arbitrary-precision Gaver-Stehfest series (real nodes k*ln2/x,
 `gs_invert_mp` on `laplace_exponent_hp`) is the reference the inversion is
-tested against.  A float64 Gaver-Stehfest at the base order (~1e-5
-relative) serves the scalar quadrature integrands built on top.
+tested against.  The Laplace identity integrates the published W itself,
+at all points of a fixed rule on [0, M] in one Talbot evaluation, each
+point checked N against 2N nodes: IDENTITY_GL_POINTS-point Gauss-Legendre
+on the panels [M 2^{-j-1}, M 2^{-j}], j < IDENTITY_PANELS - 1, and
+[0, M 2^{1-IDENTITY_PANELS}], graded towards 0 where W(y) ~ y^gamma.  A
+float64 Gaver-Stehfest at the base order (~1e-5 relative) serves only the
+scalar integrand of a `Generic` f's conditional expectation and the scale
+of `potential_density`'s order check.
 Scale-function differences such as the potential density cancel
 catastrophically far from the origin, where both terms approach the same
 exponential growth; they are evaluated directly only on the window where
@@ -104,6 +110,10 @@ TRANSFORM_FAIL_RTOL = 1e-6
 LOCAL_POWER_LAM = 1e8
 # truncation of the Laplace-identity integral: where e^{-lam*M} W(M) drops below
 IDENTITY_INTEGRAND_TOL = 1e-8
+# rule of the Laplace-identity integral on [0, M]: Gauss-Legendre points per
+# panel, and panels graded geometrically towards 0 (see _identity_rule)
+IDENTITY_GL_POINTS = 8
+IDENTITY_PANELS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +252,14 @@ class ScaleEvaluator:
         self.phi0 = self.model.phi_zero().value
         if self.use_closed_form:
             self.closed_form = self.model.jumps.closed_form(self.model)
-        grid_w = np.array([self.scale_w(float(x)) for x in np.geomspace(0.05, 20.0, 16)])
+        # W on the grid as scale_w gives it, from one Talbot evaluation
+        grid = np.geomspace(0.05, 20.0, 16)
+        shifted = self._w_shifted_array(grid)
+        with np.errstate(over="ignore"):
+            growth = np.exp(self.phi0 * grid)
+        if not np.isfinite(growth).all():
+            raise NumericalOverflowError(f"W({grid[~np.isfinite(growth)][0]:g}) overflows")
+        grid_w = growth * shifted
         scale = max(grid_w.max(), 1e-300)
         if (grid_w <= 0.0).any() or (np.diff(grid_w) < -1e-9 * scale).any():
             raise InversionUnstableError(
@@ -250,16 +267,43 @@ class ScaleEvaluator:
 
     # -- core inversions -----------------------------------------------------
 
-    def _w_talbot(self, x: float, orders: tuple[int, ...]) -> tuple[float, ...]:
-        """W_shift(x) at each of `orders` Talbot nodes, from one psi call on
-        the nodes of all of them."""
+    def _w_talbot(self, x, orders: tuple[int, ...]) -> tuple:
+        """W_shift at x for each of `orders` Talbot node counts, from one psi
+        call on the nodes of all of them: floats for a float x, arrays for a
+        1-D array of x (one row of nodes per point)."""
         nodes, parts = _talbot_rules(orders)
+        array = isinstance(x, np.ndarray)
         with np.errstate(all="ignore"):
-            psi = self.model.laplace_exponent_array(nodes / x + self.phi0)
+            psi = self.model.laplace_exponent_array(
+                nodes / (x[:, None] if array else x) + self.phi0)
         if not np.isfinite(psi).all():
-            raise NumericalOverflowError(f"psi overflows at the Talbot nodes of x={x:g}")
+            raise NumericalOverflowError(
+                f"psi overflows at the Talbot nodes of x={np.min(x):g}")
         transform = 1.0 / psi
-        return tuple(float((omega @ transform[part]).real) / x for part, omega in parts)
+        values = tuple((transform[..., part] @ omega).real / x for part, omega in parts)
+        return values if array else tuple(map(float, values))
+
+    def _w_checked(self, x):
+        """W_shift at a float x or at each x of a 1-D array: the 2N-node
+        Talbot value, once the N-node value agrees with it to
+        ORDER_AGREEMENT_RTOL."""
+        lo, hi = self._w_talbot(x, (self.order, 2 * self.order))
+        # |hi - lo| > RTOL * max(|hi|, 1e-300), in operators that take a
+        # float as cheaply as an array
+        gap = abs(hi - lo)
+        bad = (gap > ORDER_AGREEMENT_RTOL * abs(hi)) & (gap > ORDER_AGREEMENT_RTOL * 1e-300)
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
+            i = np.flatnonzero(bad)[0]
+            raise InversionUnstableError(
+                f"orders {self.order} and {2 * self.order} disagree at "
+                f"x={np.ravel(x)[i]:g}: {np.ravel(lo)[i]:.6g} vs {np.ravel(hi)[i]:.6g}")
+        return hi
+
+    def _w_shifted_array(self, xs: np.ndarray) -> np.ndarray:
+        """W_shift at each x > 0 of a 1-D array, as `w_shifted` gives it."""
+        if self.closed_form is not None:
+            return np.array([self.closed_form.w_shifted(float(x)) for x in xs])
+        return self._w_checked(xs)
 
     def w_shifted(self, x: float) -> float:
         """W_shift(x) = e^{-Phi(0)x} W(x); bounded whenever psi'(Phi(0)) > 0."""
@@ -267,12 +311,7 @@ class ScaleEvaluator:
             return 0.0
         if self.closed_form is not None:
             return self.closed_form.w_shifted(x)
-        lo, hi = self._w_talbot(x, (self.order, 2 * self.order))
-        if abs(hi - lo) > ORDER_AGREEMENT_RTOL * max(abs(hi), 1e-300):
-            raise InversionUnstableError(
-                f"orders {self.order} and {2 * self.order} disagree at x={x:g}: "
-                f"{lo:.6g} vs {hi:.6g}")
-        return hi
+        return self._w_checked(x)
 
     def scale_w(self, x: float) -> float:
         """W(x); zero for x < 0."""
@@ -571,25 +610,42 @@ def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float)
     return -math.expm1(-lam * x) / model.laplace_exponent(lam + phi0)
 
 
+@lru_cache(maxsize=1)
+def _identity_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the Laplace-identity rule on [0, 1]:
+    IDENTITY_GL_POINTS-point Gauss-Legendre on each panel [2^{-j-1}, 2^{-j}],
+    j < IDENTITY_PANELS - 1, and on [0, 2^{1-IDENTITY_PANELS}]."""
+    nodes, weights = np.polynomial.legendre.leggauss(IDENTITY_GL_POINTS)
+    edges = np.concatenate(([0.0], 2.0 ** -np.arange(IDENTITY_PANELS - 1.0, -1.0, -1.0)))
+    half = np.diff(edges)[:, None] / 2.0
+    points = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
+    points.flags.writeable = False
+    weights = (half * weights).ravel()
+    weights.flags.writeable = False
+    return points, weights
+
+
 def laplace_identity_residual(ev: ScaleEvaluator, lam: float) -> float:
     """|psi(lam) * integral_0^M e^{-lam*y} W(y) dy - 1| for lam > Phi(0).
 
-    M is grown until the integrand e^{-lam*M} W(M) (equivalently
-    e^{-(lam-Phi(0))M} W_shift(M)) drops below IDENTITY_INTEGRAND_TOL.
+    The integrand is the W that `ev` publishes, in shifted form
+    e^{-(lam-Phi(0))y} W_shift(y).  M doubles from 1 until the integrand at
+    M drops below IDENTITY_INTEGRAND_TOL.  The integral is a fixed rule on
+    [0, M], Gauss-Legendre on panels graded geometrically towards 0, where
+    W(y) ~ y^gamma (see `_identity_rule`); without a closed form its points
+    take one Talbot evaluation, checked N against 2N nodes at every point as
+    `ScaleEvaluator.w_shifted` checks one.
     """
     phi0 = ev.phi0
     if lam <= phi0:
         raise PreconditionViolatedError("need lam > Phi(0)")
+    rate = lam - phi0
     M = 1.0
-    while math.exp(-(lam - phi0) * M) * ev._w_nat_fast(M) >= IDENTITY_INTEGRAND_TOL:
+    while math.exp(-rate * M) * ev.w_shifted(M) >= IDENTITY_INTEGRAND_TOL:
         M *= 2.0
         if M > 2.0**40:
             raise QuadratureFailureError("no usable truncation point found")
-
-    def integrand(y: float) -> float:
-        return math.exp(-(lam - phi0) * y) * ev._w_nat_fast(y)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, _ = quad(integrand, 0.0, M, limit=400)
+    points, weights = _identity_rule()
+    ys = M * points
+    val = M * (weights @ (np.exp(-rate * ys) * ev._w_shifted_array(ys)))
     return abs(ev.model.laplace_exponent(lam) * val - 1.0)

@@ -216,6 +216,22 @@ def test_tempered_small_jump_variance(alpha, q, eps):
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.95, 1.0, 1.05, 1.5, 1.9])
+@pytest.mark.parametrize("q", [0.5, 5.0])
+@pytest.mark.parametrize("eps", [1e-4, 1e-2, 0.5])
+def test_tempered_tail_mass_and_mean(alpha, q, eps):
+    """pi([eps, inf)) = C q^alpha Gamma(-alpha, q eps) and integral_eps^1 u
+    pi(du) = C q^(alpha-1) [Gamma(1-alpha, q eps) - Gamma(1-alpha, q)]."""
+    C = 0.7
+    jumps = TemperedStable(alpha=alpha, scale=C, tempering=q)
+    with mp.workdps(40):
+        a, mq = mp.mpf(alpha), mp.mpf(q)
+        tail = C * mq**a * mp.gammainc(-a, mq * mp.mpf(eps))
+        mean = C * mq ** (a - 1) * mp.gammainc(1 - a, mq * mp.mpf(eps), mq)
+        assert abs(jumps.tail_mass(eps) - tail) <= 1e-13 * tail
+        assert abs(jumps.mean_eps_to_one(eps) - mean) <= 1e-13 * mean
+
+
 # One family of each kind, with the Levy density written out in mpmath.
 JUMP_FAMILIES = {
     "stable06": (StablePositive(alpha=0.6, scale=0.7), lambda u: 0.7 * u ** mp.mpf(-1.6)),

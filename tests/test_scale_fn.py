@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,106 @@ class TestTalbot:
         assert (np.diff(ws) >= 0.0).all()
         limit = 1.0 / model.laplace_exponent_derivative(0.0)
         assert abs(ev.scale_w(20.0) - limit) <= 1e-9 * limit
+
+
+def _mp_identity_residual(name, lam):
+    """|psi(lam) integral_0^M e^{-lam y} W(y) dy - 1| at 30 digits for the
+    exact W of a Brownian builtin, with M doubled from 1 until
+    e^{-lam M} W(M) < 1e-8."""
+    import mpmath as mp
+
+    model = builtin_model(name)
+    w = {"bmup": lambda y: -mp.expm1(-y), "bmdrift": mp.expm1}[name]
+    with mp.workdps(30):
+        M = mp.mpf(1)
+        while mp.exp(-lam * M) * w(M) >= 1e-8:
+            M *= 2
+        val = mp.quad(lambda y: mp.exp(-lam * y) * w(y), mp.linspace(0, M, 9))
+        return float(abs(model.laplace_exponent(lam) * val - 1))
+
+
+class TestLaplaceIdentity:
+    """The identity integrates the W the evaluator publishes, on a fixed
+    Gauss-Legendre rule over panels graded towards 0."""
+
+    @pytest.mark.parametrize("shift", [0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("name", ["bmup", "bmdrift"])
+    def test_matches_mp_reference(self, name, shift):
+        ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
+        lam = ev.phi0 + shift
+        want = _mp_identity_residual(name, lam)
+        assert abs(laplace_identity_residual(ev, lam) - want) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["bmup", "bmdrift"])
+    def test_closed_form_on_and_off(self, name):
+        closed = ScaleEvaluator(builtin_model(name))
+        inverted = ScaleEvaluator(builtin_model(name), use_closed_form=False)
+        assert closed.closed_form is not None and inverted.closed_form is None
+        for shift in (0.5, 1.0, 2.0, 5.0):
+            lam = closed.phi0 + shift
+            assert abs(laplace_identity_residual(closed, lam)
+                       - laplace_identity_residual(inverted, lam)) <= 1e-9
+
+    def test_no_float_gaver_stehfest(self, evaluators, monkeypatch):
+        from levyfn import scale_fn
+
+        calls = []
+        orig = scale_fn.gs_invert_float
+
+        def counting(transform, t, order=14):
+            calls.append(t)
+            return orig(transform, t, order)
+
+        monkeypatch.setattr(scale_fn, "gs_invert_float", counting)
+        tempered = validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0))
+        evs = list(evaluators.values()) + [
+            ScaleEvaluator(tempered), ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)]
+        for ev in evs:
+            for shift in (0.5, 2.0):
+                laplace_identity_residual(ev, ev.phi0 + shift)
+        assert calls == []
+
+    def test_order_disagreement_raises(self, monkeypatch):
+        # at 4 against 8 nodes cpexp's W disagrees near x = 9 (see
+        # TestScaleW.test_low_order_is_detected_unstable)
+        ev = ScaleEvaluator(builtin_model("cpexp"))
+        monkeypatch.setattr(ev, "order", 4)
+        with pytest.raises(InversionUnstableError):
+            laplace_identity_residual(ev, ev.phi0 + 1.0)
+
+    def test_array_evaluation_checks_every_point(self, monkeypatch):
+        ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
+        xs = np.geomspace(0.05, 30.0, 25)
+        want = [ev.w_shifted(float(x)) for x in xs]
+        # the rows sum in another order than one point's dot product does;
+        # the weights reach e^{0.4 * 28}, so rounding differs near 1e-12
+        np.testing.assert_allclose(ev._w_shifted_array(xs), want, rtol=1e-11)
+        monkeypatch.setattr(ev, "order", 4)
+        unstable = []
+        for x in xs:
+            try:
+                ev.w_shifted(float(x))
+            except InversionUnstableError:
+                unstable.append(float(x))
+        assert unstable
+        with pytest.raises(InversionUnstableError, match=re.escape(f"x={unstable[0]:g}:")):
+            ev._w_shifted_array(xs)
+        stable = np.array([x for x in xs if x not in unstable])
+        assert len(ev._w_shifted_array(stable)) == len(stable)
+
+    def test_self_check_is_one_psi_call(self, monkeypatch):
+        from levyfn import LevyModel
+
+        calls = []
+        orig = LevyModel.laplace_exponent_array
+
+        def counting(model, lam):
+            calls.append(np.shape(lam))
+            return orig(model, lam)
+
+        monkeypatch.setattr(LevyModel, "laplace_exponent_array", counting)
+        ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
+        assert calls == [(16, 42)]
 
 
 def _tempered_phi0():
