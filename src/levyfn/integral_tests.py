@@ -8,26 +8,54 @@ increments certify divergence (this catches log-divergent integrands that a
 plain Cauchy criterion misses), and the gap in between is reported honestly
 as inconclusive.
 
+Each of the DOUBLINGS panels is integrated by the 7-point Gauss / 15-point Kronrod pair with
+QUADPACK's error estimate (Piessens et al., *QUADPACK*, 1983, qk15).  The
+integrand is evaluated once on a float64 array holding the K15 nodes of all
+panels and one sign probe per panel.  The panels before the early stop
+(three negligible increments in a row) whose error estimate exceeds
+PANEL_EPSREL = 1e-10 of their value are then refined, one array call per
+level for at most MAX_LEVELS levels: each of their pieces whose error
+exceeds its length's share of the target is bisected, and a piece keeps its
+halves only when their errors sum below its own.  A panel still above the
+target is counted in the verdict's `quad_warnings`, not raised; a
+non-finite value on a panel before the early stop raises
+NumericalOverflowError, one beyond it is ignored.
+
+An integrand should take a float64 array and return the array of its
+values.  One that cannot (an array call raises TypeError or ValueError, or
+returns another shape) is called point by point instead, and a point that
+overflows reads as non-finite.  The tests build their integrands on arrays
+from `f.values`, `laplace_density()` and `LevyModel.laplace_exponent_array`.
+
+A `TestVerdict` is a frozen, slotted record with typed fields: the verdict,
+value, route, start, panel count, flagged-panel count and reason, and one
+float64 record of the sweep (the partial sum, the largest relative error
+estimate and the magnitudes of the last WINDOW + 1 increments).  Its
+`diagnostics` property builds the familiar dict on each read, with the
+ratios, the fitted exponent and the tail estimate derived from the
+increments.  A `BoundaryReport` holds the hitting probability and its
+verdicts; its flags and `survival_prob` are derived from them.
+
 The kind of the functional f alone picks the formula each test uses.  Every
-kind owns `value(x)` in plain float arithmetic (one call per quadrature
-node), `values(arr)` on numpy arrays, the flags `decreasing` and
-`bounded_away_from_origin`, `laplace_density()`, `power` and `constant`.
-Wrapping any f as a `Generic` names the general (reference) route.
+kind owns `value(x)` in plain float arithmetic, `values(arr)` on numpy
+arrays, the flags `decreasing` and `bounded_away_from_origin`,
+`laplace_density()`, `power` and `constant`.  Wrapping any f as a `Generic`
+names the general (reference) route.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .errors import (
     NonPositiveStartError,
     NotApplicableError,
+    NumericalOverflowError,
     PreconditionViolatedError,
     SignChangeError,
 )
@@ -58,8 +86,15 @@ class _Functional:
     power = None
     constant = None
 
-    def laplace_density(self) -> Optional[Callable[[float], float]]:
-        """The density g with f(x) = integral exp(-x*z) g(z) dz, when known."""
+    def laplace_density(self) -> Optional[Callable]:
+        """The density g with f(x) = integral exp(-x*z) g(z) dz, when known.
+
+        g takes a float and returns a float.  It should also take a float64
+        array and return the array of its values: the verdict engine calls
+        it on arrays first, and point by point only when that raises
+        TypeError or ValueError.  `PowerLaw`'s g takes arrays; a
+        `LaplaceRep` hands back the user's g as it is.
+        """
         return None
 
 
@@ -83,8 +118,8 @@ class PowerLaw(_Functional):
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) ** (-self.theta)
 
-    def laplace_density(self) -> Callable[[float], float]:
-        """g(z) = z**(theta-1) / Gamma(theta)."""
+    def laplace_density(self) -> Callable:
+        """g(z) = z**(theta-1) / Gamma(theta), on floats and arrays."""
         theta = self.theta
         norm = math.gamma(theta)
         return lambda z: z ** (theta - 1.0) / norm
@@ -108,7 +143,7 @@ class LaplaceRep(_Functional):
         vals = [self.value(float(xi)) for xi in np.asarray(x).ravel()]
         return np.array(vals).reshape(np.shape(x))
 
-    def laplace_density(self) -> Callable[[float], float]:
+    def laplace_density(self) -> Callable:
         return self.g
 
 
@@ -181,11 +216,31 @@ class AtZeroPlus:
     stop: float
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, eq=False)
 class TestVerdict:
+    """One verdict and the facts behind it, immutable once built.
+
+    A doubling-panel sweep keeps its numbers in `sweep`, one float64 record
+    stored as bytes: the partial sum, the largest relative error estimate
+    and the magnitudes of the last WINDOW + 1 increments, which `partial`,
+    `max_rel_abserr` and `increments` read back (None on routes without a
+    sweep).  Callers may keep many reports of one or two verdicts each, and
+    the record takes about 100 bytes where separate floats and an ndarray
+    take about 250.  `diagnostics` derives the panel ratios, the fitted
+    exponent and the tail estimate from the increments on each read.
+    """
+
     verdict: str                      # converges | diverges | inconclusive
     value: Optional[float]            # finite value, +-inf, or None
-    diagnostics: dict = field(default_factory=dict)
+    route: Optional[str] = None
+    start: Optional[float] = None
+    panels: int = 0
+    quad_warnings: int = 0
+    reason: Optional[str] = None
+    kappa: Optional[float] = None
+    power: Optional[float] = None
+    at_infinity: bool = True
+    sweep: Optional[bytes] = None
 
     @property
     def converges(self) -> bool:
@@ -195,88 +250,260 @@ class TestVerdict:
     def diverges(self) -> bool:
         return self.verdict == DIVERGES
 
+    def _record(self) -> Optional[np.ndarray]:
+        return None if self.sweep is None else np.frombuffer(self.sweep)
 
-def _panel(integrand, lo, hi) -> tuple[float, float, int]:
-    """quad over [lo, hi]: value, error estimate and IntegrationWarning count."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val, abserr = quad(integrand, lo, hi, limit=200, epsabs=1e-300, epsrel=1e-10)
-    return val, abserr, sum(issubclass(w.category, IntegrationWarning) for w in caught)
+    @property
+    def partial(self) -> Optional[float]:
+        rec = self._record()
+        return None if rec is None else float(rec[0])
+
+    @property
+    def max_rel_abserr(self) -> Optional[float]:
+        rec = self._record()
+        return None if rec is None else float(rec[1])
+
+    @property
+    def increments(self) -> Optional[np.ndarray]:
+        """Magnitudes of the last WINDOW + 1 increments, read-only."""
+        rec = self._record()
+        return None if rec is None else rec[2:]
+
+    @property
+    def diagnostics(self) -> dict:
+        """The verdict's facts as a fresh dict (route, panels, ratios, ...)."""
+        d: dict = {}
+        if self.route is not None:
+            d["route"] = self.route
+        if self.kappa is not None:
+            d["kappa"], d["power"] = self.kappa, self.power
+        if self.start is not None:
+            d["start"] = self.start
+        rec = self._record()
+        if rec is not None:
+            mags = rec[2:]
+            d.update(panels=self.panels, partial=float(rec[0]), increments=mags.tolist(),
+                     max_rel_abserr=float(rec[1]), quad_warnings=self.quad_warnings)
+            if self.reason is None and self.panels > WINDOW:
+                ratios = _ratios(mags)
+                d["ratios"] = ratios
+                d["fitted_exponent"] = _fitted_exponent(ratios, self.at_infinity)
+                if self.converges:
+                    d["tail_estimate"] = _tail(mags, ratios)
+        if self.reason is not None:
+            d["reason"] = self.reason
+        return d
 
 
-def improper_integral_verdict(integrand: Callable[[float], float],
-                              endpoint: AtInfinity | AtZeroPlus) -> TestVerdict:
-    """Classify the improper integral of `integrand` at one endpoint.
+def _ratios(mags: np.ndarray) -> list[float]:
+    """Consecutive ratios of the last WINDOW + 1 increment magnitudes."""
+    tail = mags[-(WINDOW + 1):].tolist()
+    return [b / a if a > 0.0 else math.inf for a, b in zip(tail, tail[1:])]
 
-    The integrand must have constant sign near the tested endpoint
-    (SignChangeError otherwise).  On convergence the returned value includes
-    a geometric tail estimate; on divergence it is +-inf by the integrand's
-    sign near the endpoint.
+
+def _fitted_exponent(ratios: list[float], at_infinity: bool) -> float:
+    """Local exponent: integrand ~ t**p at inf gives ratio 2**(p+1);
+    ~ t**(-q) at 0+ gives ratio 2**(q-1)."""
+    geo = math.log2(float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-300))))))
+    return geo - 1.0 if at_infinity else -(geo + 1.0)
+
+
+def _tail(mags: np.ndarray, ratios: list[float]) -> float:
+    """Geometric tail beyond the last panel at the last ratio."""
+    rho = ratios[-1]
+    return float(mags[-1]) * rho / (1.0 - rho)
+
+
+# 7-point Gauss / 15-point Kronrod pair (QUADPACK qk15): Kronrod nodes on
+# [-1, 1] in increasing order, with the Kronrod weights and the Gauss weights
+# (zero at the Kronrod-only nodes)
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+K15_NODES = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+K15_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
+G7_WEIGHTS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                       0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
+_EPS = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+# a panel is flagged while its error estimate exceeds PANEL_EPSREL of its
+# value; flagged panels are bisected for at most MAX_LEVELS levels
+PANEL_EPSREL = 1e-10
+MAX_LEVELS = 10
+
+
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The K15 nodes of each panel [lo, hi], one row per panel."""
+    return ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * K15_NODES
+
+
+def _k15(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K15 value and QUADPACK error estimate of each panel from its node values.
+
+    The estimate scales the Kronrod-Gauss gap as qk15 does:
+    resasc * min(1, (200 |K15 - G7| / resasc)**1.5), at least 50 eps resabs.
     """
+    half = (hi - lo) / 2.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        resk = fx @ K15_WEIGHTS
+        value = resk * half
+        abserr = np.abs((resk - fx @ G7_WEIGHTS) * half)
+        resabs = (np.abs(fx) @ K15_WEIGHTS) * half
+        resasc = (np.abs(fx - (resk / 2.0)[:, None]) @ K15_WEIGHTS) * half
+        scaled = (resasc != 0.0) & (abserr != 0.0)
+        ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
+        abserr = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), abserr)
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPS),
+                          np.maximum(50.0 * _EPS * resabs, abserr), abserr)
+    return value, abserr
+
+
+def _point(integrand: Callable[[float], float], t: float) -> float:
+    try:
+        return float(integrand(t))
+    except (ArithmeticError, NumericalOverflowError):
+        return math.nan
+
+
+def _on_arrays(integrand: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """`integrand` on float64 arrays: one call per array while the integrand
+    takes arrays, point by point once an array call raises TypeError or
+    ValueError or returns another shape.  A point that overflows reads NaN."""
+    scalar = False
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        nonlocal scalar
+        with np.errstate(all="ignore"):
+            if not scalar:
+                try:
+                    out = np.asarray(integrand(x), dtype=float)
+                    if out.shape == x.shape:
+                        return out
+                except (TypeError, ValueError):
+                    pass
+                scalar = True
+            return np.array([_point(integrand, t) for t in x.tolist()])
+
+    return evaluate
+
+
+def _kept(values: np.ndarray) -> tuple[int, float, bool]:
+    """Panels before the early stop, their running sum, and whether the
+    stop (three negligible increments in a row) was reached."""
+    totals = np.cumsum(values)
+    negligible = np.abs(values) <= NEGLIGIBLE_REL * (np.abs(totals) + 1e-300)
+    runs = negligible[:-2] & negligible[1:-1] & negligible[2:]
+    stopped = bool(runs.any())
+    n = int(runs.argmax()) + 3 if stopped else len(values)
+    return n, float(totals[n - 1]), stopped
+
+
+def _panel_edges(endpoint: AtInfinity | AtZeroPlus) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the DOUBLINGS panels, from the base outward (or inward)."""
     at_inf = isinstance(endpoint, AtInfinity)
     base = endpoint.start if at_inf else endpoint.stop
     if base <= 0:
         raise ValueError("panel base must be > 0")
+    k = np.arange(DOUBLINGS + 1.0)
+    edges = base * 2.0 ** (k if at_inf else -k)
+    return (edges[:-1], edges[1:]) if at_inf else (edges[1:], edges[:-1])
 
-    increments: list[float] = []
-    probes: list[float] = []
-    total = 0.0
-    negligible = 0
-    max_rel_abserr = 0.0
-    quad_warnings = 0
-    for k in range(DOUBLINGS):
-        if at_inf:
-            lo, hi = base * 2.0**k, base * 2.0 ** (k + 1)
-        else:
-            lo, hi = base * 2.0 ** (-k - 1), base * 2.0 ** (-k)
-        probes.append(integrand(math.sqrt(lo * hi)))
-        inc, abserr, n_warn = _panel(integrand, lo, hi)
-        max_rel_abserr = max(max_rel_abserr, abserr / max(abs(inc), 1e-300))
-        quad_warnings += n_warn
-        increments.append(inc)
-        total += inc
-        if abs(inc) <= NEGLIGIBLE_REL * (abs(total) + 1e-300):
-            negligible += 1
-            if negligible >= 3:
-                break
-        else:
-            negligible = 0
 
-    pmax = max(abs(p) for p in probes)
-    if pmax > 0.0:
-        signs = {math.copysign(1.0, p) for p in probes if abs(p) > 1e-9 * pmax}
-        if len(signs) > 1:
-            raise SignChangeError("integrand changes sign in the probed region")
+def _sweep(integrand: Callable, lo: np.ndarray, hi: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, error estimate and geometric-midpoint probe of each panel.
+
+    All panel nodes and probes take one array call.  Then, one array call
+    per level, the panels inside the early-stop prefix whose error exceeds
+    PANEL_EPSREL of their value are refined: each of their pieces whose
+    error exceeds its length's share of that target is bisected, and the
+    halves replace it only when their errors sum below its own; a piece
+    whose halves do not is left as it is.
+    """
+    evaluate = _on_arrays(integrand)
+    n = len(lo)
+    fx = evaluate(np.concatenate((_nodes(lo, hi).ravel(), np.sqrt(lo * hi))))
+    probes = fx[-n:]
+    val, err = _k15(fx[:-n].reshape(n, -1), lo, hi)
+    # the pieces: owning panel, ends, value, error, still refinable
+    owner, p_lo, p_hi, active = np.arange(n), lo, hi, np.ones(n, dtype=bool)
+    width = hi - lo
+    for level in range(MAX_LEVELS + 1):
+        total, total_err = np.bincount(owner, val, n), np.bincount(owner, err, n)
+        if level == MAX_LEVELS:
+            break
+        target = PANEL_EPSREL * np.abs(total)
+        flagged = (total_err > target) & (np.arange(n) < _kept(total)[0])
+        split = active & flagged[owner] & (err > target[owner] * (p_hi - p_lo) / width[owner])
+        if not split.any():
+            break
+        s_lo, s_hi = p_lo[split], p_hi[split]
+        mid = (s_lo + s_hi) / 2.0
+        h_lo = np.ravel((s_lo, mid), order="F")
+        h_hi = np.ravel((mid, s_hi), order="F")
+        h_val, h_err = _k15(evaluate(_nodes(h_lo, h_hi).ravel()).reshape(len(h_lo), -1),
+                            h_lo, h_hi)
+        better = h_err[0::2] + h_err[1::2] < err[split]
+        active[np.flatnonzero(split)[~better]] = False
+        keep = ~split | ~active
+        take = np.repeat(better, 2)
+        owner = np.concatenate((owner[keep], np.repeat(owner[split][better], 2)))
+        p_lo = np.concatenate((p_lo[keep], h_lo[take]))
+        p_hi = np.concatenate((p_hi[keep], h_hi[take]))
+        val = np.concatenate((val[keep], h_val[take]))
+        err = np.concatenate((err[keep], h_err[take]))
+        active = np.concatenate((active[keep], np.ones(take.sum(), dtype=bool)))
+    return total, total_err, probes
+
+
+def improper_integral_verdict(integrand: Callable,
+                              endpoint: AtInfinity | AtZeroPlus) -> TestVerdict:
+    """Classify the improper integral of `integrand` at one endpoint.
+
+    The integrand is called on float64 arrays when it takes them (see
+    `_on_arrays`), else point by point.  It must have constant sign near
+    the tested endpoint (SignChangeError otherwise), and be finite on the
+    panels before the early stop (NumericalOverflowError otherwise).  On
+    convergence the returned value includes a geometric tail estimate; on
+    divergence it is +-inf by the integrand's sign near the endpoint.
+    """
+    at_inf = isinstance(endpoint, AtInfinity)
+    values, errors, probes = _sweep(integrand, *_panel_edges(endpoint))
+    n, total, negligible = _kept(values)
+    values, errors, probes = values[:n], errors[:n], probes[:n]
+    if not (np.isfinite(values).all() and np.isfinite(probes).all()):
+        raise NumericalOverflowError("integrand is not finite on a kept panel")
+
+    pmax = np.abs(probes).max()
+    if pmax > 0.0 and len(set(np.sign(probes[np.abs(probes) > 1e-9 * pmax]).tolist())) > 1:
+        raise SignChangeError("integrand changes sign in the probed region")
     sign = math.copysign(1.0, total) if total != 0.0 else 1.0
 
-    mags = [abs(v) for v in increments]
-    diag = {"panels": len(mags), "partial": total, "increments": mags[-(WINDOW + 1):],
-            "max_rel_abserr": max_rel_abserr, "quad_warnings": quad_warnings}
+    mags = np.abs(values)
+    max_rel_abserr = (errors / np.maximum(mags, 1e-300)).max()
+    sweep = np.concatenate(([total, max_rel_abserr], mags[-(WINDOW + 1):])).tobytes()
+    facts = {"panels": n, "quad_warnings": int((errors > PANEL_EPSREL * mags).sum()),
+             "at_infinity": at_inf, "sweep": sweep}
 
-    if negligible >= 3 or all(m == 0.0 for m in mags[-WINDOW:]):
-        diag["reason"] = "tail negligible"
-        return TestVerdict(CONVERGES, total, diag)
+    if negligible or not mags[-WINDOW:].any():
+        return TestVerdict(CONVERGES, total, reason="tail negligible", **facts)
+    if n < WINDOW + 1:
+        return TestVerdict(INCONCLUSIVE, None, **facts)
 
-    if len(mags) < WINDOW + 1:
-        return TestVerdict(INCONCLUSIVE, None, diag)
-
-    ratios = []
-    for a, b in zip(mags[-(WINDOW + 1):-1], mags[-WINDOW:]):
-        ratios.append(b / a if a > 0.0 else math.inf)
-    diag["ratios"] = ratios
-    geo = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-300)))))
-    # local exponent: integrand ~ t**p at inf gives ratio 2**(p+1);
-    # ~ t**(-q) at 0+ gives ratio 2**(q-1)
-    diag["fitted_exponent"] = math.log2(geo) - 1.0 if at_inf else -(math.log2(geo) + 1.0)
-
+    ratios = _ratios(mags)
     if all(r <= CONVERGE_RATIO for r in ratios):
-        rho = ratios[-1]
-        tail = mags[-1] * rho / (1.0 - rho)
-        diag["tail_estimate"] = tail
-        return TestVerdict(CONVERGES, total + sign * tail, diag)
+        return TestVerdict(CONVERGES, total + sign * _tail(mags, ratios), **facts)
     if all(r >= 2.0 ** (-DIVERGE_MARGIN) for r in ratios):
-        return TestVerdict(DIVERGES, sign * math.inf, diag)
-    return TestVerdict(INCONCLUSIVE, None, diag)
+        return TestVerdict(DIVERGES, sign * math.inf, **facts)
+    return TestVerdict(INCONCLUSIVE, None, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +527,19 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     closed = model.jumps.closed_form(model) if theta is not None else None
     if closed is not None and closed.power is not None:
         kappa, p = closed.power
-        diag = {"route": "analytic_power", "kappa": kappa, "power": p, "start": start}
+        facts = {"route": "analytic_power", "kappa": kappa, "power": p, "start": start}
         if theta < p:
             value = start ** (theta - p) / (kappa * (p - theta))
-            return TestVerdict(CONVERGES, value, diag)
-        return TestVerdict(DIVERGES, math.inf, diag)
+            return TestVerdict(CONVERGES, value, **facts)
+        return TestVerdict(DIVERGES, math.inf, **facts)
 
-    def integrand(lam: float) -> float:
-        return f.value(1.0 / lam) / (lam * model.laplace_exponent(lam))
+    psi = model.laplace_exponent_array
+
+    def integrand(lam):
+        return f.values(1.0 / lam) / (lam * psi(lam))
 
     verdict = improper_integral_verdict(integrand, AtInfinity(start))
-    verdict.diagnostics["route"] = "doubling_panels"
-    verdict.diagnostics["start"] = start
-    return verdict
+    return replace(verdict, route="doubling_panels", start=start)
 
 
 def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
@@ -338,44 +565,59 @@ def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
 
     g = f.laplace_density()
     if g is not None:
-        def integrand(lam: float) -> float:
-            return g(lam) / model.laplace_exponent(lam)
+        psi = model.laplace_exponent_array
+
+        def integrand(lam):
+            return g(lam) / psi(lam)
 
         verdict = improper_integral_verdict(integrand, AtZeroPlus(phi0 / 2.0))
-        verdict.diagnostics["route"] = "laplace_zero"
-        return verdict
+        return replace(verdict, route="laplace_zero")
 
     if math.isfinite(model.laplace_exponent_derivative(0.0)):
-        verdict = improper_integral_verdict(f.value, AtInfinity(1.0))
-        verdict.diagnostics["route"] = "tail_integral"
-        return verdict
+        return replace(improper_integral_verdict(f.values, AtInfinity(1.0)),
+                       route="tail_integral")
 
-    return TestVerdict(INCONCLUSIVE, None,
-                       {"route": "none", "reason": "psi'(0+) infinite and no Laplace density"})
+    return TestVerdict(INCONCLUSIVE, None, route="none",
+                       reason="psi'(0+) infinite and no Laplace density")
 
 
 # ---------------------------------------------------------------------------
 # Boundary classification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class BoundaryReport:
     """Combined boundary behavior of the time-changed process started at x.
 
-    The three `*_possible` fields are True/False when the underlying verdict
+    The three `*_possible` flags are True/False when the underlying verdict
     is decisive and None when it is inconclusive (never a guess).  On the
     hitting event (probability `hit_prob`), extinction and extinguishing are
     complementary; explosion concerns the surviving event and requires
-    Phi(0) > 0.
+    Phi(0) > 0, so it is False when there is no explosion verdict.
     """
 
-    extinction_possible: Optional[bool]
-    extinguishing_possible: Optional[bool]
-    explosion_possible: Optional[bool]
     hit_prob: float
-    survival_prob: float
     extinction_verdict: TestVerdict
     explosion_verdict: Optional[TestVerdict]
+
+    @property
+    def survival_prob(self) -> float:
+        return 1.0 - self.hit_prob
+
+    @property
+    def extinction_possible(self) -> Optional[bool]:
+        return _decision(self.extinction_verdict)
+
+    @property
+    def extinguishing_possible(self) -> Optional[bool]:
+        ext = _decision(self.extinction_verdict)
+        return None if ext is None else not ext
+
+    @property
+    def explosion_possible(self) -> Optional[bool]:
+        if self.explosion_verdict is None:
+            return False
+        return _decision(self.explosion_verdict)
 
     @property
     def decisive(self) -> bool:
@@ -404,37 +646,18 @@ class BoundaryReport:
         }
 
 
+def _decision(verdict: TestVerdict) -> Optional[bool]:
+    """True on convergence, False on divergence, None when inconclusive."""
+    if verdict.converges:
+        return True
+    return False if verdict.diverges else None
+
+
 def classify_boundary(model: LevyModel, f: FunctionalSpec, x: float) -> BoundaryReport:
     """Classify extinction / extinguishing / explosion for the process started at x."""
     if x <= 0:
         raise NonPositiveStartError("x must be > 0")
     hit = model.hit_probability(x)
     ext = extinction_test(model, f)
-    if ext.converges:
-        extinction, extinguishing = True, False
-    elif ext.diverges:
-        extinction, extinguishing = False, True
-    else:
-        extinction = extinguishing = None
-
-    phi0 = model.phi_zero().value
-    if phi0 <= 0.0:
-        explosion, expl_verdict = False, None
-    else:
-        expl_verdict = explosion_test(model, f)
-        if expl_verdict.converges:
-            explosion = True
-        elif expl_verdict.diverges:
-            explosion = False
-        else:
-            explosion = None
-
-    return BoundaryReport(
-        extinction_possible=extinction,
-        extinguishing_possible=extinguishing,
-        explosion_possible=explosion,
-        hit_prob=hit,
-        survival_prob=1.0 - hit,
-        extinction_verdict=ext,
-        explosion_verdict=expl_verdict,
-    )
+    expl = explosion_test(model, f) if model.phi_zero().value > 0.0 else None
+    return BoundaryReport(hit_prob=hit, extinction_verdict=ext, explosion_verdict=expl)

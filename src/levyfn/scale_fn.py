@@ -75,7 +75,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -582,11 +582,10 @@ def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float
     g = f.laplace_density()
     if g is None:
         raise PreconditionViolatedError("f has no Laplace density")
-    psi = model.laplace_exponent
 
-    def integrand(t: float) -> float:
+    def integrand(t, exp=math.exp, expm1=math.expm1, psi=model.laplace_exponent):
         # e^{-Phi(0)d} - e^{-td} as a product, exact through t = Phi(0)
-        return g(t) * math.exp(-y * t - phi0 * d) * -math.expm1((phi0 - t) * d) / psi(t)
+        return g(t) * exp(-y * t - phi0 * d) * -expm1((phi0 - t) * d) / psi(t)
 
     if phi0 > 0.0:
         edges = (0.0, phi0 / 2.0, phi0, max(2.0 * phi0, 1.0), math.inf)
@@ -594,7 +593,10 @@ def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float
         edges = (0.0, 1.0, math.inf)
     # with psi'(0+) > 0 the integrand is g(t) times a bounded factor near 0+
     if phi0 > 0.0 or d0 == 0.0:
-        head = improper_integral_verdict(integrand, AtZeroPlus(edges[1]))
+        # the same integrand on arrays: one call for a g that takes arrays
+        on_arrays = partial(integrand, exp=np.exp, expm1=np.expm1,
+                            psi=model.laplace_exponent_array)
+        head = improper_integral_verdict(on_arrays, AtZeroPlus(edges[1]))
         if head.diverges:
             return math.inf
         if not head.converges:

@@ -1,0 +1,260 @@
+"""The Gauss-Kronrod panel sweep behind `improper_integral_verdict`, and the
+compact verdict and report it returns."""
+
+import dataclasses
+import gc
+import math
+import random
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from levyfn import (
+    AtInfinity,
+    AtZeroPlus,
+    CompoundPoissonExp,
+    Generic,
+    LevyModel,
+    PowerLaw,
+    StablePositive,
+    TemperedStable,
+    builtin_model,
+    classify_boundary,
+    explosion_test,
+    extinction_test,
+    improper_integral_verdict,
+    integral_tests,
+    validate,
+)
+from levyfn.errors import NumericalOverflowError
+from levyfn.scale_fn import occupation_transform
+
+
+def drawn_tempered_phi0(seed: int = 5) -> LevyModel:
+    """A tempered-stable model with negative drift, so Phi(0) > 0."""
+    r = random.Random(seed)
+    jumps = TemperedStable(alpha=r.uniform(1.1, 1.9), scale=r.uniform(0.3, 1.0),
+                           tempering=r.uniform(1.0, 3.0))
+    return validate(-r.uniform(0.1, 0.8), r.uniform(0.05, 0.5), jumps)
+
+
+def drawn_cpexp_phi0(seed: int = 3) -> LevyModel:
+    """Gaussian plus exponential jumps with psi'(0+) < 0, so Phi(0) > 0."""
+    r = random.Random(seed)
+    rate, jump_mean = r.uniform(0.5, 3.0), r.uniform(0.2, 1.5)
+    mu = 1.0 / jump_mean
+    drift = -r.uniform(0.1, 0.8) + rate * math.exp(-mu) * (1.0 + mu) / mu
+    return validate(drift, r.uniform(0.1, 1.0), CompoundPoissonExp(rate, jump_mean))
+
+
+MODELS = {**{n: builtin_model(n) for n in ("bmdrift", "bmup", "cpexp", "stable15")},
+          "tempered_phi0": drawn_tempered_phi0()}
+
+
+def verdict_integrands(model, f):
+    """(integrand, endpoint) of the extinction test and the Laplace route at 0+."""
+    psi = model.laplace_exponent_array
+    g = f.laplace_density()
+    phi0 = model.phi_zero().value
+    return [(lambda lam: f.values(1.0 / lam) / (lam * psi(lam)),
+             AtInfinity(max(1.0, 2.0 * phi0))),
+            (lambda lam: g(lam) / psi(lam), AtZeroPlus(phi0 / 2.0 if phi0 > 0.0 else 1.0))]
+
+
+class TestPanelRule:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("theta", [0.5, 1.5])
+    def test_panels_match_quad(self, name, theta):
+        model = MODELS[name]
+        for integrand, endpoint in verdict_integrands(model, PowerLaw(theta)):
+            lo, hi = integral_tests._panel_edges(endpoint)
+            values, _, _ = integral_tests._sweep(integrand, lo, hi)
+            kept = integral_tests._kept(values)[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = [quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                        for a, b in zip(lo[:kept], hi[:kept])]
+            np.testing.assert_allclose(values[:kept], want, rtol=1e-13, atol=0.0)
+
+    def test_rule_is_exact_on_polynomials(self):
+        x = integral_tests.K15_NODES
+        for degree in range(23):
+            want = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert integral_tests.K15_WEIGHTS @ x**degree == pytest.approx(want, abs=1e-15)
+            if degree < 14:
+                assert integral_tests.G7_WEIGHTS @ x**degree == pytest.approx(want, abs=1e-15)
+
+
+class TestNonFinite:
+    def test_past_the_early_stop_is_ignored(self):
+        v = improper_integral_verdict(lambda t: np.where(t > 1e4, np.nan, np.exp(-t)),
+                                      AtInfinity(1.0))
+        assert v.converges and v.value == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_scalar_overflow_past_the_early_stop_is_ignored(self):
+        v = improper_integral_verdict(lambda t: math.exp(-t) if t < 1e4 else math.exp(t),
+                                      AtInfinity(1.0))
+        assert v.converges and v.value == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_on_a_kept_panel_raises(self):
+        with pytest.raises(NumericalOverflowError):
+            improper_integral_verdict(lambda t: np.where((t > 4.0) & (t < 8.0), np.inf, t**-2.0),
+                                      AtInfinity(1.0))
+
+
+class TestRefinement:
+    def test_noisy_integrand_is_counted_not_raised(self):
+        rng = np.random.default_rng(1)
+        calls = []
+
+        def noisy(t):
+            calls.append(t.size)
+            return t**-2.0 * (1.0 + 1e-7 * rng.standard_normal(t.shape))
+
+        v = improper_integral_verdict(noisy, AtInfinity(1.0))
+        assert v.converges and v.value == pytest.approx(1.0, rel=1e-5)
+        assert v.diagnostics["quad_warnings"] > 0
+        assert len(calls) <= 1 + integral_tests.MAX_LEVELS
+
+    def test_smooth_integrand_takes_one_array_call(self):
+        calls = []
+
+        def inverse_square(t):
+            calls.append(t.shape)
+            return t**-2.0
+
+        v = improper_integral_verdict(inverse_square, AtInfinity(1.0))
+        assert v.converges and v.diagnostics["quad_warnings"] == 0
+        assert calls == [(integral_tests.DOUBLINGS * 16,)]
+
+    def test_scalar_psi_falls_back_point_by_point(self):
+        # scalar LevyModel.laplace_exponent raises ValueError on arrays
+        model = builtin_model("cpexp")
+        f = PowerLaw(0.5)
+        array = extinction_test(model, Generic(fn=f.values, decreasing=True,
+                                               bounded_away_from_origin=True))
+        scalar = improper_integral_verdict(
+            lambda lam: f.value(1.0 / lam) / (lam * model.laplace_exponent(lam)),
+            AtInfinity(array.start))
+        assert scalar.verdict == array.verdict == "converges"
+        assert scalar.value == pytest.approx(array.value, rel=1e-13)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestArrayIntegrands:
+    def test_classify_makes_no_scalar_psi_call(self, monkeypatch):
+        model = drawn_cpexp_phi0()
+        assert model.phi_zero().value > 0.0
+        calls = count_calls(monkeypatch, LevyModel, "laplace_exponent")
+        for theta in (0.5, 1.5, 2.5):
+            r = classify_boundary(model, PowerLaw(theta), 1.0)
+            assert r.explosion_verdict.diagnostics["route"] == "laplace_zero"
+        assert calls == []
+
+    def test_occupation_head_is_one_array_call(self, monkeypatch):
+        model = builtin_model("cpexp")
+        calls = count_calls(monkeypatch, LevyModel, "laplace_exponent_array")
+        value = occupation_transform(model, PowerLaw(1.5), 1.0, 0.2)
+        assert math.isfinite(value)
+        sizes = [np.size(args[1]) for args in calls]
+        assert sizes == [integral_tests.DOUBLINGS * 16]
+
+
+def generic(fn):
+    return Generic(fn=fn, decreasing=True, bounded_away_from_origin=True)
+
+
+ENGINE_KEYS = {"panels", "partial", "increments", "max_rel_abserr", "quad_warnings"}
+RATIO_KEYS = {"ratios", "fitted_exponent"}
+
+
+class TestCompactVerdict:
+    @pytest.mark.parametrize("case,keys", [
+        (lambda: extinction_test(builtin_model("cpexp"), PowerLaw(1.5)),
+         ENGINE_KEYS | RATIO_KEYS | {"route", "start", "tail_estimate"}),
+        (lambda: extinction_test(builtin_model("cpexp"), PowerLaw(2.5)),
+         ENGINE_KEYS | RATIO_KEYS | {"route", "start"}),
+        (lambda: explosion_test(builtin_model("bmdrift"), PowerLaw(2.0)),
+         ENGINE_KEYS | RATIO_KEYS | {"route", "tail_estimate"}),
+        (lambda: explosion_test(builtin_model("bmdrift"), generic(lambda z: np.exp(-z))),
+         ENGINE_KEYS | {"route", "reason"}),
+        (lambda: extinction_test(builtin_model("stable15"), PowerLaw(1.0)),
+         {"route", "kappa", "power", "start"}),
+        (lambda: explosion_test(validate(0.5, 0.0, StablePositive(0.8, 1.0)),
+                                generic(lambda z: 1.0 / (1.0 + z))),
+         {"route", "reason"}),
+        (lambda: improper_integral_verdict(lambda t: t**-2.0, AtInfinity(1.0)),
+         ENGINE_KEYS | RATIO_KEYS | {"tail_estimate"}),
+    ], ids=["doubling_panels", "doubling_panels_diverges", "laplace_zero", "tail_integral",
+            "analytic_power", "none", "engine"])
+    def test_diagnostics_keys(self, case, keys):
+        assert set(case().diagnostics) == keys
+
+    def test_derived_diagnostics(self):
+        v = improper_integral_verdict(lambda s: s**-0.5, AtZeroPlus(1.0))
+        d = v.diagnostics
+        assert len(d["increments"]) == integral_tests.WINDOW + 1
+        assert d["fitted_exponent"] == pytest.approx(-0.5, abs=1e-9)
+        assert all(r == pytest.approx(2.0**-0.5, rel=1e-9) for r in d["ratios"])
+        assert v.value == pytest.approx(d["partial"] + d["tail_estimate"], rel=1e-15)
+
+    def test_verdict_is_frozen(self):
+        v = extinction_test(builtin_model("cpexp"), PowerLaw(0.5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.verdict = "diverges"
+        v.diagnostics["route"] = "changed"
+        assert v.diagnostics["route"] == "doubling_panels"
+        assert not hasattr(v, "__dict__")
+
+    def test_sweep_record_reads_back(self):
+        v = improper_integral_verdict(lambda t: t**-2.0, AtInfinity(1.0))
+        d = v.diagnostics
+        assert v.partial == d["partial"] and v.max_rel_abserr == d["max_rel_abserr"]
+        assert v.increments.dtype == np.float64 and not v.increments.flags.writeable
+        assert v.increments.tolist() == d["increments"]
+        analytic = extinction_test(builtin_model("stable15"), PowerLaw(1.0))
+        assert analytic.partial is None and analytic.increments is None
+
+    def test_report_flags_are_derived(self):
+        r = classify_boundary(builtin_model("bmdrift"), PowerLaw(2.0), 1.0)
+        assert r.survival_prob == 1.0 - r.hit_prob
+        assert (r.extinction_possible, r.extinguishing_possible, r.explosion_possible) == (
+            r.extinction_verdict.converges, r.extinction_verdict.diverges,
+            r.explosion_verdict.converges)
+        assert not hasattr(r, "__dict__")
+        r = classify_boundary(builtin_model("cpexp"), PowerLaw(1.9), 1.0)
+        assert r.extinction_verdict.verdict == "inconclusive"
+        assert r.extinction_possible is None and r.extinguishing_possible is None
+
+    def test_report_memory(self):
+        models = [builtin_model(n) for n in ("bmdrift", "bmup", "cpexp", "stable15")]
+        thetas = np.linspace(0.3, 3.0, 50)
+        for m in models:
+            classify_boundary(m, PowerLaw(0.5), 1.0)
+        reports = [None] * 200
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                reports[i] = classify_boundary(models[i % 4], PowerLaw(float(thetas[i // 4])),
+                                               1.0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(reports) <= 600
