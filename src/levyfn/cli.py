@@ -116,8 +116,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scale_table(args) -> int:
-    if args.min <= 0 or args.max <= args.min or args.count < 2:
-        raise ValueError("need 0 < min < max and count >= 2")
+    if not 0.0 < args.min < args.max < math.inf or args.count < 2:
+        raise ValueError("need finite 0 < min < max and count >= 2")
     model = resolve_model(args.model)
     ev = ScaleEvaluator(model, order=args.order)
     xs = (np.geomspace(args.min, args.max, args.count) if args.log

@@ -105,8 +105,8 @@ class PowerLaw(_Functional):
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be > 0")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be finite and > 0")
 
     @property
     def power(self) -> float:
@@ -154,8 +154,8 @@ class Constant(_Functional):
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("constant must be > 0")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("constant must be finite and > 0")
 
     @property
     def constant(self) -> float:
@@ -172,7 +172,8 @@ class Constant(_Functional):
 class Generic(_Functional):
     """Pointwise evaluator with explicit shape flags.
 
-    `fn` must accept floats and numpy arrays.  The flags gate which
+    `fn` should take float64 arrays; one that takes only floats is called
+    point by point (see `_on_arrays`).  The flags gate which
     classification tests apply: `decreasing` for the explosion test,
     `bounded_away_from_origin` (sup of f on [eps, inf) finite for every
     eps > 0) for the extinction test.  Nothing else is known about f, so
@@ -187,7 +188,8 @@ class Generic(_Functional):
         return float(self.fn(x))
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return _on_arrays(self.fn)(x.ravel()).reshape(x.shape)
 
 
 FunctionalSpec = PowerLaw | LaplaceRep | Constant | Generic
@@ -464,6 +466,16 @@ def _sweep(integrand: Callable, lo: np.ndarray, hi: np.ndarray
     return total, total_err, probes
 
 
+def finite_integral(integrand: Callable, lo: float, hi: float) -> float:
+    """Integral of `integrand` over [lo, hi], refined as one panel of
+    `_sweep`; a panel left above its error target is not reported, and a
+    non-finite value raises NumericalOverflowError."""
+    value = _sweep(integrand, np.array([lo]), np.array([hi]))[0][0]
+    if not np.isfinite(value):
+        raise NumericalOverflowError(f"integrand is not finite on [{lo:g}, {hi:g}]")
+    return float(value)
+
+
 def improper_integral_verdict(integrand: Callable,
                               endpoint: AtInfinity | AtZeroPlus) -> TestVerdict:
     """Classify the improper integral of `integrand` at one endpoint.
@@ -657,6 +669,8 @@ def classify_boundary(model: LevyModel, f: FunctionalSpec, x: float) -> Boundary
     """Classify extinction / extinguishing / explosion for the process started at x."""
     if x <= 0:
         raise NonPositiveStartError("x must be > 0")
+    if not math.isfinite(x):
+        raise PreconditionViolatedError("x must be finite")
     hit = model.hit_probability(x)
     ext = extinction_test(model, f)
     expl = explosion_test(model, f) if model.phi_zero().value > 0.0 else None

@@ -30,10 +30,10 @@ tested against.  The Laplace identity integrates the published W itself,
 at all points of a fixed rule on [0, M] in one Talbot evaluation, each
 point checked N against 2N nodes: IDENTITY_GL_POINTS-point Gauss-Legendre
 on the panels [M 2^{-j-1}, M 2^{-j}], j < IDENTITY_PANELS - 1, and
-[0, M 2^{1-IDENTITY_PANELS}], graded towards 0 where W(y) ~ y^gamma.  A
-float64 Gaver-Stehfest at the base order (~1e-5 relative) serves only the
-scalar integrand of a `Generic` f's conditional expectation and the scale
-of `potential_density`'s order check.
+[0, M 2^{1-IDENTITY_PANELS}], graded towards 0 where W(y) ~ y^gamma.  The
+inversion route below evaluates Talbot W on arrays at the nodes of the
+verdict engine's K15 panels.  Float64 Gaver-Stehfest (`gs_invert_float`,
+~1e-5) remains only for levybench's layer probe.
 Scale-function differences such as the potential density cancel
 catastrophically far from the origin, where both terms approach the same
 exponential growth; they are evaluated directly only on the window where
@@ -72,7 +72,6 @@ function; the cross-checks compare the two routes that way.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -93,6 +92,7 @@ from .integral_tests import (
     AtZeroPlus,
     FunctionalSpec,
     extinction_test,
+    finite_integral,
     improper_integral_verdict,
 )
 from .levy_model import ClosedForm, LevyModel
@@ -323,23 +323,6 @@ class ScaleEvaluator:
         except OverflowError as exc:
             raise NumericalOverflowError(f"W({x:g}) overflows") from exc
 
-    # -- fast float64 inner evaluations --------------------------------------
-
-    def _w_nat_fast(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        if self.closed_form is not None:
-            return self.closed_form.w_shifted(x)
-        # float64 nodes overflow psi beyond ~1e150, bounding the resolvable x
-        x = max(x, 1e-120)
-        phi0 = self.phi0
-        model = self.model
-
-        def transform(s: float) -> float:
-            return 1.0 / model.laplace_exponent(s + phi0)
-
-        return gs_invert_float(transform, x, self.order)
-
     # -- potential density ---------------------------------------------------
     #
     # D(z) = e^{-Phi(0)d} W(z) - W(z-d) is bounded: in shifted form it is
@@ -350,65 +333,66 @@ class ScaleEvaluator:
     # scale-function inversions loses all signal once that transient falls
     # below the inversion noise; past the switch point we return the plateau.
 
-    def _potential_direct(self, z: float, d: float,
-                          orders: tuple[int, ...]) -> tuple[float, ...]:
-        """Direct Talbot-inverted difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)],
-        at each of `orders`."""
-        if z <= 0.0:
-            return (0.0,) * len(orders)
+    def _potential_direct(self, z: np.ndarray, d: float,
+                          orders: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """At each z of a 1-D array, for each of `orders`: the Talbot-inverted
+        difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)] and W_shift(z),
+        both 0 at z <= 0, from one Talbot evaluation."""
         arg = self.phi0 * (z - d)
-        if arg > 700.0:
+        if (arg > 700.0).any():
             raise NumericalOverflowError("potential density evaluated too far out")
-        leads = self._w_talbot(z, orders)
-        lags = self._w_talbot(z - d, orders) if z > d else (0.0,) * len(orders)
-        return tuple(math.exp(arg) * (lead - lag) for lead, lag in zip(leads, lags))
+        pos, lag = z > 0.0, z > d
+        out = []
+        for w in self._w_talbot(np.concatenate((z[pos], z[lag] - d)), orders):
+            lead, lagged = np.zeros((2, len(z)))
+            lead[pos], lagged[lag] = np.split(w, [np.count_nonzero(pos)])
+            out.append((np.exp(arg) * (lead - lagged), lead))
+        return out
 
-    def _potential_density_fn(self, d: float) -> Callable:
-        """Pointwise evaluator of z -> e^{-Phi(0)d} W(z) - W(z-d)."""
+    def _potential_density_fn(self, d: float) -> Callable[[np.ndarray], np.ndarray]:
+        """z -> e^{-Phi(0)d} W(z) - W(z-d) on a 1-D array of z, 0 at z <= 0."""
         if self.closed_form is not None:
-            return lambda z: self.closed_form.potential(z, d) if z > 0.0 else 0.0
+            potential = self.closed_form.potential
+            return lambda z: np.array([potential(v, d) if v > 0.0 else 0.0 for v in z.tolist()])
         phi0 = self.phi0
         orders = (2 * self.order,)
 
-        def direct(z: float) -> float:
-            (val,) = self._potential_direct(z, d, orders)
-            return val
+        def direct(z: np.ndarray) -> np.ndarray:
+            return self._potential_direct(z, d, orders)[0][0]
 
         if phi0 > 0.0:
             # The transient above the plateau decays at rate Phi(0) (next
             # transform singularity sits at -Phi(0)), while the inversion
             # noise is amplified by e^{Phi(0)(z-d)}: direct evaluation covers
-            # the resolvable window, the plateau the rest.
+            # the resolvable window (up to the first of d + (12, 9, 6)/Phi(0)
+            # where it meets the plateau), the plateau the rest.
             d0 = self.model.laplace_exponent_derivative(0.0)
             plateau = math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
-            ref = max(abs(plateau), abs(direct(d)), 1e-300)
-            z_hi = d + 12.0 / phi0
-            for _ in range(3):
-                if abs(direct(z_hi) - plateau) <= 1e-3 * ref:
-                    break
-                z_hi -= 3.0 / phi0
-            else:
+            points = d + np.array([0.0, 12.0, 9.0, 6.0]) / phi0
+            vals = direct(points)
+            ref = max(abs(plateau), abs(vals[0]), 1e-300)
+            reached = np.abs(vals[1:] - plateau) <= 1e-3 * ref
+            if not reached.any():
                 raise QuadratureFailureError(
                     "potential density transient not resolvable for this model")
+            z_hi = points[1 + reached.argmax()]
 
-            def density(z: float) -> float:
-                if z <= 0.0:
-                    return 0.0
-                return direct(z) if z <= z_hi else plateau
+            def density(z: np.ndarray) -> np.ndarray:
+                near = z <= z_hi
+                out = np.full_like(z, plateau)
+                out[near] = direct(z[near])
+                return out
 
             return density
 
         # Phi(0) = 0: differences stay bounded, so the direct evaluation is
         # safe everywhere; values below the cancellation noise floor are
         # clamped to zero so spurious increments cannot masquerade as a tail
-        ref = max(abs(direct(max(d, 1.0))), 1e-300)
-        floor = 1e-12 * ref
+        floor = 1e-12 * max(abs(direct(np.array([max(d, 1.0)]))[0]), 1e-300)
 
-        def density(z: float) -> float:
-            if z <= 0.0:
-                return 0.0
+        def density(z: np.ndarray) -> np.ndarray:
             val = direct(z)
-            return val if abs(val) > floor else 0.0
+            return np.where(np.abs(val) > floor, val, 0.0)
 
         return density
 
@@ -421,25 +405,15 @@ class ScaleEvaluator:
             raise ValueError("x and y must be > 0")
         if self.closed_form is not None:
             return self.closed_form.potential(y, x)
-        # the difference is checked at consecutive doubled orders: the base
-        # order's truncation error is magnified once the two scale values
-        # nearly cancel
-        lo, hi = self._potential_direct(y, x, (2 * self.order, 2 * self.order + 2))
-        if abs(hi - lo) > ORDER_AGREEMENT_RTOL * max(abs(hi), self._w_nat_fast(y), 1e-300):
+        # the difference is checked at consecutive doubled orders, against
+        # W_shift(y) at the lower: the base order's truncation error is
+        # magnified once the two scale values nearly cancel
+        (lo, lead), (hi, _) = self._potential_direct(
+            np.array([y]), x, (2 * self.order, 2 * self.order + 2))
+        if abs(hi[0] - lo[0]) > ORDER_AGREEMENT_RTOL * max(abs(hi[0]), lead[0], 1e-300):
             raise InversionUnstableError(
                 f"potential density orders disagree at (x={x:g}, y={y:g})")
-        return hi
-
-    def _bracket_fast(self, y: float, x: float) -> float:
-        """W_shift(y) - W_shift(y-x) = e^{-Phi(0)y} [W(y) - e^{Phi(0)x} W(y-x)].
-
-        Bounded in y; feeds exponentially weighted integrands, so float64
-        inversion accuracy (~1e-5 relative) suffices.
-        """
-        if y <= 0.0:
-            return 0.0
-        lead = self._w_nat_fast(y)
-        return lead - self._w_nat_fast(y - x) if y > x else lead
+        return float(hi[0])
 
     # -- expectation formulas -------------------------------------------------
 
@@ -458,12 +432,10 @@ class ScaleEvaluator:
         d = x - y
         density = self._potential_density_fn(d)
 
-        def integrand(z: float) -> float:
-            return f.value(z + y) * density(z)
+        def integrand(z: np.ndarray) -> np.ndarray:
+            return f.values(z + y) * density(z)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            head, _ = quad(integrand, 0.0, d, limit=400)
+        head = finite_integral(integrand, 0.0, d)
         tail = improper_integral_verdict(integrand, AtInfinity(d))
         if tail.diverges:
             return math.inf
@@ -483,14 +455,26 @@ class ScaleEvaluator:
         f = 1 the closed form (1 - e^{-lam*x}) / psi(lam + Phi(0)) is
         available as :func:`conditional_exp_constant_closed_form`.  The kind
         of f picks the route as in :meth:`occupation_expectation`.
+
+        The inversion route takes W only where e^{-lam*y} > 0: the sweep at
+        infinity reaches x 2^40, and Talbot's W_shift is not resolvable
+        near 1e10 when Phi(0) > 0, so a lam that small raises there.
         """
         if x <= 0.0 or lam <= 0.0:
             raise PreconditionViolatedError("need x > 0 and lam > 0")
         if _has_transform(f):
             return conditional_exp_transform(self.model, f, x, lam)
 
-        def integrand(y: float) -> float:
-            return f.value(y) * math.exp(-lam * y) * self._bracket_fast(y, x)
+        def integrand(y: np.ndarray) -> np.ndarray:
+            weight = np.exp(-lam * y)
+            live = weight > 0.0
+            y, lag = y[live], (y > x)[live]
+            # B(y) = W_shift(y) - W_shift(y-x), from one evaluation
+            bracket, lagged = np.split(self._w_shifted_array(np.concatenate((y, y[lag] - x))),
+                                       [len(y)])
+            bracket[lag] -= lagged
+            weight[live] *= f.values(y) * bracket
+            return weight
 
         split = min(x, 1.0) / 2.0
         zero_side = improper_integral_verdict(integrand, AtZeroPlus(split))
@@ -499,9 +483,7 @@ class ScaleEvaluator:
         if not zero_side.converges:
             raise QuadratureFailureError(
                 f"0+ verdict inconclusive: {zero_side.diagnostics}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mid, _ = quad(integrand, split, x, limit=400)
+        mid = finite_integral(integrand, split, x)
         tail = improper_integral_verdict(integrand, AtInfinity(x))
         if not tail.converges:
             raise QuadratureFailureError(

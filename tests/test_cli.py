@@ -82,6 +82,18 @@ class TestClassify:
         assert err.startswith("error:")
         assert needle in err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("--theta", "1", "--x", "nan"), "x must be finite"),
+        (("--theta", "1", "--x", "inf"), "x must be finite"),
+        (("--theta", "nan"), "theta must be finite and > 0"),
+        (("--theta", "inf"), "theta must be finite and > 0"),
+    ])
+    def test_non_finite_input_is_config_error(self, capsys, argv, needle):
+        code = main(["classify", "--model", "bmup", *argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and needle in err
+
     def test_deterministic_output(self):
         _, a, _ = run_cli("classify", "--model", "bmup", "--theta", "0.7")
         _, b, _ = run_cli("classify", "--model", "bmup", "--theta", "0.7")
@@ -110,6 +122,14 @@ class TestScaleTable:
         code, out, _ = run_cli("scale-table", "--model", "cpexp", "--count", "3")
         assert code == 0
         assert out.strip().splitlines()[1].endswith(",,")
+
+    @pytest.mark.parametrize("argv", [("--max", "inf"), ("--min", "nan"),
+                                      ("--min", "1", "--max", "nan")])
+    def test_non_finite_grid_is_config_error(self, capsys, argv):
+        code = main(["scale-table", "--model", "bmup", "--count", "3", *argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "need finite 0 < min < max" in err
 
     def test_negative_grid_rejected(self):
         code, _, err = run_cli("scale-table", "--model", "bmup", "--min", "-1.0")

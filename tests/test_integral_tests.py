@@ -91,6 +91,12 @@ class TestFunctionalSpecs:
         with pytest.raises(ValueError):
             PowerLaw(0.0)
 
+    @pytest.mark.parametrize("make, bad", [(PowerLaw, math.nan), (PowerLaw, math.inf),
+                                           (Constant, math.nan), (Constant, math.inf)])
+    def test_non_finite_parameter_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            make(bad)
+
     def test_laplace_density_of_power_law(self):
         # x^{-theta} = integral e^{-xz} z^{theta-1}/Gamma(theta) dz
         g = PowerLaw(1.5).laplace_density()

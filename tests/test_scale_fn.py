@@ -162,7 +162,7 @@ class TestOccupationExpectation:
         x, y = 1.0, 0.2
         d = x - y
         density = ev._potential_density_fn(d)
-        oracle, _ = quad(lambda z: math.exp(-(z + y)) * density(z), 0.0, 80.0,
+        oracle, _ = quad(lambda z: math.exp(-(z + y)) * density(np.array([z]))[0], 0.0, 80.0,
                          limit=400, points=[d])
         got = ev.occupation_expectation(EXP_DECAY, x, y)
         assert got == pytest.approx(oracle, rel=1e-3)
@@ -666,3 +666,68 @@ class TestTransformRoute:
         exact = ev.occupation_expectation(constant_functional(), 1.0, 0.01)
         assert exact == 0.99 / builtin_model("bmup").laplace_exponent_derivative(0.0)
         assert got == pytest.approx(exact, rel=1e-3)
+
+
+class TestInversionRoute:
+    """The `Generic`-f route: Talbot W on arrays at the verdict engine's nodes."""
+
+    MODELS = {"cpexp": lambda: builtin_model("cpexp"),
+              "stable15": lambda: builtin_model("stable15"),
+              "tempered_phi0": _tempered_phi0}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_no_float_gaver_stehfest(self, name, monkeypatch):
+        from levyfn import scale_fn
+
+        calls = []
+        orig = scale_fn.gs_invert_float
+
+        def counting(transform, t, order=14):
+            calls.append(t)
+            return orig(transform, t, order)
+
+        monkeypatch.setattr(scale_fn, "gs_invert_float", counting)
+        ev = ScaleEvaluator(self.MODELS[name](), use_closed_form=False)
+        assert ev.closed_form is None
+        condexp = ev.conditional_exp_functional(Generic(fn=PowerLaw(1.0).value), 1.0, 1.0)
+        occupation = ev.occupation_expectation(Generic(fn=PowerLaw(1.5).value), 1.0, 0.2)
+        assert math.isfinite(condexp) and math.isfinite(occupation)
+        for y in (0.05, 0.5, 2.0):
+            ev.potential_density(1.0, y)
+        assert calls == []
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_condexp_matches_transform_route(self, name, theta):
+        ev = ScaleEvaluator(self.MODELS[name](), use_closed_form=False)
+        want = ev.conditional_exp_functional(PowerLaw(theta), 1.0, 1.0)
+        got = ev.conditional_exp_functional(Generic(fn=PowerLaw(theta).value), 1.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_scalar_only_fn(self):
+        ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
+        scalar = Generic(fn=lambda z: math.exp(-z), decreasing=True,
+                         bounded_away_from_origin=True)
+        with pytest.raises(TypeError):
+            math.exp(-np.ones(3))
+        condexp = ev.conditional_exp_functional(scalar, 1.0, 1.0)
+        assert condexp == ev.conditional_exp_functional(EXP_DECAY, 1.0, 1.0)
+        # f e^{-y} = e^{-2y}: the constant f at lam = 2 in closed form
+        want = conditional_exp_constant_closed_form(ev.model, 1.0, 2.0)
+        assert condexp == pytest.approx(want, rel=1e-10)
+        assert ev.occupation_expectation(scalar, 1.0, 0.2) == \
+            ev.occupation_expectation(EXP_DECAY, 1.0, 0.2)
+
+    @pytest.mark.parametrize("name", ["bmdrift", "cpexp"])
+    def test_far_tail_takes_no_w(self, name):
+        # the sweep at infinity reaches x 2^40, where W_shift is not
+        # resolvable; nodes with e^{-lam*y} = 0 take no W
+        ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
+        with pytest.raises(InversionUnstableError):
+            ev.w_shifted(2.0**36)
+        got = ev.conditional_exp_functional(EXP_DECAY, 1.0, 1.0)
+        want = conditional_exp_constant_closed_form(ev.model, 1.0, 2.0)
+        assert got == pytest.approx(want, rel=1e-9)
+        # a lam so small that those nodes keep a weight raises there
+        with pytest.raises(InversionUnstableError):
+            ev.conditional_exp_functional(EXP_DECAY, 1.0, 1e-10)
