@@ -261,8 +261,8 @@ def check_expectation_routes() -> CheckResult:
     The inversion route is named by passing f as a `Generic`.  Closed forms
     are off, so the inversion route inverts W by Talbot at the nodes of the
     verdict engine's K15 panels.  The two routes agree to about 2e-10 on
-    condexp and 2e-9 on occupation (the tempered Phi(0) = 0 case at
-    theta = 1.5), far inside the tolerances.
+    condexp and 1.2e-9 on occupation (cpexp at theta = 1.5), far inside
+    the tolerances.
     """
     start = time.perf_counter()
     tempered = validate(-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))

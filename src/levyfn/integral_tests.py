@@ -57,6 +57,7 @@ from .errors import (
     NotApplicableError,
     NumericalOverflowError,
     PreconditionViolatedError,
+    QuadratureFailureError,
     SignChangeError,
 )
 from .levy_model import LevyModel
@@ -337,9 +338,11 @@ _EPS = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
 
 # a panel is flagged while its error estimate exceeds PANEL_EPSREL of its
-# value; flagged panels are bisected for at most MAX_LEVELS levels
+# value; flagged panels are bisected for at most MAX_LEVELS levels; a finite
+# integral (or a flagged quad panel in scale_fn) fails above TRANSFORM_FAIL_RTOL
 PANEL_EPSREL = 1e-10
 MAX_LEVELS = 10
+TRANSFORM_FAIL_RTOL = 1e-6
 
 
 def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -468,11 +471,15 @@ def _sweep(integrand: Callable, lo: np.ndarray, hi: np.ndarray
 
 def finite_integral(integrand: Callable, lo: float, hi: float) -> float:
     """Integral of `integrand` over [lo, hi], refined as one panel of
-    `_sweep`; a panel left above its error target is not reported, and a
-    non-finite value raises NumericalOverflowError."""
-    value = _sweep(integrand, np.array([lo]), np.array([hi]))[0][0]
+    `_sweep`.  A non-finite value raises NumericalOverflowError, and an
+    error estimate left above TRANSFORM_FAIL_RTOL of the value raises
+    QuadratureFailureError."""
+    (value,), (error,), _ = _sweep(integrand, np.array([lo]), np.array([hi]))
     if not np.isfinite(value):
         raise NumericalOverflowError(f"integrand is not finite on [{lo:g}, {hi:g}]")
+    if error > TRANSFORM_FAIL_RTOL * abs(value):
+        raise QuadratureFailureError(
+            f"integral on [{lo:g}, {hi:g}]: error estimate {error:.3g} of value {value:.6g}")
     return float(value)
 
 

@@ -32,10 +32,10 @@ lam = 0, so the float psi evaluates it as K*(expm1(alpha*log1p(u)) - alpha*u)
 with u = lam/q and K = C*Gamma(-alpha)*q**alpha.  Its rounding error is then
 O(eps*lam) instead of O(eps*q**alpha), and psi keeps full relative accuracy
 down to lam ~ 1e-14 wherever psi'(0+) != 0, as the explosion test's
-integral near 0+ needs.  The numpy psi takes the same form.  The
-high-precision (mpmath) psi, the reference the inversion is tested
-against, keeps the direct form: at its working precision the cancellation
-is harmless.
+integral near 0+ needs.  The numpy psi takes the same form, with complex
+log1p in Kahan's form (`_log1p_np`).  The high-precision (mpmath) psi, the
+reference the inversion is tested against, keeps the direct form: at its
+working precision the cancellation is harmless.
 """
 
 from __future__ import annotations
@@ -138,6 +138,15 @@ def _upper_gamma(s: float, x: float) -> float:
     return float(gammaincc(s + 1.0, x) * gamma(s + 1.0) - x**s * math.exp(-x)) / s
 
 
+def _log1p_np(u):
+    """np.log1p, in Kahan's form log(w) u/(w - 1), w = 1 + u, for complex u
+    (NaN at w = 1): numpy's complex log1p keeps about eps/|u| relative accuracy."""
+    if not np.iscomplexobj(u):
+        return np.log1p(u)
+    w = 1.0 + u
+    return np.log(w) * (u / (w - 1.0))
+
+
 # The arithmetic a family writes its psi constants against: float64, numpy
 # (float64 constants; psi then takes real or complex arrays), or mpmath at
 # the caller's working precision.  `xlogx(x)` is x*log(x), 0 at x = 0.
@@ -146,7 +155,7 @@ _FLOAT = SimpleNamespace(real=float, gamma=math.gamma, exp=math.exp, log=math.lo
                          upper_gamma=_upper_gamma,
                          xlogx=lambda x: x * math.log(x) if x > 0 else 0.0)
 _NP = SimpleNamespace(**{**vars(_FLOAT), "log": np.log, "expm1": np.expm1,
-                         "log1p": np.log1p, "xlogx": lambda x: x * np.log(x)})
+                         "log1p": _log1p_np, "xlogx": lambda x: x * np.log(x)})
 _MP = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
                       expm1=mp.expm1, log1p=mp.log1p, euler=mp.euler,
                       upper_gamma=mp.gammainc,

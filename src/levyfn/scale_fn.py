@@ -34,11 +34,15 @@ on the panels [M 2^{-j-1}, M 2^{-j}], j < IDENTITY_PANELS - 1, and
 inversion route below evaluates Talbot W on arrays at the nodes of the
 verdict engine's K15 panels.  Float64 Gaver-Stehfest (`gs_invert_float`,
 ~1e-5) remains only for levybench's layer probe.
-Scale-function differences such as the potential density cancel
-catastrophically far from the origin, where both terms approach the same
-exponential growth; they are evaluated directly only on the window where
-the difference is resolvable and handed over to their analytically known
-plateau beyond it.
+Both expectation formulas integrate one scale-function difference, the
+potential density D_d(z) = e^{-Phi(0)d} W(z) - W(z-d); the conditional-
+expectation bracket below is e^{-Phi(0)(y-x)} D_x(y).  `_potential_density_fn`
+is its one implementation: W_shift at z and z - d from one Talbot evaluation,
+checked N against 2N nodes.  Far from the origin both terms approach the
+same growth and cancel catastrophically, so the difference is evaluated
+directly only on the window where it is resolvable, and beyond it reads its
+analytically known plateau (Phi(0) > 0) or 0 below a noise floor
+(Phi(0) = 0).
 
 The two expectation formulas are integrals of W against f, and when f has a
 Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
@@ -88,6 +92,7 @@ from .errors import (
     QuadratureFailureError,
 )
 from .integral_tests import (
+    TRANSFORM_FAIL_RTOL,
     AtInfinity,
     AtZeroPlus,
     FunctionalSpec,
@@ -102,10 +107,9 @@ LN2 = math.log(2.0)
 # Relative disagreement between consecutive orders that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
 
-# quad target and the error estimate above which a flagged panel fails, for
-# the transform-domain integrals
+# quad target of the transform-domain integrals (a flagged panel fails above
+# TRANSFORM_FAIL_RTOL, shared with finite_integral)
 TRANSFORM_EPSREL = 1e-10
-TRANSFORM_FAIL_RTOL = 1e-6
 # large lambda at which psi's local power is read (see local_power_near_zero)
 LOCAL_POWER_LAM = 1e8
 # truncation of the Laplace-identity integral: where e^{-lam*M} W(M) drops below
@@ -333,32 +337,24 @@ class ScaleEvaluator:
     # scale-function inversions loses all signal once that transient falls
     # below the inversion noise; past the switch point we return the plateau.
 
-    def _potential_direct(self, z: np.ndarray, d: float,
-                          orders: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """At each z of a 1-D array, for each of `orders`: the Talbot-inverted
-        difference e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)] and W_shift(z),
-        both 0 at z <= 0, from one Talbot evaluation."""
-        arg = self.phi0 * (z - d)
-        if (arg > 700.0).any():
-            raise NumericalOverflowError("potential density evaluated too far out")
-        pos, lag = z > 0.0, z > d
-        out = []
-        for w in self._w_talbot(np.concatenate((z[pos], z[lag] - d)), orders):
-            lead, lagged = np.zeros((2, len(z)))
-            lead[pos], lagged[lag] = np.split(w, [np.count_nonzero(pos)])
-            out.append((np.exp(arg) * (lead - lagged), lead))
-        return out
-
     def _potential_density_fn(self, d: float) -> Callable[[np.ndarray], np.ndarray]:
-        """z -> e^{-Phi(0)d} W(z) - W(z-d) on a 1-D array of z, 0 at z <= 0."""
+        """z -> e^{-Phi(0)d} W(z) - W(z-d) on a 1-D array of z, 0 at z <= 0:
+        the closed form, or e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)] from
+        one checked Talbot evaluation (`_w_checked`) where the difference is
+        resolvable, and the plateau (Phi(0) > 0) or 0 (below the noise floor,
+        Phi(0) = 0) where it is not."""
         if self.closed_form is not None:
             potential = self.closed_form.potential
             return lambda z: np.array([potential(v, d) if v > 0.0 else 0.0 for v in z.tolist()])
         phi0 = self.phi0
-        orders = (2 * self.order,)
 
         def direct(z: np.ndarray) -> np.ndarray:
-            return self._potential_direct(z, d, orders)[0][0]
+            # Phi(0)(z-d) <= 12 wherever this runs, so its exponential cannot overflow
+            pos, lag = z > 0.0, z > d
+            lead, lagged = np.zeros((2, len(z)))
+            lead[pos], lagged[lag] = np.split(
+                self._w_checked(np.concatenate((z[pos], z[lag] - d))), [np.count_nonzero(pos)])
+            return np.exp(phi0 * (z - d)) * (lead - lagged)
 
         if phi0 > 0.0:
             # The transient above the plateau decays at rate Phi(0) (next
@@ -399,21 +395,14 @@ class ScaleEvaluator:
     def potential_density(self, x: float, y: float) -> float:
         """Density of the expected occupation measure before hitting 0:
 
-        e^{-Phi(0)x} W(y) - W(y-x), for the process started at x > 0.
+        e^{-Phi(0)x} W(y) - W(y-x), for the process started at x > 0.  Without
+        a closed form it reads, far out, the plateau (e^{-Phi(0)x} - 1)/psi'(0+)
+        when Phi(0) > 0, and 0 below 1e-12 of its value at max(x, 1) when
+        Phi(0) = 0.
         """
         if x <= 0.0 or y <= 0.0:
             raise ValueError("x and y must be > 0")
-        if self.closed_form is not None:
-            return self.closed_form.potential(y, x)
-        # the difference is checked at consecutive doubled orders, against
-        # W_shift(y) at the lower: the base order's truncation error is
-        # magnified once the two scale values nearly cancel
-        (lo, lead), (hi, _) = self._potential_direct(
-            np.array([y]), x, (2 * self.order, 2 * self.order + 2))
-        if abs(hi[0] - lo[0]) > ORDER_AGREEMENT_RTOL * max(abs(hi[0]), lead[0], 1e-300):
-            raise InversionUnstableError(
-                f"potential density orders disagree at (x={x:g}, y={y:g})")
-        return float(hi[0])
+        return float(self._potential_density_fn(x)(np.array([float(y)]))[0])
 
     # -- expectation formulas -------------------------------------------------
 
@@ -435,14 +424,16 @@ class ScaleEvaluator:
         def integrand(z: np.ndarray) -> np.ndarray:
             return f.values(z + y) * density(z)
 
-        head = finite_integral(integrand, 0.0, d)
+        head = improper_integral_verdict(integrand, AtZeroPlus(d))
+        if not head.converges:
+            raise QuadratureFailureError(f"0+ verdict not convergent: {head.diagnostics}")
         tail = improper_integral_verdict(integrand, AtInfinity(d))
         if tail.diverges:
             return math.inf
         if not tail.converges:
             raise QuadratureFailureError(
                 f"tail verdict inconclusive: {tail.diagnostics}")
-        return head + tail.value
+        return head.value + tail.value
 
     def conditional_exp_functional(self, f: FunctionalSpec, x: float,
                                    lam: float = 1.0) -> float:
@@ -455,26 +446,17 @@ class ScaleEvaluator:
         f = 1 the closed form (1 - e^{-lam*x}) / psi(lam + Phi(0)) is
         available as :func:`conditional_exp_constant_closed_form`.  The kind
         of f picks the route as in :meth:`occupation_expectation`.
-
-        The inversion route takes W only where e^{-lam*y} > 0: the sweep at
-        infinity reaches x 2^40, and Talbot's W_shift is not resolvable
-        near 1e10 when Phi(0) > 0, so a lam that small raises there.
         """
         if x <= 0.0 or lam <= 0.0:
             raise PreconditionViolatedError("need x > 0 and lam > 0")
         if _has_transform(f):
             return conditional_exp_transform(self.model, f, x, lam)
+        # B(y) = e^{-Phi(0)(y-x)} times the potential density at (x, y)
+        density = self._potential_density_fn(x)
+        phi0 = self.phi0
 
         def integrand(y: np.ndarray) -> np.ndarray:
-            weight = np.exp(-lam * y)
-            live = weight > 0.0
-            y, lag = y[live], (y > x)[live]
-            # B(y) = W_shift(y) - W_shift(y-x), from one evaluation
-            bracket, lagged = np.split(self._w_shifted_array(np.concatenate((y, y[lag] - x))),
-                                       [len(y)])
-            bracket[lag] -= lagged
-            weight[live] *= f.values(y) * bracket
-            return weight
+            return np.exp(-lam * y - phi0 * (y - x)) * f.values(y) * density(y)
 
         split = min(x, 1.0) / 2.0
         zero_side = improper_integral_verdict(integrand, AtZeroPlus(split))

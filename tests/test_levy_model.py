@@ -27,6 +27,7 @@ from levyfn.errors import (
     SubordinatorError,
 )
 from levyfn.levy_model import (
+    _NP,
     _hp_consts,
     _upper_gamma,
     jump_mean_eps_to_one,
@@ -189,6 +190,21 @@ class TestHighPrecisionAgreement:
                 direct = k["b"] * lam + k["c"] * lam * lam + k["CG"] * (
                     (lam + q) ** a - q**a - a * q ** (a - 1) * lam)
                 assert laplace_exponent_hp(m, lam) == direct
+
+    @pytest.mark.parametrize("mag", [1e-12, 1e-8, 1e-4])
+    def test_numpy_log1p_is_accurate_on_complex_input(self, mag):
+        # np.log1p on complex u takes the log of |1 + u|: 1.5e-8 relative
+        # error at |u| = 1e-8; the tempered psi takes it at the Talbot nodes
+        u = mag * np.exp(1j * np.linspace(0.05, 3.1, 24))
+        got = _NP.log1p(u)
+        with mp.workdps(40):
+            for ui, gi in zip(u, got):
+                ref = mp.log1p(mp.mpc(ui.real, ui.imag))
+                assert abs(gi - complex(ref)) <= 1e-15 * abs(complex(ref))
+
+    def test_numpy_log1p_is_np_log1p_on_real_input(self):
+        u = np.concatenate((-np.geomspace(1e-16, 0.9, 40), np.geomspace(1e-300, 1e300, 60)))
+        assert np.array_equal(_NP.log1p(u), np.log1p(u))
 
     def test_tempered_alpha1_hp_keeps_digits_at_small_lambda(self):
         # (lam + q) log1p(lam/q) - lam at lam << q: log(1 + lam/q) would lose

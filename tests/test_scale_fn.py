@@ -129,6 +129,18 @@ class TestPotentialDensity:
         with pytest.raises(ValueError):
             ev.potential_density(1.0, -1.0)
 
+    @pytest.mark.parametrize("y", [40.0, 100.0, 400.0])
+    def test_far_out_without_closed_form(self, y):
+        # past the resolvable window: the plateau (Phi(0) > 0) or the noise
+        # floor (Phi(0) = 0), as the inversion route integrates them
+        evs = {name: ScaleEvaluator(builtin_model(name), use_closed_form=False)
+               for name in ("bmdrift", "cpexp", "bmup")}
+        plateau = ScaleEvaluator(builtin_model("bmdrift")).potential_density(1.0, y)
+        assert plateau == 0.6321205588285577
+        assert evs["bmdrift"].potential_density(1.0, y) == pytest.approx(plateau, rel=1e-12)
+        assert math.isfinite(evs["cpexp"].potential_density(1.0, y))
+        assert evs["bmup"].potential_density(1.0, y) >= 0.0
+
     @given(st.sampled_from(["stable15", "bmdrift", "bmup", "cpexp"]),
            st.floats(0.1, 4.0), st.floats(0.05, 20.0))
     def test_nonnegative(self, name, x, y):
@@ -363,6 +375,15 @@ class TestTalbot:
         with pytest.raises(NumericalOverflowError):
             ev.scale_w(1e-200)
 
+    @pytest.mark.parametrize("x", [1e6, 1e8, 1e10, 1e12])
+    def test_tempered_limit_at_large_x(self, x):
+        # psi's log1p at the nodes |u| ~ 1/x kept only eps/|u| of relative
+        # accuracy: 3.1e-4 off the limit at x = 1e10, an order raise at 1e12
+        model = validate(0.5, 0.1, TemperedStable(1.15, 1.0, 1.5))
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        limit = 1.0 / model.laplace_exponent_derivative(0.0)
+        assert abs(ev.w_shifted(x) - limit) <= 1e-9 * limit
+
     def test_tempered_plateau_builds(self):
         # Gaver-Stehfest noise (~1e-8) made W step down on this model's
         # plateau, W(20) = 1.405031467195 after 1.405031481927, and the
@@ -441,6 +462,12 @@ class TestLaplaceIdentity:
         monkeypatch.setattr(ev, "order", 4)
         with pytest.raises(InversionUnstableError):
             laplace_identity_residual(ev, ev.phi0 + 1.0)
+
+    def test_occupation_route_checks_orders(self, monkeypatch):
+        ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
+        monkeypatch.setattr(ev, "order", 4)
+        with pytest.raises(InversionUnstableError):
+            ev.occupation_expectation(EXP_DECAY, 1.0, 0.2)
 
     def test_array_evaluation_checks_every_point(self, monkeypatch):
         ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
@@ -704,6 +731,14 @@ class TestInversionRoute:
         got = ev.conditional_exp_functional(Generic(fn=PowerLaw(theta).value), 1.0, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("theta", [1.5, 2.5])
+    def test_stable_occupation_matches_transform_route(self, theta):
+        # W ~ z^{1/2} at 0+: the head [0, d] is a 0+ sweep, not one panel
+        ev = ScaleEvaluator(builtin_model("stable15"), use_closed_form=False)
+        want = ev.occupation_expectation(PowerLaw(theta), 1.0, 0.2)
+        got = ev.occupation_expectation(Generic(fn=PowerLaw(theta).value), 1.0, 0.2)
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_scalar_only_fn(self):
         ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
         scalar = Generic(fn=lambda z: math.exp(-z), decreasing=True,
@@ -721,13 +756,11 @@ class TestInversionRoute:
     @pytest.mark.parametrize("name", ["bmdrift", "cpexp"])
     def test_far_tail_takes_no_w(self, name):
         # the sweep at infinity reaches x 2^40, where W_shift is not
-        # resolvable; nodes with e^{-lam*y} = 0 take no W
+        # resolvable; the potential density takes its plateau there
         ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
         with pytest.raises(InversionUnstableError):
             ev.w_shifted(2.0**36)
-        got = ev.conditional_exp_functional(EXP_DECAY, 1.0, 1.0)
-        want = conditional_exp_constant_closed_form(ev.model, 1.0, 2.0)
-        assert got == pytest.approx(want, rel=1e-9)
-        # a lam so small that those nodes keep a weight raises there
-        with pytest.raises(InversionUnstableError):
-            ev.conditional_exp_functional(EXP_DECAY, 1.0, 1e-10)
+        for lam in (1.0, 1e-10):
+            got = ev.conditional_exp_functional(EXP_DECAY, 1.0, lam)
+            want = conditional_exp_constant_closed_form(ev.model, 1.0, 1.0 + lam)
+            assert got == pytest.approx(want, rel=1e-9)

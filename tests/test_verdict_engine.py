@@ -29,7 +29,7 @@ from levyfn import (
     integral_tests,
     validate,
 )
-from levyfn.errors import NumericalOverflowError
+from levyfn.errors import NumericalOverflowError, QuadratureFailureError
 from levyfn.scale_fn import occupation_transform
 
 
@@ -118,6 +118,19 @@ class TestRefinement:
         assert v.converges and v.value == pytest.approx(1.0, rel=1e-5)
         assert v.diagnostics["quad_warnings"] > 0
         assert len(calls) <= 1 + integral_tests.MAX_LEVELS
+
+    def test_finite_integral_raises_above_its_target(self):
+        # noise no bisection removes leaves the error estimate far above
+        # TRANSFORM_FAIL_RTOL of the value, which the verdict would only count
+        rng = np.random.default_rng(1)
+
+        def noisy(t):
+            return t**-2.0 * (1.0 + 1e-4 * rng.standard_normal(t.shape))
+
+        with pytest.raises(QuadratureFailureError, match=r"\[1, 2\]"):
+            integral_tests.finite_integral(noisy, 1.0, 2.0)
+        assert integral_tests.finite_integral(lambda t: t**-2.0, 1.0, 2.0) == \
+            pytest.approx(0.5, rel=1e-14)
 
     def test_smooth_integrand_takes_one_array_call(self):
         calls = []
