@@ -470,11 +470,16 @@ def _sweep(integrand: Callable, lo: np.ndarray, hi: np.ndarray
 
 
 def finite_integral(integrand: Callable, lo: float, hi: float) -> float:
-    """Integral of `integrand` over [lo, hi], refined as one panel of
-    `_sweep`.  A non-finite value raises NumericalOverflowError, and an
-    error estimate left above TRANSFORM_FAIL_RTOL of the value raises
+    """Integral of `integrand` over [lo, hi] for 0 < lo < hi, refined by
+    `_sweep` on the doubling panels [lo, 2 lo], [2 lo, 4 lo], ..., ending at
+    hi, so that a panel never spans more than a factor of two in y.  A
+    non-finite value raises NumericalOverflowError, and a summed error
+    estimate above TRANSFORM_FAIL_RTOL of the value raises
     QuadratureFailureError."""
-    (value,), (error,), _ = _sweep(integrand, np.array([lo]), np.array([hi]))
+    edges = lo * 2.0 ** np.arange(math.ceil(math.log2(hi / lo)) + 1.0)
+    edges = np.append(edges[edges < hi], hi)
+    values, errors, _ = _sweep(integrand, edges[:-1], edges[1:])
+    value, error = values.sum(), errors.sum()
     if not np.isfinite(value):
         raise NumericalOverflowError(f"integrand is not finite on [{lo:g}, {hi:g}]")
     if error > TRANSFORM_FAIL_RTOL * abs(value):

@@ -139,12 +139,17 @@ def _upper_gamma(s: float, x: float) -> float:
 
 
 def _log1p_np(u):
-    """np.log1p, in Kahan's form log(w) u/(w - 1), w = 1 + u, for complex u
-    (NaN at w = 1): numpy's complex log1p keeps about eps/|u| relative accuracy."""
+    """np.log1p, in Kahan's form log(w) u/(w - 1), w = 1 + u, for complex u,
+    and u itself where w rounds to 1: numpy's complex log1p keeps about
+    eps/|u| relative accuracy."""
     if not np.iscomplexobj(u):
         return np.log1p(u)
     w = 1.0 + u
-    return np.log(w) * (u / (w - 1.0))
+    d = w - 1.0
+    if np.count_nonzero(d) == np.size(d):
+        return np.log(w) * (u / d)
+    live = d != 0.0
+    return np.where(live, np.log(w) * (u / np.where(live, d, 1.0)), u)
 
 
 # The arithmetic a family writes its psi constants against: float64, numpy

@@ -20,6 +20,27 @@ counts.  A path without jumps therefore draws its substream's normals in
 order, one per step.  `PathSample.steps_drawn` and `jumps_drawn` count
 what a path drew; `mc_estimate` sums them into its extras.
 
+One engine, `_simulate`, advances a contiguous batch of paths in lockstep:
+all live paths of a batch are at the same step, so a block is one 2-D
+array with a row per path.  Each path fills its row from its own
+substream, in the order normals, Poisson total, jump positions, jump
+sizes; the scaling, cumulative sum, stop test and the estimator's f then
+run once per block over the whole batch.  The trapezoid sum of f is
+folded block by block with a sequential carry, so it rounds exactly as
+`functional_along_path` over the whole path while no path's values
+outlive their block: memory is set by the batch and block sizes, not by
+path length.  `sample_path` is the same engine on a batch of one that
+keeps its blocks.
+
+`mc_estimate` splits the n paths into one contiguous batch per worker, cut
+further so that a batch holds at most 32 paths, and runs the batches on a
+thread pool.  The calls that scale across threads are the ones on whole
+rows or blocks (normal draws, the 2-D scaling and cumulative sum, f),
+which release the interpreter lock for their length; calls of a few
+microseconds gain nothing, since each lock release hands the lock to the
+other thread, so the engine makes per-path calls only for the substream
+draws and the placement of a path's jumps.
+
 Reproducibility contract: each path owns a counter-based Philox substream
 keyed by (seed, path index), and estimates reduce in path-index order, so
 the same seed gives bit-identical results for any worker count.
@@ -31,7 +52,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,6 +73,9 @@ CENSORED = "censored"
 _MASK64 = (1 << 64) - 1
 _BLOCK_START = 256
 _BLOCK_MAX = 16384
+# a block of a full batch is 32 x 16385 float64, 4.2 MB: larger batches
+# save no measurable time on two cores and hold more memory per worker
+_BATCH_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -113,82 +137,191 @@ def substream_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> PathSample:
-    """Simulate one Euler skeleton until first passage, barrier, or horizon."""
+@dataclass(frozen=True)
+class _StepLaw:
+    """Per-step increment law and stopping rule, shared by every path of a run."""
+
+    dt: float
+    n_total: int
+    base: float
+    sd: float
+    sampler: Optional[Callable]
+    pois_mean: float
+    stop_level: float
+    barrier: float
+    seed: int
+
+
+def _step_law(model: LevyModel, x: float, cfg: PathConfig) -> _StepLaw:
     if not model.validated:
         raise PreconditionViolatedError("model must be validated")
     if not cfg.stop_level < x < cfg.barrier:
         raise PreconditionViolatedError(
             f"start x={x} must lie in (stop_level, barrier)")
-    gen = substream_generator(cfg.seed, substream)
     dt = cfg.dt
-    n_total = int(math.ceil(cfg.horizon / dt))
-
     base = -model.drift * dt
     # the Gaussian part and the small-jump compensation are independent
     # centred normals, so each step draws their sum as one normal
     var = 2.0 * model.gaussian * dt
     sampler = model.jumps.sampler(cfg.eps)
+    pois_mean = 0.0
     if sampler is not None:
         pois_mean = jump_tail_mass(model.jumps, cfg.eps) * dt
         base -= dt * jump_mean_eps_to_one(model.jumps, cfg.eps)
         if cfg.gaussian_compensation:
             var += dt * jump_small_variance(model.jumps, cfg.eps)
-    sd = math.sqrt(var)
+    return _StepLaw(dt=dt, n_total=int(math.ceil(cfg.horizon / dt)), base=base,
+                    sd=math.sqrt(var), sampler=sampler, pois_mean=pois_mean,
+                    stop_level=cfg.stop_level, barrier=cfg.barrier, seed=cfg.seed)
 
-    chunks = [np.array([x])]
-    z = x
-    steps_done = 0
-    jumps_drawn = 0
-    status = CENSORED
-    stop_time = n_total * dt
-    block = _BLOCK_START
-    while steps_done < n_total:
-        n = min(block, n_total - steps_done)
+
+_STATUS = (CENSORED, HIT_ZERO, HIT_BARRIER)
+_CENSORED, _HIT, _BARRIER = range(3)
+
+
+class _Batch:
+    """Per-path outcomes of one lockstep batch, indexed from its first path.
+
+    `status` indexes `_STATUS`.  `A` is the trapezoid sum of f up to the
+    stop, with the final sub-grid panel on a hit; it is NaN without f.
+    `blocks` holds each path's values block by block when kept.
+    """
+
+    def __init__(self, count: int, keep: bool):
+        self.status = np.full(count, _CENSORED, dtype=np.int8)
+        self.stop_time = np.empty(count)
+        self.steps_used = np.empty(count, dtype=np.int64)
+        self.steps_drawn = np.empty(count, dtype=np.int64)
+        self.jumps_drawn = np.zeros(count, dtype=np.int64)
+        self.A = np.full(count, math.nan)
+        self.blocks = [[] for _ in range(count)] if keep else None
+
+
+def _trapezoid_terms(fv: np.ndarray, first: int, dt: float) -> np.ndarray:
+    """Trapezoid panels of f between consecutive grid points first, first+1, ...
+
+    `fv` holds f at the grid points along its last axis.  The steps are
+    differenced from the time grid, not taken as dt, so that the sequential
+    cumulative sum of the panels rounds as the trapezoid rule over the grid
+    times i*dt.
+    """
+    h = np.diff(dt * np.arange(first, first + fv.shape[-1]))
+    h *= 0.5
+    terms = fv[..., :-1] + fv[..., 1:]
+    terms *= h
+    return terms
+
+
+def _simulate(law: _StepLaw, x: float, first: int, count: int,
+              f: Optional[FunctionalSpec] = None, gamma: float = 0.0,
+              keep: bool = False) -> _Batch:
+    """Advance paths first, ..., first+count-1 in lockstep, block by block.
+
+    Each live path fills its row of the block from its own substream, in
+    the order normals, Poisson total, jump positions, jump sizes; scaling,
+    cumulative sum, stop test and f run once per block over all rows.  A
+    path leaves the batch in the block where it stops.  With f, the
+    trapezoid sum is folded block by block with a sequential carry, so it
+    rounds as :func:`functional_along_path` on the whole path; values
+    outlive their block only when `keep` is set.
+    """
+    dt, low, top = law.dt, law.stop_level, law.barrier
+    gens = [substream_generator(law.seed, first + k) for k in range(count)]
+    out = _Batch(count, keep)
+    live = np.arange(count)
+    z = np.full(count, float(x))
+    carry = np.zeros(count)
+    done, block = 0, _BLOCK_START
+    while live.size and done < law.n_total:
+        n = min(block, law.n_total - done)
         block = min(block * 2, _BLOCK_MAX)
-        start = steps_done
-        steps_done += n
-        if sd:
-            inc = gen.standard_normal(n)
-            inc *= sd
-            inc += base
+        start = done
+        done += n
+        # column 0 holds each path's value before the block
+        grid = np.empty((live.size, n + 1))
+        grid[:, 0] = z
+        inc = grid[:, 1:]
+        if law.sd:
+            for k, row in zip(live, inc):
+                gens[k].standard_normal(out=row)
+            inc *= law.sd
+            inc += law.base
         else:
-            inc = np.full(n, base)
-        if sampler is not None:
-            # Poisson splitting: a Poisson(n * pois_mean) total placed on
-            # uniform steps has the law of n i.i.d. Poisson(pois_mean) counts
-            total = int(gen.poisson(pois_mean * n))
-            if total:
-                idx = gen.integers(0, n, total)
-                inc += np.bincount(idx, weights=sampler(gen, total), minlength=n)
-            jumps_drawn += total
-        vals = np.cumsum(inc, out=inc)
-        vals += z
-        stopped = (vals <= cfg.stop_level) | (vals >= cfg.barrier)
-        i = int(np.argmax(stopped))
-        if stopped[i]:
-            chunks.append(vals[:i + 1])
+            inc[...] = law.base
+        if law.sampler is not None:
+            for k, row in zip(live, inc):
+                gen = gens[k]
+                # Poisson splitting: a Poisson(n * pois_mean) total placed on
+                # uniform steps has the law of n i.i.d. Poisson(pois_mean) counts
+                total = int(gen.poisson(law.pois_mean * n))
+                if total:
+                    idx = gen.integers(0, n, total)
+                    row += np.bincount(idx, weights=law.sampler(gen, total), minlength=n)
+                out.jumps_drawn[k] += total
+        np.cumsum(inc, axis=1, out=inc)
+        inc += z[:, None]
+        ends = np.flatnonzero((np.fmin.reduce(inc, axis=1) <= low)
+                              | (np.fmax.reduce(inc, axis=1) >= top))
+        # (row, grid columns in the trapezoid sum, and on a hit the value
+        # before it and the time from there to the crossing)
+        exits = []
+        for r in ends:
+            k = live[r]
+            vals = grid[r]
+            i = int(np.argmax((vals[1:] <= low) | (vals[1:] >= top)))
             t_prev = (start + i) * dt
-            if vals[i] <= cfg.stop_level:
-                status = HIT_ZERO
-                z_prev = vals[i - 1] if i > 0 else z
-                frac = (z_prev - cfg.stop_level) / (z_prev - vals[i])
-                stop_time = t_prev + frac * dt
+            out.steps_used[k] = start + i + 1
+            out.steps_drawn[k] = done
+            if keep:
+                out.blocks[k].append(vals[1:i + 2].copy())
+            if vals[i + 1] <= low:
+                out.status[k] = _HIT
+                z_prev = vals[i]
+                frac = (z_prev - low) / (z_prev - vals[i + 1])
+                out.stop_time[k] = t_prev + frac * dt
+                exits.append((r, i, float(z_prev), out.stop_time[k] - t_prev))
+                # f need not be defined at or below the stop level
+                vals[i + 1:] = z_prev
             else:
-                status = HIT_BARRIER
-                stop_time = t_prev + dt
-            break
-        chunks.append(vals)
-        z = float(vals[-1])
+                out.status[k] = _BARRIER
+                out.stop_time[k] = t_prev + dt
+                exits.append((r, i + 1, None, 0.0))
+                vals[i + 2:] = vals[i + 1]
+        if f is not None:
+            acc = _trapezoid_terms(f.values(grid), start, dt)
+            if start:
+                acc[:, 0] += carry
+            np.cumsum(acc, axis=1, out=acc)
+            for r, last, z_prev, seg in exits:
+                a = float(acc[r, last - 1]) if last else float(carry[r])
+                if z_prev is not None:
+                    a = a + _hit_panel(f, z_prev, seg, low, gamma)
+                out.A[live[r]] = a
+            carry = acc[:, -1]
+        go = np.ones(live.size, dtype=bool)
+        go[ends] = False
+        if keep:
+            for r in np.flatnonzero(go):
+                out.blocks[live[r]].append(grid[r, 1:].copy())
+        live, z, carry = live[go], grid[go, -1], carry[go]
+    out.stop_time[live] = dt * law.n_total
+    out.steps_used[live] = law.n_total
+    out.steps_drawn[live] = law.n_total
+    if f is not None:
+        out.A[live] = carry
+    return out
 
-    values = np.concatenate(chunks)
-    if status == CENSORED:
-        stop_time = dt * (len(values) - 1)
-    return PathSample(dt=dt, values=values, status=status,
-                      stop_time=stop_time, substream=substream,
+
+def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> PathSample:
+    """Simulate one Euler skeleton until first passage, barrier, or horizon."""
+    law = _step_law(model, x, cfg)
+    b = _simulate(law, x, substream, 1, keep=True)
+    return PathSample(dt=cfg.dt, values=np.concatenate([[x], *b.blocks[0]]),
+                      status=_STATUS[b.status[0]], stop_time=b.stop_time[0],
+                      substream=substream,
                       subgrid_exponent=local_power_near_zero(model),
                       stop_level=cfg.stop_level,
-                      steps_drawn=steps_done, jumps_drawn=jumps_drawn)
+                      steps_drawn=int(b.steps_drawn[0]), jumps_drawn=int(b.jumps_drawn[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +373,17 @@ def _subgrid_panel(f: FunctionalSpec, z_prev: float, slope: float, gamma: float)
     return f.value(z_prev) * z_prev / (slope * (gamma + 1.0))
 
 
+def _hit_panel(f: FunctionalSpec, z_prev: float, seg: float, stop_level: float,
+               gamma: float) -> float:
+    """The panel from the last grid point above the stop level, at value
+    z_prev, to the interpolated crossing `seg` later."""
+    if stop_level > 0.0:
+        return seg * 0.5 * (f.value(z_prev) + f.value(stop_level))
+    if seg > 0.0:
+        return _subgrid_panel(f, z_prev, (z_prev - stop_level) / seg, gamma)
+    return 0.0
+
+
 def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSample:
     """Trapezoidal accumulation of A_t = int_0^t f(Z_s) ds along the skeleton."""
     vals = path.values
@@ -248,29 +392,14 @@ def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSamp
     # where f may be undefined; it is replaced by an explicit last panel
     npos = len(vals) - 1 if hit else len(vals)
     grid_vals = vals[:npos]
-    fv = f.values(grid_vals)
-    # differenced from the time grid, not taken as dt, so that A rounds as
-    # the trapezoid sum over the grid times i*dt
-    inc = np.diff(path.dt * np.arange(npos))
-    inc *= 0.5
-    inc *= fv[:-1] + fv[1:]
     A = np.empty(npos)
     A[0] = 0.0
-    np.cumsum(inc, out=A[1:])
+    np.cumsum(_trapezoid_terms(f.values(grid_vals), 0, path.dt), out=A[1:])
     A_final = float(A[-1])
-
     if hit:
         t_prev = path.dt * (npos - 1)
-        z_prev = float(vals[npos - 1])
-        seg = path.stop_time - t_prev
-        if path.stop_level > 0.0:
-            panel = seg * 0.5 * (f.value(z_prev) + f.value(path.stop_level))
-        elif seg > 0.0:
-            slope = (z_prev - path.stop_level) / seg
-            panel = _subgrid_panel(f, z_prev, slope, path.subgrid_exponent)
-        else:
-            panel = 0.0
-        A_final = A_final + panel
+        A_final = A_final + _hit_panel(f, float(vals[npos - 1]), path.stop_time - t_prev,
+                                       path.stop_level, path.subgrid_exponent)
 
     return FunctionalSample(dt=path.dt, values=grid_vals,
                             A=A, A_final=A_final, status=path.status,
@@ -356,27 +485,13 @@ def _weighted_spec(f: FunctionalSpec, lam: float) -> Generic:
     return Generic(fn=fn, decreasing=False, bounded_away_from_origin=False)
 
 
-def _path_value(path, f, estimator):
-    """The estimator's value on one path, and A at its stopping time."""
-    if isinstance(estimator, HitProb):
-        return (1.0 if path.status == HIT_ZERO else 0.0), math.nan
-    if isinstance(estimator, CondExpFunctional):
-        fs = functional_along_path(path, _weighted_spec(f, estimator.lam))
-        return (fs.A_final if path.status == HIT_ZERO else math.nan), fs.A_final
-    fs = functional_along_path(path, f)
-    if isinstance(estimator, MeanPassage):
-        return fs.A_final, fs.A_final
-    # FunctionalFiniteness
-    val = (1.0 if math.isfinite(fs.A_final) else 0.0) if path.status == HIT_ZERO else math.nan
-    return val, fs.A_final
-
-
-def _path_record(model, x, f, estimator, cfg, idx):
-    path = sample_path(model, x, cfg, idx)
-    zeta = path.zeta if path.zeta is not None else math.nan
-    val, a_final = _path_value(path, f, estimator)
-    return (path.status, val, a_final, zeta,
-            path.steps_drawn, len(path.values) - 1, path.jumps_drawn)
+def _batches(n: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous (first, count) path ranges: one per worker, split further so
+    that no lockstep block holds more than _BATCH_MAX paths."""
+    per_worker = -(-n // max(workers, 1))
+    pieces = -(-per_worker // _BATCH_MAX)
+    size = -(-per_worker // pieces)
+    return [(lo, min(size, n - lo)) for lo in range(0, n, size)]
 
 
 def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
@@ -398,32 +513,48 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
         cfg = replace(cfg, stop_level=estimator.y)
 
     start = time.perf_counter()
-    records: list = [None] * n
+    law = _step_law(model, x, cfg)
+    spec, gamma = None, 0.0
+    if not isinstance(estimator, HitProb):
+        spec = (_weighted_spec(f, estimator.lam) if isinstance(estimator, CondExpFunctional)
+                else f)
+        gamma = local_power_near_zero(model)
 
-    def run_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            records[i] = _path_record(model, x, f, estimator, cfg, i)
+    def run(batch):
+        return _simulate(law, x, *batch, f=spec, gamma=gamma)
 
-    if workers <= 1:
-        run_range(0, n)
+    batches = _batches(n, workers)
+    if workers <= 1 or len(batches) == 1:
+        parts = [run(b) for b in batches]
     else:
-        chunk = max(1, -(-n // (workers * 4)))
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda lh: run_range(*lh), bounds))
+            parts = list(pool.map(run, batches))
 
-    statuses = [r[0] for r in records]
-    values = np.array([r[1] for r in records])
-    n_censored = sum(1 for s in statuses if s == CENSORED)
+    def joined(name):
+        return np.concatenate([getattr(p, name) for p in parts])
+
+    status, A = joined("status"), joined("A")
+    hit = status == _HIT
+    n_censored = int(np.count_nonzero(status == _CENSORED))
     if n_censored == n:
         raise AllCensoredError("no path resolved before the horizon")
 
-    extras: dict = {"n_hit": sum(1 for s in statuses if s == HIT_ZERO),
-                    "n_barrier": sum(1 for s in statuses if s == HIT_BARRIER),
+    n_hit = int(np.count_nonzero(hit))
+    extras: dict = {"n_hit": n_hit,
+                    "n_barrier": n - n_hit - n_censored,
                     "n_censored": n_censored,
-                    "steps_drawn": sum(r[4] for r in records),
-                    "steps_used": sum(r[5] for r in records),
-                    "jumps_drawn": sum(r[6] for r in records)}
+                    "steps_drawn": int(joined("steps_drawn").sum()),
+                    "steps_used": int(joined("steps_used").sum()),
+                    "jumps_drawn": int(joined("jumps_drawn").sum())}
+
+    if isinstance(estimator, HitProb):
+        values = hit.astype(float)
+    elif isinstance(estimator, MeanPassage):
+        values = A
+    elif isinstance(estimator, CondExpFunctional):
+        values = np.where(hit, A, math.nan)
+    else:
+        values = np.where(hit, np.isfinite(A).astype(float), math.nan)
 
     if isinstance(estimator, (HitProb, MeanPassage)):
         used = values
@@ -435,8 +566,7 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
             raise AllCensoredError("no hitting path available for the estimator")
 
     if isinstance(estimator, FunctionalFiniteness):
-        finite_a = np.array([r[2] for r, s in zip(records, statuses)
-                             if s == HIT_ZERO and math.isfinite(r[2])])
+        finite_a = A[hit & np.isfinite(A)]
         extras["n_infinite"] = int(extras["n_hit"] - len(finite_a))
         if len(finite_a):
             qs = np.quantile(finite_a, [0.25, 0.5, 0.75])
@@ -450,8 +580,9 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
     stderr = spread / math.sqrt(len(used)) if len(used) else math.nan
 
     if keep_path_rows:
-        extras["path_rows"] = [(i, r[0], r[3], r[2], r[2])
-                               for i, r in enumerate(records)]
+        zeta = np.where(hit, joined("stop_time"), math.nan).tolist()
+        extras["path_rows"] = [(i, _STATUS[s], zt, a, a)
+                               for i, (s, zt, a) in enumerate(zip(status, zeta, A.tolist()))]
 
     return MCSummary(estimate=estimate, stderr=stderr, n_paths=n,
                      censored_fraction=censored_fraction, seed=cfg.seed,

@@ -191,7 +191,7 @@ class TestHighPrecisionAgreement:
                     (lam + q) ** a - q**a - a * q ** (a - 1) * lam)
                 assert laplace_exponent_hp(m, lam) == direct
 
-    @pytest.mark.parametrize("mag", [1e-12, 1e-8, 1e-4])
+    @pytest.mark.parametrize("mag", [1e-20, 1e-17, 1e-12, 1e-8, 1e-4])
     def test_numpy_log1p_is_accurate_on_complex_input(self, mag):
         # np.log1p on complex u takes the log of |1 + u|: 1.5e-8 relative
         # error at |u| = 1e-8; the tempered psi takes it at the Talbot nodes
@@ -201,6 +201,14 @@ class TestHighPrecisionAgreement:
             for ui, gi in zip(u, got):
                 ref = mp.log1p(mp.mpc(ui.real, ui.imag))
                 assert abs(gi - complex(ref)) <= 1e-15 * abs(complex(ref))
+
+    def test_numpy_log1p_is_u_where_w_rounds_to_one(self):
+        # on the real axis 1 + u rounds to 1 below eps/2: Kahan's quotient
+        # would be 0/0
+        u = np.array([1e-17, -3e-18, 1e-300, 0.0, 1e-3]) + 0j
+        got = _NP.log1p(u)
+        assert np.array_equal(got[:4], u[:4])
+        assert got[4] == pytest.approx(math.log1p(1e-3), rel=1e-15)
 
     def test_numpy_log1p_is_np_log1p_on_real_input(self):
         u = np.concatenate((-np.geomspace(1e-16, 0.9, 40), np.geomspace(1e-300, 1e300, 60)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from levyfn import (
     CompoundPoissonExp,
     CondExpFunctional,
     FunctionalFiniteness,
+    Generic,
     HitProb,
     MeanPassage,
     NoJumps,
@@ -333,6 +335,57 @@ class TestMcEstimate:
             assert status == p.status
             assert zeta == p.zeta or (math.isnan(zeta) and p.zeta is None)
             assert a_final == t_boundary == functional_along_path(p, PowerLaw(0.5)).A_final
+
+    @pytest.mark.parametrize("estimator", ["hitprob", "meanpassage", "condexp", "finiteness"])
+    @pytest.mark.parametrize("model", [
+        builtin_model("bmdrift"),
+        builtin_model("cpexp"),
+        validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0)),
+    ], ids=["nojumps", "cpexp", "tempered"])
+    def test_rows_are_sample_paths_each_estimator(self, model, estimator):
+        # every row of the lockstep engine is the path sample_path draws on
+        # its own, with A as functional_along_path accumulates it
+        f, lam = PowerLaw(0.5), 1.0
+        est, spec = {"hitprob": (HitProb(), None),
+                     "meanpassage": (MeanPassage(y=0.05), f),
+                     "condexp": (CondExpFunctional(lam), Generic(
+                         fn=lambda z: f.values(z) * np.exp(-lam * np.asarray(z, dtype=float)))),
+                     "finiteness": (FunctionalFiniteness(), f)}[estimator]
+        cfg = PathConfig(dt=1e-3, horizon=3.0, barrier=10.0, seed=24)
+        path_cfg = replace(cfg, stop_level=0.05) if estimator == "meanpassage" else cfg
+        want = []
+        for i in range(100):
+            p = sample_path(model, 1.0, path_cfg, i)
+            a = functional_along_path(p, spec).A_final if spec else math.nan
+            want.append((i, p.status, p.zeta if p.zeta is not None else math.nan, a, a))
+        assert {row[1] for row in want} >= {"hit_zero"}
+        for workers in (1, 2):
+            s = mc_estimate(model, 1.0, None if spec is None else f, est, 100, cfg,
+                            workers=workers, keep_path_rows=True)
+            for got, ref in zip(s.extras["path_rows"], want, strict=True):
+                assert got[:2] == ref[:2]
+                for g, r in zip(got[2:], ref[2:]):
+                    assert g == r or (math.isnan(g) and math.isnan(r))
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # a path's values outlive only their block: the survivors of a 4x
+        # longer horizon add no memory beyond the blocks of live paths
+        import tracemalloc
+
+        m = validate(0.0, 1.0, NoJumps())
+        peaks, drawn = [], []
+        for horizon in (500.0, 2000.0):
+            cfg = PathConfig(dt=1e-2, horizon=horizon, barrier=300.0, seed=27)
+            tracemalloc.start()
+            try:
+                s = mc_estimate(m, 1.0, constant_functional(), CondExpFunctional(1.0), 100, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            drawn.append(s.extras["steps_drawn"])
+        # survivors of the short horizon run 4x longer in the long one
+        assert drawn[1] >= 2 * drawn[0]
+        assert peaks[1] <= 1.1 * peaks[0] + 64 * 1024, peaks
 
     @pytest.mark.parametrize("name,barrier", [("cpexp", 8.0), ("stable15", 1e6)])
     def test_draw_counters(self, name, barrier):

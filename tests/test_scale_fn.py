@@ -375,7 +375,7 @@ class TestTalbot:
         with pytest.raises(NumericalOverflowError):
             ev.scale_w(1e-200)
 
-    @pytest.mark.parametrize("x", [1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("x", [1e6, 1e8, 1e10, 1e12, 1e17, 1e18])
     def test_tempered_limit_at_large_x(self, x):
         # psi's log1p at the nodes |u| ~ 1/x kept only eps/|u| of relative
         # accuracy: 3.1e-4 off the limit at x = 1e10, an order raise at 1e12
@@ -764,3 +764,13 @@ class TestInversionRoute:
             got = ev.conditional_exp_functional(EXP_DECAY, 1.0, lam)
             want = conditional_exp_constant_closed_form(ev.model, 1.0, 1.0 + lam)
             assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    @pytest.mark.parametrize("name", ["bmdrift", "cpexp"])
+    def test_far_start_middle_piece(self, name, closed_form):
+        # the middle piece [min(x, 1)/2, x] spans a factor 600 at x = 300;
+        # as one panel its error estimate exceeded its value
+        ev = ScaleEvaluator(builtin_model(name), use_closed_form=closed_form)
+        got = ev.conditional_exp_functional(EXP_DECAY, 300.0, 1.0)
+        want = conditional_exp_constant_closed_form(ev.model, 300.0, 2.0)
+        assert got == pytest.approx(want, rel=1e-12)
