@@ -303,9 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=100.0)
     p.add_argument("--barrier", type=float, default=100.0)
     p.add_argument("--eps", type=float, default=1e-3,
-                   help="small-jump truncation level")
+                   help="small-jump truncation level; applies only to families "
+                        "without exact increments (cpexp, tempered alpha >= 1)")
     p.add_argument("--no-small-jump-gaussian", action="store_true",
-                   help="disable the Gaussian compensation of discarded jumps")
+                   help="disable the Gaussian compensation of discarded jumps; "
+                        "applies only to families without exact increments")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (falls back to LEVYFN_SEED, then 0)")
     p.add_argument("--workers", type=int, default=1)

@@ -1,45 +1,59 @@
 """Path simulation, accumulated functionals, and the random time change.
 
-Paths follow the Euler skeleton of the triplet representation: a drift and
+Paths are skeletons on the grid i*dt.  Where the family knows the law of
+an increment (`increment_sampler`: stable at every alpha, tempered with
+alpha < 1), every step is exact: the drift -b dt, b with the compensator
+folded in, a normal of variance 2c dt, and the jump part J drawn by
+Chambers-Mallows-Stuck, so the grid values have exactly the law of the
+process.  The other families (compound Poisson, tempered with alpha >= 1)
+take the Euler skeleton of the triplet representation: a drift and
 Gaussian increment per step, jumps of size >= eps drawn at Poisson rate
 pi([eps, inf)) from the normalized restriction of the jump measure, the
 compensator of retained jumps in [eps, 1], and (optionally) a Gaussian
 correction with the variance of the discarded jumps below eps (Asmussen &
-Rosinski, J. Appl. Prob. 2001).  Downward motion has no jumps, so first
-passage is detected on the grid and the crossing time interpolated
+Rosinski, J. Appl. Prob. 2001); `eps` and `gaussian_compensation` apply to
+these truncated families only.  `MCSummary.extras["increments"]` says
+which ("exact" also without jumps).  Downward motion has no jumps, so
+first passage is detected on the grid and the crossing time interpolated
 linearly; the O(sqrt(dt)) overshoot bias this leaves is budgeted in the
 acceptance tolerances rather than corrected.
 
 A path is drawn in blocks of 256 steps, doubling up to 16384, so it never
 draws more than twice the steps it uses plus 256.  Each step draws one
-normal, with the variance of the Gaussian part and the small-jump
-correction together.  A block's jumps come from Poisson splitting: one
-Poisson(n pi([eps, inf)) dt) total for the block's n steps, placed on
-uniformly drawn steps, which has the law of independent per-step Poisson
-counts.  A path without jumps therefore draws its substream's normals in
-order, one per step.  `PathSample.steps_drawn` and `jumps_drawn` count
-what a path drew; `mc_estimate` sums them into its extras.
+normal, with the variance of the Gaussian part and, when truncated, the
+small-jump correction together.  An exact block then draws a uniform row
+V and an exponential row W (and, tempered, an exponential row that
+accepts each J with probability e^{-qJ}, the rejected entries redrawn
+from the same substream).  A truncated block's jumps come from Poisson
+splitting: one Poisson(n pi([eps, inf)) dt) total for the block's n
+steps, placed on uniformly drawn steps, which has the law of independent
+per-step Poisson counts.  A path without jumps therefore draws its
+substream's normals in order, one per step.  `PathSample.steps_drawn` and
+`jumps_drawn` count what a path drew (no truncated jumps when exact);
+`mc_estimate` sums them into its extras.
 
 One engine, `_simulate`, advances a contiguous batch of paths in lockstep:
 all live paths of a batch are at the same step, so a block is one 2-D
 array with a row per path.  Each path fills its row from its own
-substream, in the order normals, Poisson total, jump positions, jump
-sizes; the scaling, cumulative sum, stop test and the estimator's f then
-run once per block over the whole batch.  The trapezoid sum of f is
-folded block by block with a sequential carry, so it rounds exactly as
-`functional_along_path` over the whole path while no path's values
-outlive their block: memory is set by the batch and block sizes, not by
-path length.  `sample_path` is the same engine on a batch of one that
-keeps its blocks.
+substream, in the order normals, then V and W (exact) or Poisson total,
+jump positions, jump sizes (truncated); the scaling, the Chambers-
+Mallows-Stuck transform on scratch buffers kept per batch, cumulative sum,
+stop test and the estimator's f then run once per block over the whole
+batch.  The trapezoid sum of f is folded block by block with a sequential
+carry, so it rounds exactly as `functional_along_path` over the whole
+path while no path's values outlive their block: memory is set by the
+batch and block sizes, not by path length.  `sample_path` is the same
+engine on a batch of one that keeps its blocks.
 
 `mc_estimate` splits the n paths into one contiguous batch per worker, cut
 further so that a batch holds at most 32 paths, and runs the batches on a
 thread pool.  The calls that scale across threads are the ones on whole
-rows or blocks (normal draws, the 2-D scaling and cumulative sum, f),
-which release the interpreter lock for their length; calls of a few
-microseconds gain nothing, since each lock release hands the lock to the
-other thread, so the engine makes per-path calls only for the substream
-draws and the placement of a path's jumps.
+rows or blocks (normal, V and W draws, the 2-D scaling, transform and
+cumulative sum, f), which release the interpreter lock for their length;
+calls of a few microseconds gain nothing, since each lock release hands
+the lock to the other thread, so the engine makes per-path calls only for
+the substream draws, the tempered redraws and the placement of a path's
+jumps.
 
 Reproducibility contract: each path owns a counter-based Philox substream
 keyed by (seed, path index), and estimates reduce in path-index order, so
@@ -60,6 +74,7 @@ from .errors import AllCensoredError, PreconditionViolatedError
 from .integral_tests import FunctionalSpec, Generic
 from .levy_model import (
     LevyModel,
+    StableIncrement,
     jump_mean_eps_to_one,
     jump_small_variance,
     jump_tail_mass,
@@ -80,7 +95,12 @@ _BATCH_MAX = 32
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Discretization and stopping parameters for one simulation run."""
+    """Discretization and stopping parameters for one simulation run.
+
+    `eps` is the small-jump truncation level and `gaussian_compensation`
+    replaces the jumps below it by a normal of their variance; both apply
+    only to truncated families, those whose `increment_sampler` is None.
+    """
 
     dt: float
     horizon: float
@@ -146,6 +166,7 @@ class _StepLaw:
     base: float
     sd: float
     sampler: Optional[Callable]
+    exact: Optional[StableIncrement]
     pois_mean: float
     stop_level: float
     barrier: float
@@ -159,19 +180,23 @@ def _step_law(model: LevyModel, x: float, cfg: PathConfig) -> _StepLaw:
         raise PreconditionViolatedError(
             f"start x={x} must lie in (stop_level, barrier)")
     dt = cfg.dt
-    base = -model.drift * dt
-    # the Gaussian part and the small-jump compensation are independent
-    # centred normals, so each step draws their sum as one normal
     var = 2.0 * model.gaussian * dt
-    sampler = model.jumps.sampler(cfg.eps)
-    pois_mean = 0.0
+    exact = model.jumps.increment_sampler(dt)
+    sampler, pois_mean = None, 0.0
+    if exact is not None:
+        base = -model.effective_drift * dt + exact.shift
+    else:
+        base = -model.drift * dt
+        sampler = model.jumps.sampler(cfg.eps)
     if sampler is not None:
         pois_mean = jump_tail_mass(model.jumps, cfg.eps) * dt
         base -= dt * jump_mean_eps_to_one(model.jumps, cfg.eps)
+        # the Gaussian part and the small-jump compensation are independent
+        # centred normals, so each step draws their sum as one normal
         if cfg.gaussian_compensation:
             var += dt * jump_small_variance(model.jumps, cfg.eps)
     return _StepLaw(dt=dt, n_total=int(math.ceil(cfg.horizon / dt)), base=base,
-                    sd=math.sqrt(var), sampler=sampler, pois_mean=pois_mean,
+                    sd=math.sqrt(var), sampler=sampler, exact=exact, pois_mean=pois_mean,
                     stop_level=cfg.stop_level, barrier=cfg.barrier, seed=cfg.seed)
 
 
@@ -218,16 +243,23 @@ def _simulate(law: _StepLaw, x: float, first: int, count: int,
     """Advance paths first, ..., first+count-1 in lockstep, block by block.
 
     Each live path fills its row of the block from its own substream, in
-    the order normals, Poisson total, jump positions, jump sizes; scaling,
-    cumulative sum, stop test and f run once per block over all rows.  A
-    path leaves the batch in the block where it stops.  With f, the
-    trapezoid sum is folded block by block with a sequential carry, so it
-    rounds as :func:`functional_along_path` on the whole path; values
+    the order normals, then V and W (exact increments) or Poisson total,
+    jump positions, jump sizes (truncated); scaling, the increment
+    transform, cumulative sum, stop test and f run once per block over all
+    rows.  A path leaves the batch in the block where it stops.  With f,
+    the trapezoid sum is folded block by block with a sequential carry, so
+    it rounds as :func:`functional_along_path` on the whole path; values
     outlive their block only when `keep` is set.
     """
     dt, low, top = law.dt, law.stop_level, law.barrier
     gens = [substream_generator(law.seed, first + k) for k in range(count)]
     out = _Batch(count, keep)
+    if law.exact is not None:
+        # V, W and J of every block, each in the first rows * steps entries
+        # of its own buffer: one buffer three times that size raised the
+        # peak RSS of an mc round by 5 MB, as freeing it lifts glibc's mmap
+        # threshold above the size of a block
+        scratch = [np.empty(count * min(law.n_total, _BLOCK_MAX)) for _ in range(3)]
     live = np.arange(count)
     z = np.full(count, float(x))
     carry = np.zeros(count)
@@ -248,6 +280,10 @@ def _simulate(law: _StepLaw, x: float, first: int, count: int,
             inc += law.base
         else:
             inc[...] = law.base
+        if law.exact is not None:
+            v, w, jumps = (buf[:live.size * n].reshape(live.size, n) for buf in scratch)
+            law.exact.fill([gens[k] for k in live], v, w, jumps)
+            inc += jumps
         if law.sampler is not None:
             for k, row in zip(live, inc):
                 gen = gens[k]
@@ -313,7 +349,7 @@ def _simulate(law: _StepLaw, x: float, first: int, count: int,
 
 
 def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> PathSample:
-    """Simulate one Euler skeleton until first passage, barrier, or horizon."""
+    """Simulate one grid skeleton until first passage, barrier, or horizon."""
     law = _step_law(model, x, cfg)
     b = _simulate(law, x, substream, 1, keep=True)
     return PathSample(dt=cfg.dt, values=np.concatenate([[x], *b.blocks[0]]),
@@ -473,13 +509,18 @@ class MCSummary:
 
 
 def _weighted_spec(f: FunctionalSpec, lam: float) -> Generic:
+    c = f.constant
+
     def fn(z):
         arr = np.asarray(z, dtype=float)
         if not arr.ndim:
             return float(f.values(arr) * np.exp(-lam * arr))
         out = np.multiply(arr, -lam)
         np.exp(out, out=out)
-        out *= f.values(arr)
+        if c is None:
+            out *= f.values(arr)
+        elif c != 1.0:
+            out *= c
         return out
 
     return Generic(fn=fn, decreasing=False, bounded_away_from_origin=False)
@@ -545,7 +586,8 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
                     "n_censored": n_censored,
                     "steps_drawn": int(joined("steps_drawn").sum()),
                     "steps_used": int(joined("steps_used").sum()),
-                    "jumps_drawn": int(joined("jumps_drawn").sum())}
+                    "jumps_drawn": int(joined("jumps_drawn").sum()),
+                    "increments": "truncated" if law.sampler is not None else "exact"}
 
     if isinstance(estimator, HitProb):
         values = hit.astype(float)

@@ -36,7 +36,8 @@ verdict engine's K15 panels.  Float64 Gaver-Stehfest (`gs_invert_float`,
 ~1e-5) remains only for levybench's layer probe.
 Both expectation formulas integrate one scale-function difference, the
 potential density D_d(z) = e^{-Phi(0)d} W(z) - W(z-d); the conditional-
-expectation bracket below is e^{-Phi(0)(y-x)} D_x(y).  `_potential_density_fn`
+expectation bracket below is e^{-Phi(0)(y-x)} D_x(y) beyond x and W_shift(y)
+up to x, where D_x(y) = e^{-Phi(0)x} W(y).  `_potential_density_fn`
 is its one implementation: W_shift at z and z - d from one Talbot evaluation,
 checked N against 2N nodes.  Far from the origin both terms approach the
 same growth and cancel catastrophically, so the difference is evaluated
@@ -451,12 +452,20 @@ class ScaleEvaluator:
             raise PreconditionViolatedError("need x > 0 and lam > 0")
         if _has_transform(f):
             return conditional_exp_transform(self.model, f, x, lam)
-        # B(y) = e^{-Phi(0)(y-x)} times the potential density at (x, y)
+        # B(y) = e^{-Phi(0)(y-x)} times the potential density at (x, y).  At
+        # y <= x that density is e^{-Phi(0)x} W(y), which underflows once
+        # Phi(0)x passes about 700 while its factor overflows, so B is taken
+        # there as W_shift(y); beyond x the factor is at most 1.
         density = self._potential_density_fn(x)
         phi0 = self.phi0
 
         def integrand(y: np.ndarray) -> np.ndarray:
-            return np.exp(-lam * y - phi0 * (y - x)) * f.values(y) * density(y)
+            near = y <= x
+            bracket = np.empty_like(y)
+            bracket[near] = self._w_shifted_array(y[near])
+            far = y[~near]
+            bracket[~near] = np.exp(-phi0 * (far - x)) * density(far)
+            return np.exp(-lam * y) * f.values(y) * bracket
 
         split = min(x, 1.0) / 2.0
         zero_side = improper_integral_verdict(integrand, AtZeroPlus(split))

@@ -182,6 +182,17 @@ class TestSimulate:
         assert payload["oracles"]["occupation_quadrature"] == pytest.approx(0.99, rel=1e-4)
         assert payload["estimate"] == pytest.approx(0.99, abs=0.15)
 
+    @pytest.mark.parametrize("model,kind", [("stable15", "exact"), ("bmdrift", "exact"),
+                                            ("cpexp", "truncated")])
+    def test_diagnostics_name_the_increments(self, model, kind):
+        code, out, _ = run_cli("simulate", "--model", model, "--estimator", "hitprob",
+                               "--paths", "100", "--dt", "5e-3", "--horizon", "2",
+                               "--barrier", "15", "--seed", "3")
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["increments"] == kind
+        assert (diagnostics["jumps_drawn"] == 0) == (kind == "exact")
+
 
 class TestSimulateOracles:
     """Oracles that come from the transform-domain formulas."""

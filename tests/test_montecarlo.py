@@ -34,6 +34,8 @@ from levyfn.levy_model import jump_tail_mass
 from levyfn.montecarlo import substream_generator
 
 DRIFT_LINE = validate(1.0, 0.0, NoJumps())  # Z = x - t, deterministic
+# tempered with alpha >= 1: the truncated sampler
+TEMPERED13 = validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0))
 
 
 def drift_path(x=1.0, dt=1e-3, substream=0):
@@ -159,6 +161,42 @@ class TestJumpSizeLaw:
 
     def test_no_jumps_have_no_sampler(self):
         assert NoJumps().sampler(1e-3) is None
+
+
+# models whose increments are drawn exactly, each with a drift that keeps
+# it from being a subordinator
+EXACT_MODELS = {
+    **{f"stable{a}_c{c}": validate(1.0, c, StablePositive(alpha=a, scale=0.7))
+       for a in (0.6, 1.0, 1.5, 1.8) for c in (0.0, 0.3)},
+    "tempered0.6": validate(0.5, 0.2, TemperedStable(alpha=0.6, scale=0.7, tempering=2.0)),
+}
+
+
+class TestExactIncrementLaw:
+    """Exact increments have E e^{-lam (Z_dt - Z_0)} = e^{dt psi(lam)}."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_MODELS))
+    def test_laplace_transform_of_increments(self, name):
+        m = EXACT_MODELS[name]
+        # dt psi(16) = 2 at most bounds the variance of e^{-8 dZ}
+        dt = min(0.05, 2.0 / m.laplace_exponent(16.0))
+        assert m.jumps.increment_sampler(dt) is not None
+        cfg = PathConfig(dt=dt, horizon=8000 * dt, barrier=1e12, seed=77)
+        incs = np.concatenate([np.diff(sample_path(m, 1e4, cfg, i).values)
+                               for i in range(3)])
+        assert len(incs) >= 24000
+        for lam in (0.5, 2.0, 8.0):
+            e = np.exp(-lam * incs)
+            se = e.std(ddof=1) / math.sqrt(len(e))
+            want = math.exp(dt * m.laplace_exponent(lam))
+            assert abs(e.mean() - want) <= 4.0 * se, (lam, e.mean(), want, se)
+
+    @pytest.mark.parametrize("jumps", [NoJumps(), CompoundPoissonExp(rate=2.0, jump_mean=0.5),
+                                       TemperedStable(alpha=1.0, scale=0.7, tempering=2.0),
+                                       TemperedStable(alpha=1.3, scale=0.7, tempering=2.0)],
+                             ids=["none", "cpexp", "tempered1", "tempered13"])
+    def test_truncated_families_have_none(self, jumps):
+        assert jumps.increment_sampler(1e-3) is None
 
 
 class TestFunctionalAlongPath:
@@ -314,6 +352,9 @@ class TestMcEstimate:
         builtin_model("cpexp"),
         stable_power_model(1.5),
         validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0)),
+        # exact increments drawing normals, V and W, and tempered redraws
+        EXACT_MODELS["stable1.0_c0.3"],
+        EXACT_MODELS["tempered0.6"],
     ])
     def test_worker_determinism_with_jumps(self, model):
         cfg = PathConfig(dt=1e-3, horizon=3.0, barrier=10.0, seed=23)
@@ -387,9 +428,10 @@ class TestMcEstimate:
         assert drawn[1] >= 2 * drawn[0]
         assert peaks[1] <= 1.1 * peaks[0] + 64 * 1024, peaks
 
-    @pytest.mark.parametrize("name,barrier", [("cpexp", 8.0), ("stable15", 1e6)])
+    @pytest.mark.parametrize("name,barrier", [("cpexp", 8.0), ("stable15", 1e6),
+                                              ("tempered13", 10.0)])
     def test_draw_counters(self, name, barrier):
-        m = builtin_model(name)
+        m = TEMPERED13 if name == "tempered13" else builtin_model(name)
         cfg = PathConfig(dt=1e-3, horizon=4.0, barrier=barrier, seed=25)
         s = mc_estimate(m, 1.0, None, HitProb(), 150, cfg)
         paths = [sample_path(m, 1.0, cfg, i) for i in range(150)]
@@ -397,6 +439,12 @@ class TestMcEstimate:
         assert s.extras["steps_used"] == sum(len(p.values) - 1 for p in paths)
         assert s.extras["jumps_drawn"] == sum(p.jumps_drawn for p in paths)
         assert s.extras["steps_used"] <= s.extras["steps_drawn"]
+        if m.jumps.increment_sampler(cfg.dt) is not None:
+            # exact increments draw no truncated jumps
+            assert s.extras["increments"] == "exact"
+            assert s.extras["jumps_drawn"] == 0
+            return
+        assert s.extras["increments"] == "truncated"
         # jump totals are Poisson given the steps drawn
         mean = jump_tail_mass(m.jumps, cfg.eps) * cfg.dt * s.extras["steps_drawn"]
         assert abs(s.extras["jumps_drawn"] - mean) <= 4.0 * math.sqrt(mean)

@@ -774,3 +774,13 @@ class TestInversionRoute:
         got = ev.conditional_exp_functional(EXP_DECAY, 300.0, 1.0)
         want = conditional_exp_constant_closed_form(ev.model, 300.0, 2.0)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    @pytest.mark.parametrize("name", ["bmdrift", "cpexp"])
+    def test_far_start_bracket_does_not_overflow(self, name, closed_form):
+        # at x = 800, Phi(0) x passes 700 on bmdrift: e^{Phi(0)(x-y)} overflows
+        # where the potential density e^{-Phi(0)x} W(y) underflows
+        ev = ScaleEvaluator(builtin_model(name), use_closed_form=closed_form)
+        got = ev.conditional_exp_functional(EXP_DECAY, 800.0, 1.0)
+        want = conditional_exp_constant_closed_form(ev.model, 800.0, 2.0)
+        assert got == pytest.approx(want, rel=1e-12)
