@@ -167,8 +167,9 @@ def check_property_sweeps() -> CheckResult:
             failures.append(f"{name}: psi growth")
         if m.laplace_exponent(0.0) != 0.0:
             failures.append(f"{name}: psi(0) != 0")
-        if abs(laplace_exponent_quadrature(m, 0.0)) > 1e-12:
-            failures.append(f"{name}: quadrature psi(0)")
+        quad_psi, psi = laplace_exponent_quadrature(m, 1.0), m.laplace_exponent(1.0)
+        if abs(quad_psi - psi) > max(1e-7 * abs(psi), 1e-9):
+            failures.append(f"{name}: psi(1) {psi:.10g} vs quadrature {quad_psi:.10g}")
         d0 = m.laplace_exponent_derivative(0.0)
         if (m.phi_zero().value > 0.0) != (d0 < 0.0):
             failures.append(f"{name}: phi0/psi'(0) inconsistency")
@@ -357,11 +358,9 @@ def check_occupation(n: int = 20000) -> CheckResult:
     start = time.perf_counter()
     model = builtin_model("bmup")
     x, y = 1.0, 0.01
-    # oracle: quadrature of the closed-form scale difference, W(z) = 1 - e^{-z}
-    from scipy.integrate import quad as _quad
-    d = x - y
-    oracle, _ = _quad(lambda z: -math.expm1(-z) + (math.expm1(-(z - d)) if z > d else 0.0),
-                      0.0, 60.0, limit=400)
+    # oracle: the integral over z > 0 of the scale difference W(z) - W(z-d),
+    # W = 1 - e^{-z}, is d/psi'(0+) = d
+    oracle = (x - y) / model.laplace_exponent_derivative(0.0)
 
     ev = ScaleEvaluator(model)
     quad_val = ev.occupation_expectation(constant_functional(), x, y)

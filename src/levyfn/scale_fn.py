@@ -47,8 +47,9 @@ analytically known plateau (Phi(0) > 0) or 0 below a noise floor
 
 The two expectation formulas are integrals of W against f, and when f has a
 Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
-`LaplaceRep`) Fubini turns each into one float quadrature of g against
-1/psi, with no inversion at all (the transform route):
+`LaplaceRep`) Fubini turns each into an integral of g against 1/psi, with
+no inversion at all (the transform route), on the verdict engine's K15
+sweep with the integrand on arrays (`finite_integral`):
 
 * the conditional-expectation bracket B(y) = e^{-Phi(0)y}[W(y) -
   e^{Phi(0)x} W(y-x)] has transform (1 - e^{-sx})/psi(s + Phi(0)), so
@@ -61,9 +62,11 @@ Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
 
       occupation = integral_0^inf g(t) e^{-yt} (e^{-Phi(0)d} - e^{-td}) / psi(t) dt.
 
-  Numerator and psi vanish together at t = Phi(0), a removable point that
-  is a quadrature breakpoint; finiteness is decided at 0+ by the verdict
-  engine whenever Phi(0) > 0 or psi'(0+) = 0.
+  Numerator and psi vanish together at t = Phi(0), a removable point: the
+  closed piece [Phi(0)/2, max(2 Phi(0), 1)] has it on a doubling-panel
+  edge, where no node sits.  Finiteness is decided at 0+ by the verdict
+  engine whenever Phi(0) > 0 or psi'(0+) = 0, and that verdict's value is
+  the head.
 
 A constant f needs no quadrature: condexp is (1 - e^{-lam*x})/psi(lam +
 Phi(0)), and occupation is d/psi'(0+) when Phi(0) = 0 (+inf when psi'(0+) =
@@ -79,12 +82,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     InversionUnstableError,
@@ -93,10 +95,10 @@ from .errors import (
     QuadratureFailureError,
 )
 from .integral_tests import (
-    TRANSFORM_FAIL_RTOL,
     AtInfinity,
     AtZeroPlus,
     FunctionalSpec,
+    _on_arrays,
     extinction_test,
     finite_integral,
     improper_integral_verdict,
@@ -108,9 +110,6 @@ LN2 = math.log(2.0)
 # Relative disagreement between consecutive orders that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
 
-# quad target of the transform-domain integrals (a flagged panel fails above
-# TRANSFORM_FAIL_RTOL, shared with finite_integral)
-TRANSFORM_EPSREL = 1e-10
 # large lambda at which psi's local power is read (see local_power_near_zero)
 LOCAL_POWER_LAM = 1e8
 # truncation of the Laplace-identity integral: where e^{-lam*M} W(M) drops below
@@ -491,22 +490,6 @@ def _has_transform(f: FunctionalSpec) -> bool:
     return f.constant is not None or f.laplace_density() is not None
 
 
-def _quad_sum(integrand: Callable[[float], float], edges: tuple[float, ...]) -> float:
-    """Sum of `quad` over consecutive panels [edges[i], edges[i+1]].
-
-    A panel that QUADPACK flags with an error estimate above
-    TRANSFORM_FAIL_RTOL of its value raises QuadratureFailureError.
-    """
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, abserr, _, *msg = quad(integrand, lo, hi, limit=200, epsabs=0.0,
-                                    epsrel=TRANSFORM_EPSREL, full_output=1)
-        if msg and abserr > TRANSFORM_FAIL_RTOL * abs(val):
-            raise QuadratureFailureError(f"quad on [{lo:g}, {hi:g}]: {msg[0]}")
-        total += val
-    return total
-
-
 def conditional_exp_transform(model: LevyModel, f: FunctionalSpec, x: float,
                               lam: float) -> float:
     """The conditional expectation of :meth:`ScaleEvaluator.conditional_exp_functional`
@@ -530,12 +513,12 @@ def conditional_exp_transform(model: LevyModel, f: FunctionalSpec, x: float,
     if not tail.converges:
         raise QuadratureFailureError(f"extinction verdict inconclusive: {tail.diagnostics}")
     shift = lam + model.phi_zero().value
-    psi = model.laplace_exponent
+    g, psi = _on_arrays(g), model.laplace_exponent_array
 
-    def integrand(t: float) -> float:
-        return g(t) * -math.expm1(-(t + lam) * x) / psi(t + shift)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return g(t) * -np.expm1(-(t + lam) * x) / psi(t + shift)
 
-    return _quad_sum(integrand, (0.0, 1.0, math.inf))
+    return finite_integral(integrand, 0.0, math.inf)
 
 
 def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float) -> float:
@@ -555,26 +538,30 @@ def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float
     g = f.laplace_density()
     if g is None:
         raise PreconditionViolatedError("f has no Laplace density")
+    g, psi = _on_arrays(g), model.laplace_exponent_array
 
-    def integrand(t, exp=math.exp, expm1=math.expm1, psi=model.laplace_exponent):
+    def integrand(t: np.ndarray) -> np.ndarray:
         # e^{-Phi(0)d} - e^{-td} as a product, exact through t = Phi(0)
-        return g(t) * exp(-y * t - phi0 * d) * -expm1((phi0 - t) * d) / psi(t)
+        return g(t) * np.exp(-y * t - phi0 * d) * -np.expm1((phi0 - t) * d) / psi(t)
 
-    if phi0 > 0.0:
-        edges = (0.0, phi0 / 2.0, phi0, max(2.0 * phi0, 1.0), math.inf)
-    else:
-        edges = (0.0, 1.0, math.inf)
+    split = phi0 / 2.0 if phi0 > 0.0 else 1.0
     # with psi'(0+) > 0 the integrand is g(t) times a bounded factor near 0+
     if phi0 > 0.0 or d0 == 0.0:
-        # the same integrand on arrays: one call for a g that takes arrays
-        on_arrays = partial(integrand, exp=np.exp, expm1=np.expm1,
-                            psi=model.laplace_exponent_array)
-        head = improper_integral_verdict(on_arrays, AtZeroPlus(edges[1]))
+        head = improper_integral_verdict(integrand, AtZeroPlus(split))
         if head.diverges:
             return math.inf
         if not head.converges:
             raise QuadratureFailureError(f"0+ verdict inconclusive: {head.diagnostics}")
-    return _quad_sum(integrand, edges)
+        value = head.value
+    else:
+        value = finite_integral(integrand, 0.0, split)
+    if phi0 > 0.0:
+        # the doubling edges from Phi(0)/2 put the removable point t = Phi(0)
+        # on a panel edge, where no node sits
+        top = max(2.0 * phi0, 1.0)
+        value += finite_integral(integrand, split, top)
+        return value + finite_integral(integrand, top, math.inf)
+    return value + finite_integral(integrand, split, math.inf)
 
 
 def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float) -> float:

@@ -259,3 +259,12 @@ class TestMainEntry:
         code = main(["classify", "--model", "stable15", "--theta", "1.0"])
         assert code == 0
         assert "extinction_possible" in capsys.readouterr().out
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported inside the functions that use it
+        code = ("import sys, levyfn.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ), cwd=str(REPO))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

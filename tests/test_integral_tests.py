@@ -129,6 +129,47 @@ class TestFunctionalSpecs:
         assert (f.laplace_density() is not None) == has_density
 
 
+# Laplace densities g with f(x) = integral e^{-xt} g(t) dt in closed form
+LAPLACE_PAIRS = {
+    "exp": (lambda t: np.exp(-t), lambda x: 1.0 / (1.0 + x)),
+    "texp": (lambda t: t * np.exp(-t), lambda x: (1.0 + x) ** -2.0),
+    **{f"power{theta}": (lambda t, a=theta: t ** (a - 1.0) / math.gamma(a),
+                         lambda x, a=theta: x ** -a)
+       for theta in (0.05, 0.5, 1.5, 2.5)},
+}
+
+
+class TestLaplaceRepRule:
+    """`LaplaceRep.values`: one K15 rule on doubling panels in t."""
+
+    @pytest.mark.parametrize("name", sorted(LAPLACE_PAIRS))
+    def test_values_match_closed_form(self, name):
+        g, f = LAPLACE_PAIRS[name]
+        calls = []
+
+        def counting(t):
+            calls.append(np.shape(t))
+            return g(t)
+
+        rep = LaplaceRep(g=counting)
+        mid = np.geomspace(1e-3, 1e3, 401)
+        np.testing.assert_allclose(rep.values(mid), f(mid), rtol=1e-12, atol=0.0)
+        # both ends of the stated range [2^-48, 2^48]
+        wide = np.geomspace(2.0**-48, 2.0**48, 385)
+        np.testing.assert_allclose(rep.values(wide.reshape(5, 77)), f(wide).reshape(5, 77),
+                                   rtol=1e-10, atol=0.0)
+        assert len(calls) == 2 and all(len(shape) == 1 for shape in calls)
+        assert rep.value(2.0**15) == pytest.approx(f(2.0**15), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [2.0**-49, 2.0**49, 0.0, math.inf, math.nan])
+    def test_outside_the_range_raises(self, x):
+        rep = LaplaceRep(g=lambda t: np.exp(-t))
+        with pytest.raises(PreconditionViolatedError):
+            rep.values(np.array([1.0, x]))
+        with pytest.raises(PreconditionViolatedError):
+            rep.value(x)
+
+
 class TestExtinction:
     @pytest.mark.parametrize("theta,want", [(1.0, "converges"), (1.5, "diverges")])
     def test_normalized_stable(self, theta, want):

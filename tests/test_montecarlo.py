@@ -131,11 +131,9 @@ class TestSamplePath:
         assert seen == {"hit_zero", "hit_barrier", "censored"}
 
 
-# pi([u, inf)) up to a constant factor, in mpmath, for one family of each kind
+# pi([u, inf)) up to a constant factor, in mpmath, for each family with a
+# truncated sampler (stable increments are drawn exactly, with no sampler)
 JUMP_TAILS = {
-    "stable06": (StablePositive(alpha=0.6, scale=0.7), lambda u: u ** mp.mpf(-0.6)),
-    "stable1": (StablePositive(alpha=1.0, scale=0.7), lambda u: 1 / u),
-    "stable15": (StablePositive(alpha=1.5, scale=0.7), lambda u: u ** mp.mpf(-1.5)),
     "cpexp": (CompoundPoissonExp(rate=2.0, jump_mean=0.5), lambda u: mp.exp(-2 * u)),
     **{f"tempered{a}": (TemperedStable(alpha=a, scale=0.7, tempering=2.0),
                         lambda u, a=a: mp.gammainc(-mp.mpf(a), 2 * u))
@@ -161,6 +159,11 @@ class TestJumpSizeLaw:
 
     def test_no_jumps_have_no_sampler(self):
         assert NoJumps().sampler(1e-3) is None
+
+    def test_stable_has_no_truncated_sampler(self):
+        # paths draw stable increments exactly, never truncated jumps
+        jumps = StablePositive(alpha=1.5, scale=0.7)
+        assert jumps.sampler(1e-3) is None and jumps.increment_sampler(1e-3) is not None
 
 
 # models whose increments are drawn exactly, each with a drift that keeps

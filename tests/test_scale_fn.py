@@ -695,6 +695,34 @@ class TestTransformRoute:
         assert got == pytest.approx(exact, rel=1e-3)
 
 
+class TestTransformOpenEnds:
+    """The transform route's open ends on the verdict engine's sweep."""
+
+    # conditional_exp_transform(model, PowerLaw(theta), 1, 1) by adaptive
+    # QUADPACK at epsrel 1e-10, the route's earlier quadrature; the stable15
+    # values agree with the closed form B(theta, 1.5 - theta)/Gamma(theta)
+    # - e^{-1} U(theta, theta - 0.5, 1) to 1.2e-12
+    @pytest.mark.parametrize("name,theta,want", [
+        ("cpexp", 0.02, 0.95141820464978),
+        ("cpexp", 0.05, 0.9591962096707808),
+        ("cpexp", 0.1, 0.9736173491342079),
+        ("stable15", 0.02, 0.6375144994104498),
+        ("stable15", 0.05, 0.6460913983904544),
+        ("stable15", 0.1, 0.6617667432040665),
+    ])
+    def test_condexp_small_theta_matches_quadpack(self, name, theta, want):
+        got = conditional_exp_transform(builtin_model(name), PowerLaw(theta), 1.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_laplace_rep_occupation_diverges(self):
+        # f(y) = 1/(1+y); with Phi(0) > 0 the potential density has a
+        # positive plateau, so the occupation integral diverges
+        f = LaplaceRep(g=lambda t: np.exp(-t))
+        ev = ScaleEvaluator(builtin_model("cpexp"))
+        assert ev.occupation_expectation(Generic(fn=f.value), 1.0, 0.2) == math.inf
+        assert ev.occupation_expectation(f, 1.0, 0.2) == math.inf
+
+
 class TestInversionRoute:
     """The `Generic`-f route: Talbot W on arrays at the verdict engine's nodes."""
 
