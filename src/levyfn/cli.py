@@ -4,11 +4,13 @@ Subcommands: `classify` (boundary classification report), `scale-table`
 (CSV of W values with closed-form comparison), `simulate` (Monte Carlo runs
 with per-path dumps), and `verify` (the acceptance suite).
 
-Exit codes: 0 decisive success, 1 invalid model/config, 2 an inconclusive
-verdict, 3 verification failure.  Every run emits a manifest (model hash,
-seed, flags, library versions) sufficient to reproduce its output: as
-`manifest.json` when an output directory is given, on stderr otherwise.
-Existing output files are never overwritten without --force.
+Exit codes: 0 decisive success, 1 invalid model, config or command line
+(usage errors included), 2 an inconclusive verdict, 3 verification failure.
+Every run of `classify`, `scale-table` and `simulate` emits a manifest
+(model hash, seed, flags, library versions) sufficient to reproduce its
+output: as `manifest.json` when an output directory is given, on stderr
+otherwise; `verify` writes none.  Existing output files are never
+overwritten without --force.
 """
 
 from __future__ import annotations
@@ -119,12 +121,12 @@ def cmd_scale_table(args) -> int:
     if not 0.0 < args.min < args.max < math.inf or args.count < 2:
         raise ValueError("need finite 0 < min < max and count >= 2")
     model = resolve_model(args.model)
-    ev = ScaleEvaluator(model, order=args.order)
+    ev = ScaleEvaluator(model)
     xs = (np.geomspace(args.min, args.max, args.count) if args.log
           else np.linspace(args.min, args.max, args.count))
     # without a closed form, `ev` already inverts
     inversion = (ev if ev.closed_form is None
-                 else ScaleEvaluator(model, order=args.order, use_closed_form=False))
+                 else ScaleEvaluator(model, use_closed_form=False))
 
     lines = ["x,W,W_closed_form,rel_err"]
     for x in xs:
@@ -139,7 +141,7 @@ def cmd_scale_table(args) -> int:
 
     manifest = _manifest("scale-table", model,
                          {"min": args.min, "max": args.max, "count": args.count,
-                          "log": args.log, "order": args.order, "model": args.model})
+                          "log": args.log, "model": args.model})
     outdir = Path(args.outdir) if args.outdir else None
     _emit_manifest(manifest, outdir, args.force)
     if outdir is not None:
@@ -194,8 +196,7 @@ def cmd_simulate(args) -> int:
     f = None if args.estimator == "hitprob" else _functional_from_args(args)
     seed = args.seed if args.seed is not None else _env_seed()
     cfg = PathConfig(dt=args.dt, horizon=args.horizon, barrier=args.barrier,
-                     eps=args.eps, gaussian_compensation=not args.no_small_jump_gaussian,
-                     seed=seed)
+                     eps=args.eps, seed=seed)
     summary = mc_estimate(model, args.x, f, estimator, args.paths, cfg,
                           workers=args.workers, keep_path_rows=True)
     rows = summary.extras.pop("path_rows")
@@ -283,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--log", dest="log", action="store_true", default=True)
     grid.add_argument("--linear", dest="log", action="store_false")
-    p.add_argument("--order", type=int, default=14, help="Talbot node count")
     p.set_defaults(fn=cmd_scale_table)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimation with per-path dump")
@@ -305,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-3,
                    help="small-jump truncation level; applies only to families "
                         "without exact increments (cpexp, tempered alpha >= 1)")
-    p.add_argument("--no-small-jump-gaussian", action="store_true",
-                   help="disable the Gaussian compensation of discarded jumps; "
-                        "applies only to families without exact increments")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (falls back to LEVYFN_SEED, then 0)")
     p.add_argument("--workers", type=int, default=1)
@@ -322,7 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of an inconclusive
+        # verdict, and 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (LevyFnError, ValueError, OSError, KeyError) as exc:

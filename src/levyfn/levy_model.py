@@ -14,10 +14,11 @@ satisfies E_x[exp(-lam*Z_t)] = exp(-lam*x + psi(lam)*t).  psi is strictly
 convex with psi(0) = 0, and for a non-monotone process psi(lam) -> +inf.
 
 Each jump family is one frozen dataclass, and everything the package knows
-about a family lives in it: its JSON tag and parameter checks, its density
-and jump integrals, psi and psi' as closures, its closed-form scale function
-if psi has one, its jump-size sampler, and its exact increment sampler
-where the law of an increment is known (`StableIncrement`).  `_Family`
+about a family lives in it: its JSON tag and parameter checks, its density,
+psi and psi' as closures, its closed-form scale function if psi has one,
+and its exact increment sampler where the law of an increment is known
+(`StableIncrement`), or else its jump-size sampler and the jump integrals
+of the truncated step (compound Poisson, tempered with alpha >= 1).  `_Family`
 states this contract; its defaults describe the empty measure.  Callers ask
 the family instead of branching on it, so a new family is one class plus
 its entry in `JumpSpec`.
@@ -194,7 +195,14 @@ class ClosedForm:
 
 
 class _Family:
-    """The contract of a jump family; the defaults are the empty measure's."""
+    """The contract of a jump family; the defaults are the empty measure's.
+
+    A family whose `sampler` is not None, so that paths take the truncated
+    step, also defines the jump integrals that step reads, for 0 < eps <= 1:
+    `tail_mass(eps)` = pi([eps, inf)), `mean_eps_to_one(eps)` =
+    integral_{[eps, 1]} u pi(du) and `small_variance(eps)` =
+    integral_{(0, eps)} u^2 pi(du).
+    """
 
     tag: ClassVar[str]
 
@@ -203,18 +211,6 @@ class _Family:
 
     def density(self, u: float) -> float:
         """Levy density pi(u) for u > 0."""
-        return 0.0
-
-    def tail_mass(self, eps: float) -> float:
-        """pi([eps, inf)): the rate of jumps of size >= eps."""
-        return 0.0
-
-    def mean_eps_to_one(self, eps: float) -> float:
-        """integral_{[eps, 1]} u pi(du) for eps < 1."""
-        return 0.0
-
-    def small_variance(self, eps: float) -> float:
-        """integral_{(0, eps)} u^2 pi(du)."""
         return 0.0
 
     def exponent(self, b, c, ops) -> dict:
@@ -419,19 +415,6 @@ class StablePositive(_Family):
     def density(self, u):
         return self.scale * u ** (-1.0 - self.alpha)
 
-    def tail_mass(self, eps):
-        return self.scale * eps ** (-self.alpha) / self.alpha
-
-    def mean_eps_to_one(self, eps):
-        a, C = self.alpha, self.scale
-        if a == 1.0:
-            return C * math.log(1.0 / eps)
-        return C * (1.0 - eps ** (1.0 - a)) / (1.0 - a)
-
-    def small_variance(self, eps):
-        a = self.alpha
-        return self.scale * eps ** (2.0 - a) / (2.0 - a)
-
     def exponent(self, b, c, ops):
         a, C = ops.real(self.alpha), ops.real(self.scale)
         if self.alpha == 1.0:
@@ -634,24 +617,6 @@ class TemperedStable(_Family):
 JumpSpec = NoJumps | StablePositive | CompoundPoissonExp | TemperedStable
 
 
-@lru_cache(maxsize=256)
-def jump_tail_mass(jumps: JumpSpec, eps: float) -> float:
-    """pi([eps, inf)): the rate of jumps of size >= eps."""
-    return jumps.tail_mass(eps)
-
-
-@lru_cache(maxsize=256)
-def jump_mean_eps_to_one(jumps: JumpSpec, eps: float) -> float:
-    """integral_{[eps, 1]} u pi(du), the compensator mean of retained small jumps."""
-    return 0.0 if eps >= 1.0 else jumps.mean_eps_to_one(eps)
-
-
-@lru_cache(maxsize=256)
-def jump_small_variance(jumps: JumpSpec, eps: float) -> float:
-    """integral_{(0, eps)} u^2 pi(du), the variance of discarded small jumps."""
-    return jumps.small_variance(eps)
-
-
 # ---------------------------------------------------------------------------
 # The model
 # ---------------------------------------------------------------------------
@@ -757,10 +722,6 @@ class LevyModel:
     def phi_zero(self) -> PhiZero:
         """inf{lam > 0 : psi(lam) > 0}, to absolute tolerance 1e-10."""
         return self._phi0
-
-    def shifted_exponent(self, lam: float) -> float:
-        """psi_shift(lam) = psi(lam + Phi(0)); vanishes at 0, positive beyond."""
-        return self.laplace_exponent(lam + self._phi0.value)
 
     def hit_probability(self, x: float) -> float:
         """P_x(process hits 0 in finite time) = exp(-Phi(0) * x)."""

@@ -9,14 +9,14 @@ process.  The other families (compound Poisson, tempered with alpha >= 1)
 take the Euler skeleton of the triplet representation: a drift and
 Gaussian increment per step, jumps of size >= eps drawn at Poisson rate
 pi([eps, inf)) from the normalized restriction of the jump measure, the
-compensator of retained jumps in [eps, 1], and (optionally) a Gaussian
-correction with the variance of the discarded jumps below eps (Asmussen &
-Rosinski, J. Appl. Prob. 2001); `eps` and `gaussian_compensation` apply to
-these truncated families only.  `MCSummary.extras["increments"]` says
-which ("exact" also without jumps).  Downward motion has no jumps, so
-first passage is detected on the grid and the crossing time interpolated
-linearly; the O(sqrt(dt)) overshoot bias this leaves is budgeted in the
-acceptance tolerances rather than corrected.
+compensator of retained jumps in [eps, 1], and a Gaussian correction with
+the variance of the discarded jumps below eps (Asmussen & Rosinski,
+J. Appl. Prob. 2001); `eps` applies to these truncated families only.
+`MCSummary.extras["increments"]` says which ("exact" also without jumps).
+Downward motion has no jumps, so first passage is detected on the grid
+and the crossing time interpolated linearly; the O(sqrt(dt)) overshoot
+bias this leaves is budgeted in the acceptance tolerances rather than
+corrected.
 
 A path is drawn in blocks of 256 steps, doubling up to 16384, so it never
 draws more than twice the steps it uses plus 256.  Each step draws one
@@ -72,13 +72,7 @@ import numpy as np
 
 from .errors import AllCensoredError, PreconditionViolatedError
 from .integral_tests import FunctionalSpec, Generic
-from .levy_model import (
-    LevyModel,
-    StableIncrement,
-    jump_mean_eps_to_one,
-    jump_small_variance,
-    jump_tail_mass,
-)
+from .levy_model import LevyModel, StableIncrement
 from .scale_fn import local_power_near_zero
 
 HIT_ZERO = "hit_zero"
@@ -97,24 +91,24 @@ _BATCH_MAX = 32
 class PathConfig:
     """Discretization and stopping parameters for one simulation run.
 
-    `eps` is the small-jump truncation level and `gaussian_compensation`
-    replaces the jumps below it by a normal of their variance; both apply
-    only to truncated families, those whose `increment_sampler` is None.
+    `dt` and `horizon` are finite and positive.  `eps` is the small-jump
+    truncation level: jumps below it are replaced by a normal of their
+    variance.  It applies only to truncated families, those whose
+    `increment_sampler` is None.
     """
 
     dt: float
     horizon: float
     barrier: float
     eps: float = 1e-3
-    gaussian_compensation: bool = True
     seed: int = 0
     stop_level: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be > 0")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and > 0")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
         if self.stop_level < 0.0:
@@ -189,12 +183,12 @@ def _step_law(model: LevyModel, x: float, cfg: PathConfig) -> _StepLaw:
         base = -model.drift * dt
         sampler = model.jumps.sampler(cfg.eps)
     if sampler is not None:
-        pois_mean = jump_tail_mass(model.jumps, cfg.eps) * dt
-        base -= dt * jump_mean_eps_to_one(model.jumps, cfg.eps)
+        jumps, eps = model.jumps, cfg.eps
+        pois_mean = jumps.tail_mass(eps) * dt
+        base -= dt * jumps.mean_eps_to_one(eps)
         # the Gaussian part and the small-jump compensation are independent
         # centred normals, so each step draws their sum as one normal
-        if cfg.gaussian_compensation:
-            var += dt * jump_small_variance(model.jumps, cfg.eps)
+        var += dt * jumps.small_variance(eps)
     return _StepLaw(dt=dt, n_total=int(math.ceil(cfg.horizon / dt)), base=base,
                     sd=math.sqrt(var), sampler=sampler, exact=exact, pois_mean=pois_mean,
                     stop_level=cfg.stop_level, barrier=cfg.barrier, seed=cfg.seed)
@@ -484,9 +478,14 @@ class MeanPassage:
 
 @dataclass(frozen=True)
 class CondExpFunctional:
-    """Mean of int_0^{hit} f(Z) e^{-lam Z} dt over hitting paths only."""
+    """Mean of int_0^{hit} f(Z) e^{-lam Z} dt over hitting paths only; lam
+    is finite and > 0."""
 
     lam: float
+
+    def __post_init__(self):
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ r theta (cot theta + i), theta_k = k pi/M, r = 2M/(5x), it sums the
 transform at the nodes against fixed weights.  x enters only through
 r, so the nodes are s_k = nu_k/x and the weights e^{x s_k}(1 + i sigma_k)
 do not depend on x; one W point is one numpy psi call on the nodes of M
-and 2M together.  The configured order is M: the M- and 2M-node values
-must agree to ORDER_AGREEMENT_RTOL or the evaluation reports instability,
-and the 2M-node value is returned (about 1e-12 relative at the default
-M = 14).  The contour wraps the negative real axis, so it needs the
+and 2M together.  M is TALBOT_ORDER: the M- and 2M-node values must
+agree to ORDER_AGREEMENT_RTOL or the evaluation reports instability, and
+the 2M-node value is returned (about 1e-12 relative at M = 14).  The
+contour wraps the negative real axis, so it needs the
 transform's singularities on the non-positive real axis: 1/psi_shift has
 its pole at 0, its branch cuts and other poles left of it and no complex
 zeros, which holds for the four jump families here, whose Levy densities
@@ -107,6 +107,8 @@ from .levy_model import ClosedForm, LevyModel
 
 LN2 = math.log(2.0)
 
+# Fixed Talbot node count M of a W evaluation, checked against 2M nodes.
+TALBOT_ORDER = 14
 # Relative disagreement between consecutive orders that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
 
@@ -243,7 +245,6 @@ class ScaleEvaluator:
     """
 
     model: LevyModel
-    order: int = 14
     use_closed_form: bool = True
     closed_form: Optional[ClosedForm] = field(init=False, default=None)
     phi0: float = field(init=False, default=0.0)
@@ -251,8 +252,6 @@ class ScaleEvaluator:
     def __post_init__(self):
         if not self.model.validated:
             raise PreconditionViolatedError("evaluator needs a validated model")
-        if self.order % 2 != 0 or self.order < 4:
-            raise ValueError("order must be an even integer >= 4")
         self.phi0 = self.model.phi_zero().value
         if self.use_closed_form:
             self.closed_form = self.model.jumps.closed_form(self.model)
@@ -291,7 +290,7 @@ class ScaleEvaluator:
         """W_shift at a float x or at each x of a 1-D array: the 2N-node
         Talbot value, once the N-node value agrees with it to
         ORDER_AGREEMENT_RTOL."""
-        lo, hi = self._w_talbot(x, (self.order, 2 * self.order))
+        lo, hi = self._w_talbot(x, (TALBOT_ORDER, 2 * TALBOT_ORDER))
         # |hi - lo| > RTOL * max(|hi|, 1e-300), in operators that take a
         # float as cheaply as an array
         gap = abs(hi - lo)
@@ -299,7 +298,7 @@ class ScaleEvaluator:
         if bad.any() if isinstance(bad, np.ndarray) else bad:
             i = np.flatnonzero(bad)[0]
             raise InversionUnstableError(
-                f"orders {self.order} and {2 * self.order} disagree at "
+                f"orders {TALBOT_ORDER} and {2 * TALBOT_ORDER} disagree at "
                 f"x={np.ravel(x)[i]:g}: {np.ravel(lo)[i]:.6g} vs {np.ravel(hi)[i]:.6g}")
         return hi
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -193,6 +194,20 @@ class TestSimulate:
         assert diagnostics["increments"] == kind
         assert (diagnostics["jumps_drawn"] == 0) == (kind == "exact")
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("--estimator", "hitprob", "--horizon", "inf"), "horizon must be finite"),
+        (("--estimator", "hitprob", "--horizon", "nan"), "horizon must be finite"),
+        (("--estimator", "hitprob", "--dt", "nan"), "dt must be finite"),
+        (("--estimator", "hitprob", "--dt", "inf"), "dt must be finite"),
+        (("--estimator", "condexp", "--lam", "nan"), "lam must be finite and > 0"),
+        (("--estimator", "condexp", "--lam", "-1"), "lam must be finite and > 0"),
+    ])
+    def test_non_finite_input_is_config_error(self, capsys, argv, needle):
+        code = main(["simulate", "--model", "bmdrift", "--paths", "100", *argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and needle in err
+
 
 class TestSimulateOracles:
     """Oracles that come from the transform-domain formulas."""
@@ -259,6 +274,41 @@ class TestMainEntry:
         code = main(["classify", "--model", "stable15", "--theta", "1.0"])
         assert code == 0
         assert "extinction_possible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--model", "bmdrift", "--estimator", "bogus", "--paths", "100"),
+        ("classify", "--model", "bmup", "--theta", "abc"),
+        ("scale-table", "--model", "bmup", "--order", "14"),
+        ("simulate", "--model", "cpexp", "--estimator", "hitprob", "--paths", "100",
+         "--no-small-jump-gaussian"),
+    ])
+    def test_usage_error_is_config_error(self, capsys, argv):
+        # 2 is the code of an inconclusive verdict, not of a typo
+        assert main(list(argv)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--model", "bmup", "--theta", "0.7"),
+        ("scale-table", "--model", "bmup", "--count", "3"),
+        ("simulate", "--model", "bmdrift", "--estimator", "hitprob", "--paths", "100",
+         "--dt", "1e-2", "--horizon", "2"),
+    ])
+    def test_manifest_records_every_option(self, tmp_path, capsys, argv):
+        command = argv[0]
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions
+                 if a.option_strings and a.dest not in ("help", "outdir", "force")}
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert dests and dests <= set(manifest["flags"]), dests - set(manifest["flags"])
 
     def test_import_loads_no_scipy(self):
         # scipy is imported inside the functions that use it

@@ -30,9 +30,6 @@ from levyfn.levy_model import (
     _NP,
     _hp_consts,
     _upper_gamma,
-    jump_mean_eps_to_one,
-    jump_small_variance,
-    jump_tail_mass,
     laplace_exponent_hp,
 )
 
@@ -233,7 +230,7 @@ class TestHighPrecisionAgreement:
 def test_tempered_small_jump_variance(alpha, q, eps):
     """integral_0^eps u^2 pi(du) = C q^(alpha-2) gamma(2-alpha, q eps)."""
     C = 0.7
-    got = jump_small_variance(TemperedStable(alpha=alpha, scale=C, tempering=q), eps)
+    got = TemperedStable(alpha=alpha, scale=C, tempering=q).small_variance(eps)
     with mp.workdps(40):
         a = mp.mpf(alpha)
         want = C * mp.mpf(q) ** (a - 2) * mp.gammainc(2 - a, 0, mp.mpf(q) * mp.mpf(eps))
@@ -256,11 +253,9 @@ def test_tempered_tail_mass_and_mean(alpha, q, eps):
         assert abs(jumps.mean_eps_to_one(eps) - mean) <= 1e-13 * mean
 
 
-# One family of each kind, with the Levy density written out in mpmath.
+# The families that define the jump integrals of the truncated step, with
+# the Levy density written out in mpmath.
 JUMP_FAMILIES = {
-    "stable06": (StablePositive(alpha=0.6, scale=0.7), lambda u: 0.7 * u ** mp.mpf(-1.6)),
-    "stable1": (StablePositive(alpha=1.0, scale=0.7), lambda u: 0.7 * u ** -2),
-    "stable15": (StablePositive(alpha=1.5, scale=0.7), lambda u: 0.7 * u ** mp.mpf(-2.5)),
     "cpexp": (CompoundPoissonExp(rate=2.0, jump_mean=0.5), lambda u: 4 * mp.exp(-2 * u)),
     **{f"tempered{a}": (TemperedStable(alpha=a, scale=0.7, tempering=2.0),
                         lambda u, a=a: 0.7 * mp.exp(-2 * u) * u ** (-1 - mp.mpf(a)))
@@ -280,16 +275,9 @@ class TestJumpIntegrals:
             want = (mp.quad(density, [e, 1, mp.inf]),
                     mp.quad(lambda u: u * density(u), [e, 1]),
                     mp.quad(lambda u: u * u * density(u), [0, e]))
-        got = (jump_tail_mass(jumps, eps), jump_mean_eps_to_one(jumps, eps),
-               jump_small_variance(jumps, eps))
+        got = (jumps.tail_mass(eps), jumps.mean_eps_to_one(eps), jumps.small_variance(eps))
         for g, w in zip(got, want):
             assert g == pytest.approx(float(w), rel=1e-10)
-
-    @pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.1])
-    def test_no_jumps_are_zero(self, eps):
-        assert jump_tail_mass(NoJumps(), eps) == 0.0
-        assert jump_mean_eps_to_one(NoJumps(), eps) == 0.0
-        assert jump_small_variance(NoJumps(), eps) == 0.0
 
 
 class TestDerivative:
@@ -352,21 +340,6 @@ class TestPhiZero:
         raw = LevyModel(drift=-1.0, gaussian=0.0, jumps=NoJumps(), validated=True)
         with pytest.raises(BracketNotFoundError):
             raw.phi_zero()
-
-
-class TestShiftedExponent:
-    def test_values(self):
-        m = brownian_model(-1.0)
-        assert m.shifted_exponent(1.0) == pytest.approx(2.0, abs=1e-9)
-        assert abs(m.shifted_exponent(0.0)) <= 1e-9
-
-    def test_identity_when_phi_zero(self):
-        m = stable_power_model(1.5)
-        assert m.shifted_exponent(3.0) == m.laplace_exponent(3.0)
-
-    @given(models_strategy(), st.floats(0.1, 50.0))
-    def test_positive_beyond_zero(self, m, lam):
-        assert m.shifted_exponent(lam) > 0.0
 
 
 class TestHitProbability:

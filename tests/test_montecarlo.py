@@ -30,7 +30,6 @@ from levyfn import (
     validate,
 )
 from levyfn.errors import AllCensoredError, PreconditionViolatedError
-from levyfn.levy_model import jump_tail_mass
 from levyfn.montecarlo import substream_generator
 
 DRIFT_LINE = validate(1.0, 0.0, NoJumps())  # Z = x - t, deterministic
@@ -51,6 +50,19 @@ class TestPathConfig:
             PathConfig(dt=1e-3, horizon=1.0, barrier=2.0, eps=1.5)
         with pytest.raises(ValueError):
             PathConfig(dt=1e-3, horizon=1.0, barrier=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["dt", "horizon"])
+    def test_rejects_non_finite_grid(self, name, value):
+        kwargs = {"dt": 1e-3, "horizon": 1.0, "barrier": 2.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            PathConfig(**kwargs)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, 0.0])
+def test_condexp_weight_must_be_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="lam"):
+        CondExpFunctional(lam)
 
 
 class TestSamplePath:
@@ -83,16 +95,14 @@ class TestSamplePath:
         assert p.stop_time == pytest.approx(0.05, abs=2e-3)
 
     def test_no_downward_jumps_beyond_diffusion_scale(self):
-        # spectrally positive: all heavy moves point up
-        m = stable_power_model(1.5)
+        # spectrally positive: all heavy moves of a truncated step point up
+        m = TEMPERED13
         cfg = PathConfig(dt=1e-3, horizon=5.0, barrier=1e6, seed=3)
         p = sample_path(m, 1.0, cfg, 4)
         steps = np.diff(p.values)
-        from levyfn.levy_model import jump_mean_eps_to_one, jump_small_variance
-
-        drift_step = cfg.dt * (m.drift + jump_mean_eps_to_one(m.jumps, cfg.eps))
-        small_sd = math.sqrt(cfg.dt * jump_small_variance(m.jumps, cfg.eps))
-        assert steps.min() >= -(drift_step + 8.0 * small_sd)
+        drift_step = cfg.dt * (m.drift + m.jumps.mean_eps_to_one(cfg.eps))
+        sd = math.sqrt(cfg.dt * (2.0 * m.gaussian + m.jumps.small_variance(cfg.eps)))
+        assert steps.min() >= -(drift_step + 8.0 * sd)
 
     def test_same_substream_reproduces(self):
         m = builtin_model("bmdrift")
@@ -449,7 +459,7 @@ class TestMcEstimate:
             return
         assert s.extras["increments"] == "truncated"
         # jump totals are Poisson given the steps drawn
-        mean = jump_tail_mass(m.jumps, cfg.eps) * cfg.dt * s.extras["steps_drawn"]
+        mean = m.jumps.tail_mass(cfg.eps) * cfg.dt * s.extras["steps_drawn"]
         assert abs(s.extras["jumps_drawn"] - mean) <= 4.0 * math.sqrt(mean)
 
     def test_seed_changes_result(self):

@@ -26,6 +26,7 @@ from levyfn import (
     stable_power_model,
     validate,
 )
+from levyfn import scale_fn
 from levyfn.errors import (
     InversionUnstableError,
     NumericalOverflowError,
@@ -76,9 +77,10 @@ class TestScaleW:
             assert (ws > 0.0).all(), name
             assert (np.diff(ws) >= -1e-9 * ws.max()).all(), name
 
-    def test_low_order_is_detected_unstable(self):
+    def test_low_order_is_detected_unstable(self, monkeypatch):
+        monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         with pytest.raises(InversionUnstableError):
-            ScaleEvaluator(builtin_model("cpexp"), order=4)
+            ScaleEvaluator(builtin_model("cpexp"))
 
     def test_unvalidated_model_rejected(self):
         from levyfn import LevyModel
@@ -313,7 +315,7 @@ class TestTalbot:
     def test_returns_doubled_order_inversion(self, ev):
         for x in np.geomspace(0.05, 20.0, 9):
             x = float(x)
-            (w_2n,) = ev._w_talbot(x, (2 * ev.order,))
+            (w_2n,) = ev._w_talbot(x, (2 * scale_fn.TALBOT_ORDER,))
             assert ev.scale_w(x) == math.exp(ev.phi0 * x) * w_2n
 
     def test_no_hp_psi_calls(self, ev, monkeypatch):
@@ -437,8 +439,6 @@ class TestLaplaceIdentity:
                        - laplace_identity_residual(inverted, lam)) <= 1e-9
 
     def test_no_float_gaver_stehfest(self, evaluators, monkeypatch):
-        from levyfn import scale_fn
-
         calls = []
         orig = scale_fn.gs_invert_float
 
@@ -459,13 +459,13 @@ class TestLaplaceIdentity:
         # at 4 against 8 nodes cpexp's W disagrees near x = 9 (see
         # TestScaleW.test_low_order_is_detected_unstable)
         ev = ScaleEvaluator(builtin_model("cpexp"))
-        monkeypatch.setattr(ev, "order", 4)
+        monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         with pytest.raises(InversionUnstableError):
             laplace_identity_residual(ev, ev.phi0 + 1.0)
 
     def test_occupation_route_checks_orders(self, monkeypatch):
         ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
-        monkeypatch.setattr(ev, "order", 4)
+        monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         with pytest.raises(InversionUnstableError):
             ev.occupation_expectation(EXP_DECAY, 1.0, 0.2)
 
@@ -476,7 +476,7 @@ class TestLaplaceIdentity:
         # the rows sum in another order than one point's dot product does;
         # the weights reach e^{0.4 * 28}, so rounding differs near 1e-12
         np.testing.assert_allclose(ev._w_shifted_array(xs), want, rtol=1e-11)
-        monkeypatch.setattr(ev, "order", 4)
+        monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         unstable = []
         for x in xs:
             try:
@@ -732,8 +732,6 @@ class TestInversionRoute:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_no_float_gaver_stehfest(self, name, monkeypatch):
-        from levyfn import scale_fn
-
         calls = []
         orig = scale_fn.gs_invert_float
 
