@@ -70,13 +70,28 @@ def _manifest(command: str, model, flags: dict) -> dict:
     }
 
 
+def _strict(obj):
+    """`obj` with each non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _dumps(obj, indent: int | None = None) -> str:
+    """Strict JSON, with sorted keys, for every JSON output of the CLI."""
+    return json.dumps(_strict(obj), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _emit_manifest(manifest: dict, outdir: Path | None, force: bool) -> None:
     if outdir is None:
-        print(json.dumps({"manifest": manifest}, sort_keys=True), file=sys.stderr)
+        print(_dumps({"manifest": manifest}), file=sys.stderr)
         return
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_text(outdir / "manifest.json",
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n", force)
+    _write_text(outdir / "manifest.json", _dumps(manifest, indent=2) + "\n", force)
 
 
 def _write_text(path: Path, text: str, force: bool) -> None:
@@ -108,12 +123,11 @@ def cmd_classify(args) -> int:
     outdir = Path(args.outdir) if args.outdir else None
     if outdir is not None:
         _emit_manifest(manifest, outdir, args.force)
-        _write_text(outdir / "classify.json",
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n", args.force)
-        print(json.dumps(payload, sort_keys=True))
+        _write_text(outdir / "classify.json", _dumps(payload, indent=2) + "\n", args.force)
+        print(_dumps(payload))
     else:
         payload["manifest"] = manifest
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload, indent=2))
     return EXIT_OK if report.decisive else EXIT_INCONCLUSIVE
 
 
@@ -169,10 +183,6 @@ def _analytic_oracle(model, args) -> dict:
     scale function is inverted here.
     """
     oracle: dict = {}
-
-    def finite_or_inf(val: float):
-        return val if math.isfinite(val) else "inf"
-
     try:
         if args.estimator == "hitprob":
             oracle["hit_probability"] = model.hit_probability(args.x)
@@ -180,11 +190,11 @@ def _analytic_oracle(model, args) -> dict:
             oracle["conditional_exp_closed_form"] = (
                 conditional_exp_constant_closed_form(model, args.x, args.lam))
         elif args.estimator == "condexp":
-            oracle["conditional_exp_transform"] = finite_or_inf(conditional_exp_transform(
-                model, _functional_from_args(args), args.x, args.lam))
+            oracle["conditional_exp_transform"] = conditional_exp_transform(
+                model, _functional_from_args(args), args.x, args.lam)
         elif args.estimator == "meanpassage":
-            oracle["occupation_quadrature"] = finite_or_inf(occupation_transform(
-                model, _functional_from_args(args), args.x, args.y))
+            oracle["occupation_quadrature"] = occupation_transform(
+                model, _functional_from_args(args), args.x, args.y)
     except LevyFnError as exc:
         oracle["note"] = f"no analytic oracle: {exc}"
     return oracle
@@ -211,7 +221,7 @@ def cmd_simulate(args) -> int:
 
     payload = {
         "estimator": args.estimator,
-        "estimate": summary.estimate if math.isfinite(summary.estimate) else "inf",
+        "estimate": summary.estimate,
         "stderr": summary.stderr,
         "n_paths": summary.n_paths,
         "censored_fraction": summary.censored_fraction,
@@ -229,9 +239,8 @@ def cmd_simulate(args) -> int:
     _emit_manifest(manifest, outdir, args.force)
     if outdir is not None:
         _write_text(outdir / "paths.csv", csv_text, args.force)
-        _write_text(outdir / "summary.json",
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n", args.force)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_text(outdir / "summary.json", _dumps(payload, indent=2) + "\n", args.force)
+    print(_dumps(payload, indent=2))
     return EXIT_OK
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -66,7 +66,9 @@ from .errors import (
     QuadratureFailureError,
     SignChangeError,
 )
-from .levy_model import LevyModel
+
+if TYPE_CHECKING:  # annotations only; levy_model imports finite_integral
+    from .levy_model import LevyModel
 
 # Verdict heuristics: geometric-decay ratio for "converges", ratio margin
 # 2**(-DIVERGE_MARGIN) for "diverges", judged over the last WINDOW doublings.

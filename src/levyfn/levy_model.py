@@ -39,6 +39,11 @@ integral near 0+ needs.  The numpy psi takes the same form, with complex
 log1p in Kahan's form (`_log1p_np`).  The high-precision (mpmath) psi, the
 reference the inversion is tested against, keeps the direct form: at its
 working precision the cancellation is harmless.
+
+The tempered family's incomplete gamma integrals, the tail mean
+C q^(alpha-1) Gamma(1-alpha, q) in psi and the truncated step's jump
+integrals, take Legendre's continued fraction where the argument is >= 1
+and the K15 quadrature core of :mod:`levyfn.integral_tests` below it.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from .errors import (
     NumericalOverflowError,
     SubordinatorError,
 )
+from .integral_tests import finite_integral
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -72,21 +78,6 @@ PROBE_RATIO = 2.0
 
 # Absolute tolerance for the positive root of psi.
 ROOT_TOL = 1e-10
-
-
-# |s| below which Gamma(s, x < 1) is taken from a series that is smooth in s:
-# the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x)/s loses digits in
-# proportion to 1/|s|.
-SMALL_S = 0.1
-# (-1)^k zeta(k)/k for k = 2..25: the series of log Gamma(1+s) + gamma*s,
-# whose terms fall below 1e-17 at |s| <= SMALL_S well before k = 25.
-_LGAMMA1P_COEFFS = (
-    0.8224670334241132, -0.40068563438653143, 0.27058080842778454, -0.207385551028674,
-    0.16955717699740822, -0.14404989676884614, 0.12550966952474304, -0.11133426586956469,
-    0.10009945751278179, -0.09095401714582904, 0.083353840546109, -0.0769325164113522,
-    0.07143294629536134, -0.06666870588242046, 0.06250095514121304, -0.05882397865868458,
-    0.055555767627403614, -0.05263167937961666, 0.05000004769810169, -0.04761907033014223,
-    0.04545455629320467, -0.04347826605304026, 0.04166666915034121, -0.04000000119214014)
 
 
 def _upper_gamma_cf(s: float, x: float) -> float:
@@ -111,40 +102,13 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     return math.exp(s * math.log(x) - x) * h
 
 
-def _upper_gamma_series(s: float, x: float) -> float:
-    """Gamma(s, x) for 0 < |s| <= SMALL_S and 0 < x < 1, as Gamma(s) -
-    gamma(s, x) with the two poles at s = 0 cancelled by hand:
-    (Gamma(1+s) - 1)/s - (x^s - 1)/s - x^s sum_{k>=1} (-x)^k / (k! (s+k))."""
-    acc = 0.0
-    for coeff in reversed(_LGAMMA1P_COEFFS):
-        acc = acc * s + coeff
-    gamma1pm1_over_s = math.expm1(s * (s * acc - EULER_GAMMA)) / s
-    log_x = math.log(x)
-    total, term, k = 0.0, 1.0, 1
-    while True:
-        term *= -x / k
-        inc = term / (s + k)
-        total += inc
-        if abs(inc) <= 1e-17 * abs(total):
-            break
-        k += 1
-    return gamma1pm1_over_s - math.expm1(s * log_x) / s - math.exp(s * log_x) * total
-
-
 def _upper_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) for s in (-1, 1) and x > 0."""
-    from scipy.special import exp1, gamma, gammaincc
-
-    if s == 0.0:
-        return float(exp1(x))
+    """Upper incomplete gamma Gamma(s, x) for s < 2 and x > 0: the continued
+    fraction for x >= 1, else the K15 integral of t^(s-1) e^-t over [x, 1]
+    plus Gamma(s, 1)."""
     if x >= 1.0:
         return _upper_gamma_cf(s, x)
-    if abs(s) <= SMALL_S:
-        return _upper_gamma_series(s, x)
-    if s > 0.0:
-        return float(gammaincc(s, x) * gamma(s))
-    # Gamma(s, x) = (Gamma(s+1, x) - x**s e^-x) / s, with s + 1 in (0, 1)
-    return float(gammaincc(s + 1.0, x) * gamma(s + 1.0) - x**s * math.exp(-x)) / s
+    return finite_integral(lambda t: t ** (s - 1.0) * np.exp(-t), x, 1.0) + _upper_gamma_cf(s, 1.0)
 
 
 def _log1p_np(u):
@@ -531,29 +495,25 @@ class TemperedStable(_Family):
         return self.scale * math.exp(-self.tempering * u) * u ** (-1.0 - self.alpha)
 
     def tail_mass(self, eps):
-        # C q^a Gamma(-a, q eps); for a >= 1 below q eps = 1, Gamma(-a, x) =
-        # (x^-a e^-x - Gamma(1-a, x))/a with 1 - a in (-1, 0]
+        # C q^a Gamma(-a, q eps)
         a, C, q = self.alpha, self.scale, self.tempering
-        x = q * eps
-        if a < 1.0:
-            g = _upper_gamma(-a, x)
-        elif x >= 1.0:
-            g = _upper_gamma_cf(-a, x)
-        else:
-            g = (x**-a * math.exp(-x) - _upper_gamma(1.0 - a, x)) / a
-        return C * q**a * g
+        return C * q**a * _upper_gamma(-a, q * eps)
 
     def mean_eps_to_one(self, eps):
-        # C q^(a-1) [Gamma(1-a, q eps) - Gamma(1-a, q)]
+        # C q^(a-1) integral_{q eps}^q t^-a e^-t dt, one piece (0 at eps = 1)
         a, C, q = self.alpha, self.scale, self.tempering
-        return C * q ** (a - 1.0) * (_upper_gamma(1.0 - a, q * eps) - _upper_gamma(1.0 - a, q))
+        if eps == 1.0:
+            return 0.0
+        return C * q ** (a - 1.0) * finite_integral(lambda t: t**-a * np.exp(-t), q * eps, q)
 
     def small_variance(self, eps):
-        # C q^(a-2) gamma(2-a, q eps), with the lower incomplete gamma
-        from scipy.special import gamma, gammainc
-
+        # C q^(a-2) gamma(2-a, q eps), the lower incomplete gamma, as
+        # x^s/s + integral_0^x t^(s-1) expm1(-t) dt with s = 2-a, x = q eps:
+        # the singular part in closed form, a remainder that vanishes like t^s
         a, C, q = self.alpha, self.scale, self.tempering
-        return float(C * q ** (a - 2.0) * gammainc(2.0 - a, q * eps) * gamma(2.0 - a))
+        s, x = 2.0 - a, q * eps
+        rest = finite_integral(lambda t: t ** (s - 1.0) * np.expm1(-t), 0.0, x)
+        return C * q ** (a - 2.0) * (x**s / s + rest)
 
     def exponent(self, b, c, ops):
         a, C, q = ops.real(self.alpha), ops.real(self.scale), ops.real(self.tempering)
@@ -586,7 +546,10 @@ class TemperedStable(_Family):
         return {"b": beff, "c": c, "CG": CG, "psi": psi, "dpsi": dpsi}
 
     def sampler(self, eps):
-        # rejection from the stable proposal, accepted with e^{-q(u-eps)}
+        # alpha < 1 draws exact increments; else rejection from the stable
+        # proposal, accepted with e^{-q(u-eps)}
+        if self.alpha < 1.0:
+            return None
         inv = -1.0 / self.alpha
         q = self.tempering
 

@@ -91,7 +91,8 @@ _BATCH_MAX = 32
 class PathConfig:
     """Discretization and stopping parameters for one simulation run.
 
-    `dt` and `horizon` are finite and positive.  `eps` is the small-jump
+    `dt` and `horizon` are finite and positive, `stop_level` finite and
+    >= 0, and `barrier` (inf allowed) above it.  `eps` is the small-jump
     truncation level: jumps below it are replaced by a normal of their
     variance.  It applies only to truncated families, those whose
     `increment_sampler` is None.
@@ -111,9 +112,9 @@ class PathConfig:
             raise ValueError("horizon must be finite and > 0")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        if self.stop_level < 0.0:
-            raise ValueError("stop_level must be >= 0")
-        if self.barrier <= self.stop_level:
+        if not 0.0 <= self.stop_level < math.inf:
+            raise ValueError("stop_level must be finite and >= 0")
+        if not self.barrier > self.stop_level:
             raise ValueError("barrier must exceed the stop level")
 
 
@@ -471,9 +472,14 @@ class HitProb:
 
 @dataclass(frozen=True)
 class MeanPassage:
-    """Mean of int_0^{first passage below y} f(Z) dt over all paths."""
+    """Mean of int_0^{first passage below y} f(Z) dt over all paths; y is
+    finite and > 0."""
 
     y: float
+
+    def __post_init__(self):
+        if not 0.0 < self.y < math.inf:
+            raise ValueError("passage level y must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -528,7 +534,7 @@ def _weighted_spec(f: FunctionalSpec, lam: float) -> Generic:
 def _batches(n: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous (first, count) path ranges: one per worker, split further so
     that no lockstep block holds more than _BATCH_MAX paths."""
-    per_worker = -(-n // max(workers, 1))
+    per_worker = -(-n // workers)
     pieces = -(-per_worker // _BATCH_MAX)
     size = -(-per_worker // pieces)
     return [(lo, min(size, n - lo)) for lo in range(0, n, size)]
@@ -544,12 +550,12 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
     """
     if n < 100:
         raise PreconditionViolatedError("need n >= 100 paths")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if f is None:
         if not isinstance(estimator, HitProb):
             raise PreconditionViolatedError("this estimator needs a functional f")
     if isinstance(estimator, MeanPassage):
-        if estimator.y <= 0.0:
-            raise ValueError("passage level y must be > 0")
         cfg = replace(cfg, stop_level=estimator.y)
 
     start = time.perf_counter()

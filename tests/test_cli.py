@@ -201,12 +201,34 @@ class TestSimulate:
         (("--estimator", "hitprob", "--dt", "inf"), "dt must be finite"),
         (("--estimator", "condexp", "--lam", "nan"), "lam must be finite and > 0"),
         (("--estimator", "condexp", "--lam", "-1"), "lam must be finite and > 0"),
+        (("--estimator", "hitprob", "--barrier", "nan"), "barrier must exceed the stop level"),
+        (("--estimator", "meanpassage", "--y", "nan"), "y must be finite and > 0"),
+        (("--estimator", "hitprob", "--workers", "0"), "workers must be >= 1"),
     ])
     def test_non_finite_input_is_config_error(self, capsys, argv, needle):
         code = main(["simulate", "--model", "bmdrift", "--paths", "100", *argv])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error:") and needle in err
+
+    def test_json_outputs_are_strict(self, tmp_path, capsys):
+        # an infinite barrier is a valid input; strict parsers reject Infinity
+        out = tmp_path / "run"
+        argv = ["simulate", "--model", "bmdrift", "--estimator", "hitprob", "--paths", "100",
+                "--dt", "5e-3", "--horizon", "2", "--barrier", "inf", "--seed", "3"]
+        assert main([*argv, "--outdir", str(out)]) == 0
+        stdout, _ = capsys.readouterr()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+        assert manifest["flags"]["barrier"] == "inf"
+        json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        json.loads(stdout, parse_constant=reject)
+        assert main(argv) == 0
+        _, err = capsys.readouterr()
+        assert json.loads(err, parse_constant=reject)["manifest"]["flags"]["barrier"] == "inf"
 
 
 class TestSimulateOracles:

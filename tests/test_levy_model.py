@@ -225,8 +225,8 @@ class TestHighPrecisionAgreement:
         with mp.workdps(50):
             assert abs(got / want - 1) <= 1e-25
 
-@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.5, 1.9])
-@pytest.mark.parametrize("q, eps", [(2.0, 1e-3), (5.0, 1e-4), (0.5, 0.1)])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0, 1.5, 1.9, 1.95, 1.99, 1.999])
+@pytest.mark.parametrize("q, eps", [(2.0, 1e-3), (5.0, 1e-4), (0.5, 0.1), (1.0, 1.0), (30.0, 1.0)])
 def test_tempered_small_jump_variance(alpha, q, eps):
     """integral_0^eps u^2 pi(du) = C q^(alpha-2) gamma(2-alpha, q eps)."""
     C = 0.7
@@ -278,6 +278,11 @@ class TestJumpIntegrals:
         got = (jumps.tail_mass(eps), jumps.mean_eps_to_one(eps), jumps.small_variance(eps))
         for g, w in zip(got, want):
             assert g == pytest.approx(float(w), rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["cpexp", "tempered1.3"])
+    def test_mean_eps_to_one_is_zero_at_one(self, name):
+        jumps, _ = JUMP_FAMILIES[name]
+        assert jumps.mean_eps_to_one(1.0) == 0.0
 
 
 class TestDerivative:
@@ -381,9 +386,8 @@ class TestJsonConfig:
 
 
 class TestUpperGamma:
-    """Gamma(s, q) = C q^(a-1) tail-mean constant of the tempered family, at
-    s = 1 - alpha near 0, where the recurrence through Gamma(s+1, q) loses
-    digits in proportion to 1/|s|."""
+    """Gamma(s, q): at s = 1 - alpha near 0 the tail-mean constant of the
+    tempered family's psi, and at s = -alpha in (-2, -1] its tail mass."""
 
     @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.05, 0.99, 0.95])
     @pytest.mark.parametrize("q", [0.5, 5.0, 30.0])
@@ -393,7 +397,7 @@ class TestUpperGamma:
             want = mp.gammainc(mp.mpf(s), mp.mpf(q))
             assert abs(_upper_gamma(s, q) - want) <= 1e-14 * abs(want)
 
-    @pytest.mark.parametrize("s", [-0.9, -0.5, -0.2, 0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("s", [-1.9, -1.5, -1.001, -1.0, -0.9, -0.5, -0.2, 0.0, 0.3, 0.8])
     @pytest.mark.parametrize("q", [0.2, 1.0, 3.0, 60.0])
     def test_matches_mpmath_elsewhere(self, s, q):
         with mp.workdps(40):

@@ -58,11 +58,30 @@ class TestPathConfig:
         with pytest.raises(ValueError, match=name):
             PathConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["barrier", "stop_level"])
+    def test_rejects_nan_levels(self, name):
+        kwargs = {"dt": 1e-3, "horizon": 1.0, "barrier": 2.0, name: math.nan}
+        with pytest.raises(ValueError, match=name):
+            PathConfig(**kwargs)
+
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, 0.0])
 def test_condexp_weight_must_be_finite_and_positive(lam):
     with pytest.raises(ValueError, match="lam"):
         CondExpFunctional(lam)
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -1.0, 0.0])
+def test_passage_level_must_be_finite_and_positive(y):
+    with pytest.raises(ValueError, match="passage level y"):
+        MeanPassage(y)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    cfg = PathConfig(dt=1e-3, horizon=1.0, barrier=2.0)
+    with pytest.raises(ValueError, match="workers"):
+        mc_estimate(DRIFT_LINE, 1.0, None, HitProb(), 100, cfg, workers=workers)
 
 
 class TestSamplePath:
@@ -142,12 +161,13 @@ class TestSamplePath:
 
 
 # pi([u, inf)) up to a constant factor, in mpmath, for each family with a
-# truncated sampler (stable increments are drawn exactly, with no sampler)
+# truncated sampler (stable, and tempered alpha < 1, increments are drawn
+# exactly, with no sampler)
 JUMP_TAILS = {
     "cpexp": (CompoundPoissonExp(rate=2.0, jump_mean=0.5), lambda u: mp.exp(-2 * u)),
     **{f"tempered{a}": (TemperedStable(alpha=a, scale=0.7, tempering=2.0),
                         lambda u, a=a: mp.gammainc(-mp.mpf(a), 2 * u))
-       for a in (0.6, 1.0, 1.3)},
+       for a in (1.0, 1.3)},
 }
 
 
@@ -173,6 +193,11 @@ class TestJumpSizeLaw:
     def test_stable_has_no_truncated_sampler(self):
         # paths draw stable increments exactly, never truncated jumps
         jumps = StablePositive(alpha=1.5, scale=0.7)
+        assert jumps.sampler(1e-3) is None and jumps.increment_sampler(1e-3) is not None
+
+    def test_tempered_below_one_has_no_truncated_sampler(self):
+        # tempered alpha < 1 increments are drawn exactly as well
+        jumps = TemperedStable(0.6, 0.7, 2.0)
         assert jumps.sampler(1e-3) is None and jumps.increment_sampler(1e-3) is not None
 
 
