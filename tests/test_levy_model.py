@@ -387,7 +387,7 @@ class TestJsonConfig:
 
 class TestUpperGamma:
     """Gamma(s, q): at s = 1 - alpha near 0 the tail-mean constant of the
-    tempered family's psi, and at s = -alpha in (-2, -1] its tail mass."""
+    tempered family's psi, and at s = -alpha in (-2, 0) its tail mass."""
 
     @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.05, 0.99, 0.95])
     @pytest.mark.parametrize("q", [0.5, 5.0, 30.0])
