@@ -10,22 +10,28 @@ as inconclusive.
 
 Each of the DOUBLINGS panels is integrated by the 7-point Gauss / 15-point Kronrod pair with
 QUADPACK's error estimate (Piessens et al., *QUADPACK*, 1983, qk15).  The
-integrand is evaluated once on a float64 array holding the K15 nodes of all
-panels and one sign probe per panel.  The panels before the early stop
-(three negligible increments in a row) whose error estimate exceeds
-PANEL_EPSREL = 1e-10 of their value are then refined, one array call per
-level for at most MAX_LEVELS levels: each of their pieces whose error
+panels from base 1, outward and inward, are built once at import (their
+ends, half-widths, K15 nodes and sign probes), and a sweep from base b
+scales them by b into a fresh array, with the same nodes bit for bit as
+panels built from b.  The integrand is evaluated once on that float64 array
+of the K15 nodes of all panels and one sign probe per panel.  When no panel
+before the early stop (three negligible increments in a row) has an error
+estimate above PANEL_EPSREL = 1e-10 of its value, which is the common case,
+the sweep ends there.  Otherwise those panels are refined, one array call
+per level for at most MAX_LEVELS levels: each of their pieces whose error
 exceeds its length's share of the target is bisected, and a piece keeps its
-halves only when their errors sum below its own.  A panel still above the
-target is counted in the verdict's `quad_warnings`, not raised; a
-non-finite value on a panel before the early stop raises
-NumericalOverflowError, one beyond it is ignored.
+halves only when their errors sum below its own.  The early stop is found
+once per level and handed to the verdict.  A panel still above the target
+is counted in the verdict's `quad_warnings`, not raised; a non-finite value
+on a panel before the early stop raises NumericalOverflowError, one beyond
+it is ignored.
 
 `finite_integral` takes an integral the caller knows to converge through
 the same sweep: doubling panels on a closed piece, and at an open end (0+
-or inf) the panels before the early stop plus the geometric tail at the
-last panel ratio, with none of the verdict's ratio rules.
-`LaplaceRep.values` takes the same K15 rule on fixed panels in t.
+or inf) the panels before the early stop plus the tail beyond them, whose
+ratios are extrapolated from the last three (one Richardson step), with
+none of the verdict's ratio rules.  `LaplaceRep.values` takes the same K15 rule
+on fixed panels in t.
 
 An integrand should take a float64 array and return the array of its
 values.  One that cannot (an array call raises TypeError or ValueError, or
@@ -38,9 +44,10 @@ value, route, start, panel count, flagged-panel count and reason, and one
 float64 record of the sweep (the partial sum, the largest relative error
 estimate and the magnitudes of the last WINDOW + 1 increments).  Its
 `diagnostics` property builds the familiar dict on each read, with the
-ratios, the fitted exponent and the tail estimate derived from the
-increments.  A `BoundaryReport` holds the hitting probability and its
-verdicts; its flags and `survival_prob` are derived from them.
+ratios, the fitted exponent, the margins to the two ratio rules and the
+tail estimate derived from the increments.  A `BoundaryReport` holds the
+hitting probability and its verdicts; its flags and `survival_prob` are
+derived from them.
 
 The kind of the functional f alone picks the formula each test uses.  Every
 kind owns `value(x)` in plain float arithmetic, `values(arr)` on numpy
@@ -52,7 +59,7 @@ names the general (reference) route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -144,12 +151,13 @@ class LaplaceRep(_Functional):
     `values` takes one fixed rule for every x: K15 on the doubling panels
     [2^k, 2^(k+1)] of t, k = -88, ..., 55, with g evaluated once per call on
     the rule's 2160 nodes (one array call when g takes arrays, see
-    `_on_arrays`).  The piece on (0, 2^-88) is the geometric series of the
-    first two panels of g, which is exact for g ~ t^(theta-1) at 0+.  The
-    rule is accurate for x in [2^-48, 2^48]: there e^(-xt) is within 2^-40
-    of 1 below the first panel and below e^(-256) past the last, and it
-    matches 1/(1+x), 1/(1+x)^2 and x^(-theta), theta in [0.05, 2.5], to
-    1e-14 relative.  An x outside that range raises
+    `_on_arrays`); each block of x skips the nodes where e^(-xt) is 0 for
+    all of its x, past xt = 746.  The piece on (0, 2^-88) is the geometric
+    series of the first two panels of g, which is exact for g ~ t^(theta-1)
+    at 0+.  The rule is accurate for x in [2^-48, 2^48]: there e^(-xt) is
+    within 2^-40 of 1 below the first panel and below e^(-256) past the
+    last, and it matches 1/(1+x), 1/(1+x)^2 and x^(-theta), theta in
+    [0.05, 2.5], to 1e-14 relative.  An x outside that range raises
     PreconditionViolatedError.
     """
 
@@ -173,7 +181,10 @@ class LaplaceRep(_Functional):
         head = first * rho / (1.0 - rho) if rho < 1.0 else math.inf
         out = np.empty(len(flat))
         for s in range(0, len(flat), _LAPLACE_ROWS):
-            out[s:s + _LAPLACE_ROWS] = np.exp(-flat[s:s + _LAPLACE_ROWS, None] * nodes) @ gw
+            block = flat[s:s + _LAPLACE_ROWS]
+            # e^(-xt) is exactly 0 for every x of the block past this node
+            cut = np.searchsorted(nodes, _EXP_UFLOW / block.min(), side="right")
+            out[s:s + _LAPLACE_ROWS] = np.exp(-block[:, None] * nodes[:cut]) @ gw[:cut]
         return (out + head).reshape(x.shape)
 
     def laplace_density(self) -> Callable:
@@ -262,7 +273,10 @@ class TestVerdict:
     sweep).  Callers may keep many reports of one or two verdicts each, and
     the record takes about 100 bytes where separate floats and an ndarray
     take about 250.  `diagnostics` derives the panel ratios, the fitted
-    exponent and the tail estimate from the increments on each read.
+    exponent, the tail estimate and the two margins from the increments on
+    each read: `converge_margin` = CONVERGE_RATIO - max(ratios) and
+    `diverge_margin` = min(ratios) - 2**(-DIVERGE_MARGIN), so a decisive
+    verdict's own margin is >= 0 and an inconclusive one has both < 0.
     """
 
     verdict: str                      # converges | diverges | inconclusive
@@ -323,6 +337,8 @@ class TestVerdict:
                 ratios = _ratios(mags)
                 d["ratios"] = ratios
                 d["fitted_exponent"] = _fitted_exponent(ratios, self.at_infinity)
+                d["converge_margin"] = CONVERGE_RATIO - max(ratios)
+                d["diverge_margin"] = min(ratios) - 2.0 ** (-DIVERGE_MARGIN)
                 if self.converges:
                     d["tail_estimate"] = _tail(mags, ratios)
         if self.reason is not None:
@@ -382,6 +398,8 @@ TRANSFORM_FAIL_RTOL = 1e-6
 # share one block of exp(-x t) (a 128 x 2160 float64 block is 2.2 MB)
 _LAPLACE_X = (2.0**-48, 2.0**48)
 _LAPLACE_ROWS = 128
+# exp(-u) rounds to 0 in float64 for every u above this
+_EXP_UFLOW = 746.0
 
 
 @lru_cache(maxsize=1)
@@ -399,13 +417,42 @@ def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * K15_NODES
 
 
-def _k15(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K15 value and QUADPACK error estimate of each panel from its node values.
+def _rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The panels [lo, hi] as `_sweep` takes them: their ends, their
+    half-widths, and the points of its first array call (the K15 nodes of
+    every panel, then one geometric-midpoint sign probe per panel) as the
+    sum of two flat arrays, the panel midpoints (the probes) and the nodes'
+    offsets from them (zeros)."""
+    half = (hi - lo) / 2.0
+    mids = np.concatenate((np.repeat((lo + hi) / 2.0, len(K15_NODES)), np.sqrt(lo * hi)))
+    offsets = np.concatenate(((half[:, None] * K15_NODES).ravel(), np.zeros(len(lo))))
+    return lo, hi, half, mids, offsets
+
+
+def _unit_rule(at_inf: bool) -> tuple[np.ndarray, ...]:
+    """`_rule` of the DOUBLINGS panels from 1 outward (or inward), read-only."""
+    k = np.arange(DOUBLINGS + 1.0)
+    edges = 2.0 ** (k if at_inf else -k)
+    rule = _rule(edges[:-1], edges[1:]) if at_inf else _rule(edges[1:], edges[:-1])
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
+# the doubling panels of every endpoint sweep, built once.  A sweep from
+# base b scales each part by b: the ends, half-widths, midpoints and offsets
+# of its panels are then those of the panels [b 2^k, b 2^(k+1)] rounded as
+# `_nodes` rounds them, so its nodes are bit for bit `_nodes` of those ends
+_UNIT_RULES = {True: _unit_rule(True), False: _unit_rule(False)}
+
+
+def _k15(fx: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K15 value and QUADPACK error estimate of each panel from its node values
+    and its half-width.
 
     The estimate scales the Kronrod-Gauss gap as qk15 does:
     resasc * min(1, (200 |K15 - G7| / resasc)**1.5), at least 50 eps resabs.
     """
-    half = (hi - lo) / 2.0
     with np.errstate(invalid="ignore", over="ignore"):
         resk = fx @ K15_WEIGHTS
         value = resk * half
@@ -460,42 +507,46 @@ def _kept(values: np.ndarray) -> tuple[int, float, bool]:
     return n, float(totals[n - 1]), stopped
 
 
-def _panel_edges(endpoint: AtInfinity | AtZeroPlus) -> tuple[np.ndarray, np.ndarray]:
-    """Ends of the DOUBLINGS panels, from the base outward (or inward)."""
+def _endpoint_rule(endpoint: AtInfinity | AtZeroPlus) -> tuple[tuple[np.ndarray, ...], float]:
+    """The unit rule of the endpoint's direction, and the base it scales to."""
     at_inf = isinstance(endpoint, AtInfinity)
     base = endpoint.start if at_inf else endpoint.stop
     if base <= 0:
         raise ValueError("panel base must be > 0")
-    k = np.arange(DOUBLINGS + 1.0)
-    edges = base * 2.0 ** (k if at_inf else -k)
-    return (edges[:-1], edges[1:]) if at_inf else (edges[1:], edges[:-1])
+    return _UNIT_RULES[at_inf], base
 
 
-def _sweep(integrand: Callable, lo: np.ndarray, hi: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value, error estimate and geometric-midpoint probe of each panel.
+def _sweep(integrand: Callable, rule: tuple[np.ndarray, ...], scale: float = 1.0
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, float, bool]]:
+    """Value, error estimate and geometric-midpoint probe of each panel of
+    `rule` (see `_rule`) scaled by `scale`, and `_kept` of the values.
 
-    All panel nodes and probes take one array call.  Then, one array call
-    per level, the panels inside the early-stop prefix whose error exceeds
-    PANEL_EPSREL of their value are refined: each of their pieces whose
-    error exceeds its length's share of that target is bisected, and the
-    halves replace it only when their errors sum below its own; a piece
-    whose halves do not is left as it is.
+    All panel nodes and probes take one array call, on a fresh array the
+    integrand may write into.  When no panel inside the early-stop prefix
+    has an error above PANEL_EPSREL of its value, that is the sweep.
+    Otherwise, one array call per level, those panels are refined: each of
+    their pieces whose error exceeds its length's share of that target is
+    bisected, and the halves replace it only when their errors sum below
+    its own; a piece whose halves do not is left as it is.
     """
     evaluate = _on_arrays(integrand)
+    lo, hi, half, mids, offsets = rule
     n = len(lo)
-    fx = evaluate(np.concatenate((_nodes(lo, hi).ravel(), np.sqrt(lo * hi))))
+    points = mids * scale
+    points += offsets * scale
+    fx = evaluate(points)
     probes = fx[-n:]
-    val, err = _k15(fx[:-n].reshape(n, -1), lo, hi)
+    total, total_err = _k15(fx[:-n].reshape(n, -1), half * scale)
+    kept = _kept(total)
+    if not (total_err[:kept[0]] > PANEL_EPSREL * np.abs(total[:kept[0]])).any():
+        return total, total_err, probes, kept
     # the pieces: owning panel, ends, value, error, still refinable
+    lo, hi = lo * scale, hi * scale
     owner, p_lo, p_hi, active = np.arange(n), lo, hi, np.ones(n, dtype=bool)
-    width = hi - lo
-    for level in range(MAX_LEVELS + 1):
-        total, total_err = np.bincount(owner, val, n), np.bincount(owner, err, n)
-        if level == MAX_LEVELS:
-            break
+    val, err, width = total, total_err, hi - lo
+    for _ in range(MAX_LEVELS):
         target = PANEL_EPSREL * np.abs(total)
-        flagged = (total_err > target) & (np.arange(n) < _kept(total)[0])
+        flagged = (total_err > target) & (np.arange(n) < kept[0])
         split = active & flagged[owner] & (err > target[owner] * (p_hi - p_lo) / width[owner])
         if not split.any():
             break
@@ -504,7 +555,7 @@ def _sweep(integrand: Callable, lo: np.ndarray, hi: np.ndarray
         h_lo = np.ravel((s_lo, mid), order="F")
         h_hi = np.ravel((mid, s_hi), order="F")
         h_val, h_err = _k15(evaluate(_nodes(h_lo, h_hi).ravel()).reshape(len(h_lo), -1),
-                            h_lo, h_hi)
+                            (h_hi - h_lo) / 2.0)
         better = h_err[0::2] + h_err[1::2] < err[split]
         active[np.flatnonzero(split)[~better]] = False
         keep = ~split | ~active
@@ -515,25 +566,58 @@ def _sweep(integrand: Callable, lo: np.ndarray, hi: np.ndarray
         val = np.concatenate((val[keep], h_val[take]))
         err = np.concatenate((err[keep], h_err[take]))
         active = np.concatenate((active[keep], np.ones(take.sum(), dtype=bool)))
-    return total, total_err, probes
+        total, total_err = np.bincount(owner, val, n), np.bincount(owner, err, n)
+        kept = _kept(total)
+    return total, total_err, probes, kept
+
+
+# the open-end tail (see `_open_end`): the extrapolated ratios multiplied
+# out before the geometric remainder; a fitted gap factor needs ratio
+# differences above _TAIL_FIT_MIN, well clear of rounding, and is trusted
+# up to _TAIL_GAP_MAX
+_TAIL_TERMS = 64
+_TAIL_FIT_MIN = 1e-12
+_TAIL_GAP_MAX = 0.9
 
 
 def _open_end(integrand: Callable, endpoint: AtInfinity | AtZeroPlus) -> tuple[float, float]:
     """Value and summed error estimate of an integral that converges at the
-    endpoint: the panels of `_sweep` before the early stop, plus the
-    geometric tail beyond them at the last panel ratio.  The last WINDOW
-    ratios must all be below 1, or QuadratureFailureError is raised; no
-    ratio rule of `improper_integral_verdict` applies."""
-    values, errors, _ = _sweep(integrand, *_panel_edges(endpoint))
-    n, total, negligible = _kept(values)
+    endpoint: the panels of `_sweep` before the early stop, plus the tail
+    beyond them.  The last WINDOW ratios must all be below 1, or
+    QuadratureFailureError is raised; no ratio rule of
+    `improper_integral_verdict` applies.
+
+    The tail takes one Richardson step on the last panel ratios.  When
+    their gap to the limit rho shrinks by a factor q per doubling, the
+    limit is rho = r_n + (r_n - r_{n-1}) q / (1 - q) and the i-th ratio
+    beyond the last panel is rho + (r_n - rho) q^i.  q is fitted as
+    (r_n - r_{n-1}) / (r_{n-1} - r_{n-2}) when that denominator exceeds
+    _TAIL_FIT_MIN and the fit lies in (0, _TAIL_GAP_MAX]; otherwise it is
+    1/2, the gap of an integrand c t^p (1 + O(1/t)) at inf or
+    c t^p (1 + O(t)) at 0+ (then rho = 2 r_n - r_{n-1}).  The first
+    _TAIL_TERMS ratios are multiplied out and summed, and the rest are the
+    geometric series at rho.  When rho is not in (0, 1) the tail is
+    geometric at r_n (`_tail`)."""
+    values, errors, _, (n, total, negligible) = _sweep(integrand, *_endpoint_rule(endpoint))
     mags = np.abs(values[:n])
+    error = float(errors[:n].sum())
     if negligible or not np.isfinite(total) or not mags[-WINDOW:].any():
-        return total, float(errors[:n].sum())
+        return total, error
     ratios = _ratios(mags)
     if not all(r < 1.0 for r in ratios):
         raise QuadratureFailureError(
             f"open end of a convergent integral: panel ratios {np.round(ratios, 4).tolist()}")
-    return total + math.copysign(_tail(mags, ratios), values[n - 1]), float(errors[:n].sum())
+    first, prev, last = ratios[-3:]
+    gap = (last - prev) / (prev - first) if abs(prev - first) > _TAIL_FIT_MIN else 0.5
+    if not 0.0 < gap <= _TAIL_GAP_MAX:
+        gap = 0.5
+    rho = last + (last - prev) * gap / (1.0 - gap)
+    if 0.0 < rho < 1.0:
+        terms = np.cumprod(rho + (last - rho) * gap ** np.arange(1.0, _TAIL_TERMS + 1.0))
+        tail = float(mags[-1]) * (terms.sum() + terms[-1] * rho / (1.0 - rho))
+    else:
+        tail = _tail(mags, ratios)
+    return total + math.copysign(tail, values[n - 1]), error
 
 
 def finite_integral(integrand: Callable, lo: float, hi: float) -> float:
@@ -558,7 +642,7 @@ def finite_integral(integrand: Callable, lo: float, hi: float) -> float:
     else:
         edges = lo * 2.0 ** np.arange(math.ceil(math.log2(hi / lo)) + 1.0)
         edges = np.append(edges[edges < hi], hi)
-        values, errors, _ = _sweep(integrand, edges[:-1], edges[1:])
+        values, errors, _, _ = _sweep(integrand, _rule(edges[:-1], edges[1:]))
         value, error = values.sum(), errors.sum()
     if not np.isfinite(value):
         raise NumericalOverflowError(f"integrand is not finite on [{lo:g}, {hi:g}]")
@@ -568,8 +652,9 @@ def finite_integral(integrand: Callable, lo: float, hi: float) -> float:
     return float(value)
 
 
-def improper_integral_verdict(integrand: Callable,
-                              endpoint: AtInfinity | AtZeroPlus) -> TestVerdict:
+def improper_integral_verdict(integrand: Callable, endpoint: AtInfinity | AtZeroPlus, *,
+                              route: Optional[str] = None,
+                              start: Optional[float] = None) -> TestVerdict:
     """Classify the improper integral of `integrand` at one endpoint.
 
     The integrand is called on float64 arrays when it takes them (see
@@ -578,23 +663,26 @@ def improper_integral_verdict(integrand: Callable,
     panels before the early stop (NumericalOverflowError otherwise).  On
     convergence the returned value includes a geometric tail estimate; on
     divergence it is +-inf by the integrand's sign near the endpoint.
+    `route` and `start` are recorded on the verdict as given.
     """
     at_inf = isinstance(endpoint, AtInfinity)
-    values, errors, probes = _sweep(integrand, *_panel_edges(endpoint))
-    n, total, negligible = _kept(values)
+    values, errors, probes, (n, total, negligible) = _sweep(integrand,
+                                                            *_endpoint_rule(endpoint))
     values, errors, probes = values[:n], errors[:n], probes[:n]
     if not (np.isfinite(values).all() and np.isfinite(probes).all()):
         raise NumericalOverflowError("integrand is not finite on a kept panel")
 
-    pmax = np.abs(probes).max()
-    if pmax > 0.0 and len(set(np.sign(probes[np.abs(probes) > 1e-9 * pmax]).tolist())) > 1:
+    top, bottom = probes.max(), probes.min()
+    small = 1e-9 * max(top, -bottom)
+    if top > small and bottom < -small:
         raise SignChangeError("integrand changes sign in the probed region")
     sign = math.copysign(1.0, total) if total != 0.0 else 1.0
 
     mags = np.abs(values)
     max_rel_abserr = (errors / np.maximum(mags, 1e-300)).max()
     sweep = np.concatenate(([total, max_rel_abserr], mags[-(WINDOW + 1):])).tobytes()
-    facts = {"panels": n, "quad_warnings": int((errors > PANEL_EPSREL * mags).sum()),
+    facts = {"route": route, "start": start, "panels": n,
+             "quad_warnings": int((errors > PANEL_EPSREL * mags).sum()),
              "at_infinity": at_inf, "sweep": sweep}
 
     if negligible or not mags[-WINDOW:].any():
@@ -642,8 +730,8 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     def integrand(lam):
         return f.values(1.0 / lam) / (lam * psi(lam))
 
-    verdict = improper_integral_verdict(integrand, AtInfinity(start))
-    return replace(verdict, route="doubling_panels", start=start)
+    return improper_integral_verdict(integrand, AtInfinity(start), route="doubling_panels",
+                                     start=start)
 
 
 def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
@@ -674,12 +762,10 @@ def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
         def integrand(lam):
             return g(lam) / psi(lam)
 
-        verdict = improper_integral_verdict(integrand, AtZeroPlus(phi0 / 2.0))
-        return replace(verdict, route="laplace_zero")
+        return improper_integral_verdict(integrand, AtZeroPlus(phi0 / 2.0), route="laplace_zero")
 
     if math.isfinite(model.laplace_exponent_derivative(0.0)):
-        return replace(improper_integral_verdict(f.values, AtInfinity(1.0)),
-                       route="tail_integral")
+        return improper_integral_verdict(f.values, AtInfinity(1.0), route="tail_integral")
 
     return TestVerdict(INCONCLUSIVE, None, route="none",
                        reason="psi'(0+) infinite and no Laplace density")

@@ -20,6 +20,7 @@ from levyfn import (
     extinction_test,
     improper_integral_verdict,
     stable_power_model,
+    integral_tests,
     validate,
 )
 from levyfn.errors import (
@@ -160,6 +161,20 @@ class TestLaplaceRepRule:
                                    rtol=1e-10, atol=0.0)
         assert len(calls) == 2 and all(len(shape) == 1 for shape in calls)
         assert rep.value(2.0**15) == pytest.approx(f(2.0**15), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(LAPLACE_PAIRS))
+    def test_underflowing_nodes_change_nothing(self, name):
+        # each block of x skips the nodes where e^(-xt) is 0 for all its x:
+        # the values are those of the whole rule
+        g = LAPLACE_PAIRS[name][0]
+        x = np.random.default_rng(3).permutation(np.geomspace(2.0**-48, 2.0**48, 2000))
+        nodes, weights = integral_tests._laplace_rule()
+        gw = g(nodes) * weights
+        rho = gw[:15].sum() / gw[15:30].sum()
+        head = gw[:15].sum() * rho / (1.0 - rho)
+        want = np.concatenate([np.exp(-x[s:s + 128, None] * nodes) @ gw
+                               for s in range(0, len(x), 128)]) + head
+        np.testing.assert_allclose(LaplaceRep(g=g).values(x), want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("x", [2.0**-49, 2.0**49, 0.0, math.inf, math.nan])
     def test_outside_the_range_raises(self, x):

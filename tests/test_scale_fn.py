@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -713,6 +714,16 @@ class TestTransformOpenEnds:
     def test_condexp_small_theta_matches_quadpack(self, name, theta, want):
         got = conditional_exp_transform(builtin_model(name), PowerLaw(theta), 1.0, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.02, 0.05, 0.1, 1.45, 1.49])
+    def test_stable_condexp_matches_closed_form(self, theta):
+        # near theta = 0 and 1.5 the panel ratios at the open ends approach
+        # their limits slowly, which the tail's Richardson step accounts for
+        with mpmath.workdps(30):
+            want = float(mpmath.beta(theta, 1.5 - theta) / mpmath.gamma(theta)
+                         - mpmath.exp(-1) * mpmath.hyperu(theta, theta - 0.5, 1))
+        got = conditional_exp_transform(builtin_model("stable15"), PowerLaw(theta), 1.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_laplace_rep_occupation_diverges(self):
         # f(y) = 1/(1+y); with Phi(0) > 0 the potential density has a

@@ -70,9 +70,9 @@ class TestPanelRule:
     def test_panels_match_quad(self, name, theta):
         model = MODELS[name]
         for integrand, endpoint in verdict_integrands(model, PowerLaw(theta)):
-            lo, hi = integral_tests._panel_edges(endpoint)
-            values, _, _ = integral_tests._sweep(integrand, lo, hi)
-            kept = integral_tests._kept(values)[0]
+            rule, base = integral_tests._endpoint_rule(endpoint)
+            lo, hi = rule[0] * base, rule[1] * base
+            values, _, _, (kept, _, _) = integral_tests._sweep(integrand, rule, base)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = [quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -156,6 +156,81 @@ class TestRefinement:
         assert scalar.value == pytest.approx(array.value, rel=1e-13)
 
 
+class TestSharedRule:
+    """Every endpoint sweep scales one rule, built at import, to its base."""
+
+    @pytest.mark.parametrize("tidy,endpoint", [(lambda t: t**-2.0, AtInfinity(3.0)),
+                                               (lambda t: t**-0.5, AtZeroPlus(0.3))])
+    def test_integrand_writing_into_its_argument(self, tidy, endpoint):
+        def clobbering(t):
+            out = tidy(t)
+            t[:] = -1.0
+            return out
+
+        want = improper_integral_verdict(tidy, endpoint)
+        for integrand in (clobbering, clobbering, tidy):
+            got = improper_integral_verdict(integrand, endpoint)
+            assert (got.verdict, got.value, got.panels) == (want.verdict, want.value, want.panels)
+
+    @pytest.mark.parametrize("base", [1.0, 0.1, 1.0 / 3.0, 2.5, 2.0**-30, 7.3e5])
+    @pytest.mark.parametrize("at_inf", [True, False])
+    def test_nodes_are_those_of_the_scaled_panels(self, base, at_inf):
+        seen = []
+
+        def spy(t):
+            seen.append(t.copy())
+            return np.exp(-t)
+
+        improper_integral_verdict(spy, AtInfinity(base) if at_inf else AtZeroPlus(base))
+        n = integral_tests.DOUBLINGS
+        k = np.arange(n + 1.0)
+        edges = base * 2.0 ** (k if at_inf else -k)
+        lo, hi = (edges[:-1], edges[1:]) if at_inf else (edges[1:], edges[:-1])
+        # the midpoints and offsets are scaled apart, so the nodes are
+        # those of the scaled ends bit for bit, not just within an ulp
+        np.testing.assert_array_equal(seen[0][:-n].reshape(n, -1), integral_tests._nodes(lo, hi))
+        np.testing.assert_allclose(seen[0][-n:], np.sqrt(lo * hi), rtol=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("integrand,endpoint", [
+        (lambda t: t**-2.0, AtInfinity(1.0)),
+        (lambda t: t**-0.5, AtZeroPlus(2.0)),
+        (lambda t: 1.0 / t, AtInfinity(1.0)),
+    ])
+    def test_unflagged_verdict_scans_once(self, monkeypatch, integrand, endpoint):
+        calls = count_calls(monkeypatch, integral_tests, "_kept")
+        v = improper_integral_verdict(integrand, endpoint)
+        assert v.quad_warnings == 0
+        assert len(calls) == 1
+
+    def test_each_refined_level_scans_once(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        arrays = []
+
+        def noisy(t):
+            arrays.append(t.size)
+            return t**-2.0 * (1.0 + 1e-7 * rng.standard_normal(t.shape))
+
+        calls = count_calls(monkeypatch, integral_tests, "_kept")
+        improper_integral_verdict(noisy, AtInfinity(1.0))
+        assert len(arrays) > 1 and len(calls) == len(arrays)
+
+
+class TestOpenEndTail:
+    """`finite_integral`'s open ends extrapolate the panel ratios."""
+
+    @pytest.mark.parametrize("integrand,lo,hi,want", [
+        # ratio gaps shrinking by 1/2 per doubling, then by 2^-0.5
+        (lambda t: t**-1.2 * (1.0 + 1.0 / t), 1.0, math.inf, 1.0 / 0.2 + 1.0 / 1.2),
+        (lambda t: t**-1.2 * (1.0 + t**-0.5), 1.0, math.inf, 1.0 / 0.2 + 1.0 / 0.7),
+        (lambda t: t**-0.8 * (1.0 + t**0.5), 0.0, 1.0, 1.0 / 0.2 + 1.0 / 0.7),
+        # pure powers next to the critical exponent: no gap to fit
+        (lambda t: t**-1.01, 1.0, math.inf, 100.0),
+        (lambda t: t**-0.99, 0.0, 1.0, 100.0),
+    ], ids=["inf_half", "inf_root_half", "zero_root_half", "inf_power", "zero_power"])
+    def test_tail_matches_closed_form(self, integrand, lo, hi, want):
+        assert integral_tests.finite_integral(integrand, lo, hi) == pytest.approx(want, rel=1e-13)
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     orig = getattr(owner, name)
@@ -198,7 +273,7 @@ def generic(fn):
 
 
 ENGINE_KEYS = {"panels", "partial", "increments", "max_rel_abserr", "quad_warnings"}
-RATIO_KEYS = {"ratios", "fitted_exponent"}
+RATIO_KEYS = {"ratios", "fitted_exponent", "converge_margin", "diverge_margin"}
 
 
 class TestCompactVerdict:
@@ -230,6 +305,21 @@ class TestCompactVerdict:
         assert d["fitted_exponent"] == pytest.approx(-0.5, abs=1e-9)
         assert all(r == pytest.approx(2.0**-0.5, rel=1e-9) for r in d["ratios"])
         assert v.value == pytest.approx(d["partial"] + d["tail_estimate"], rel=1e-15)
+
+    @pytest.mark.parametrize("integrand,verdict,converge,diverge", [
+        (lambda t: t**-2.0, "converges", 0.4, 0.5 - 2.0**-0.05),
+        # a diverge margin of 0.034
+        (lambda t: 1.0 / t, "diverges", -0.1, 1.0 - 2.0**-0.05),
+        # ratios 2^-0.1, between the two rules: both margins negative
+        (lambda t: t**-1.1, "inconclusive", 0.9 - 2.0**-0.1, 2.0**-0.1 - 2.0**-0.05),
+    ], ids=["inverse_square", "harmonic", "boundary_zone"])
+    def test_margins(self, integrand, verdict, converge, diverge):
+        v = improper_integral_verdict(integrand, AtInfinity(1.0))
+        d = v.diagnostics
+        assert v.verdict == verdict
+        assert d["converge_margin"] == pytest.approx(converge, abs=1e-12)
+        assert d["diverge_margin"] == pytest.approx(diverge, abs=1e-12)
+        assert d["converge_margin"] == integral_tests.CONVERGE_RATIO - max(d["ratios"])
 
     def test_verdict_is_frozen(self):
         v = extinction_test(builtin_model("cpexp"), PowerLaw(0.5))
