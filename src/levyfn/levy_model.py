@@ -43,7 +43,7 @@ working precision the cancellation is harmless.
 The tempered family's incomplete gamma integrals, the tail mean
 C q^(alpha-1) Gamma(1-alpha, q) in psi and the truncated step's jump
 integrals, take Legendre's continued fraction where the argument is >= 1
-and the K15 quadrature core of :mod:`levyfn.integral_tests` below it.
+and the K15 quadrature core of :mod:`levyfn.quadrature` below it.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .errors import (
     NumericalOverflowError,
     SubordinatorError,
 )
-from .integral_tests import finite_integral
+from .quadrature import finite_integral
 
 EULER_GAMMA = 0.5772156649015328606
 

@@ -48,8 +48,8 @@ analytically known plateau (Phi(0) > 0) or 0 below a noise floor
 The two expectation formulas are integrals of W against f, and when f has a
 Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
 `LaplaceRep`) Fubini turns each into an integral of g against 1/psi, with
-no inversion at all (the transform route), on the verdict engine's K15
-sweep with the integrand on arrays (`finite_integral`):
+no inversion at all (the transform route), on the K15 sweep of
+:mod:`levyfn.quadrature` with the integrand on arrays (`finite_integral`):
 
 * the conditional-expectation bracket B(y) = e^{-Phi(0)y}[W(y) -
   e^{Phi(0)x} W(y-x)] has transform (1 - e^{-sx})/psi(s + Phi(0)), so
@@ -98,12 +98,11 @@ from .integral_tests import (
     AtInfinity,
     AtZeroPlus,
     FunctionalSpec,
-    _on_arrays,
     extinction_test,
-    finite_integral,
     improper_integral_verdict,
 )
 from .levy_model import ClosedForm, LevyModel
+from .quadrature import _on_arrays, finite_integral
 
 LN2 = math.log(2.0)
 

@@ -20,7 +20,7 @@ from levyfn import (
     extinction_test,
     improper_integral_verdict,
     stable_power_model,
-    integral_tests,
+    quadrature,
     validate,
 )
 from levyfn.errors import (
@@ -168,7 +168,7 @@ class TestLaplaceRepRule:
         # the values are those of the whole rule
         g = LAPLACE_PAIRS[name][0]
         x = np.random.default_rng(3).permutation(np.geomspace(2.0**-48, 2.0**48, 2000))
-        nodes, weights = integral_tests._laplace_rule()
+        nodes, weights = quadrature._laplace_rule()
         gw = g(nodes) * weights
         rho = gw[:15].sum() / gw[15:30].sum()
         head = gw[:15].sum() * rho / (1.0 - rho)

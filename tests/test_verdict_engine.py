@@ -27,6 +27,7 @@ from levyfn import (
     extinction_test,
     improper_integral_verdict,
     integral_tests,
+    quadrature,
     validate,
 )
 from levyfn.errors import NumericalOverflowError, QuadratureFailureError
@@ -70,9 +71,9 @@ class TestPanelRule:
     def test_panels_match_quad(self, name, theta):
         model = MODELS[name]
         for integrand, endpoint in verdict_integrands(model, PowerLaw(theta)):
-            rule, base = integral_tests._endpoint_rule(endpoint)
+            rule, base = quadrature._endpoint_rule(endpoint)
             lo, hi = rule[0] * base, rule[1] * base
-            values, _, _, (kept, _, _) = integral_tests._sweep(integrand, rule, base)
+            values, _, _, (kept, _, _) = quadrature._sweep(integrand, rule, base)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = [quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -80,12 +81,12 @@ class TestPanelRule:
             np.testing.assert_allclose(values[:kept], want, rtol=1e-13, atol=0.0)
 
     def test_rule_is_exact_on_polynomials(self):
-        x = integral_tests.K15_NODES
+        x = quadrature.K15_NODES
         for degree in range(23):
             want = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-            assert integral_tests.K15_WEIGHTS @ x**degree == pytest.approx(want, abs=1e-15)
+            assert quadrature.K15_WEIGHTS @ x**degree == pytest.approx(want, abs=1e-15)
             if degree < 14:
-                assert integral_tests.G7_WEIGHTS @ x**degree == pytest.approx(want, abs=1e-15)
+                assert quadrature.G7_WEIGHTS @ x**degree == pytest.approx(want, abs=1e-15)
 
 
 class TestNonFinite:
@@ -117,7 +118,7 @@ class TestRefinement:
         v = improper_integral_verdict(noisy, AtInfinity(1.0))
         assert v.converges and v.value == pytest.approx(1.0, rel=1e-5)
         assert v.diagnostics["quad_warnings"] > 0
-        assert len(calls) <= 1 + integral_tests.MAX_LEVELS
+        assert len(calls) <= 1 + quadrature.MAX_LEVELS
 
     def test_finite_integral_raises_above_its_target(self):
         # noise no bisection removes leaves the error estimate far above
@@ -128,8 +129,8 @@ class TestRefinement:
             return t**-2.0 * (1.0 + 1e-4 * rng.standard_normal(t.shape))
 
         with pytest.raises(QuadratureFailureError, match=r"\[1, 2\]"):
-            integral_tests.finite_integral(noisy, 1.0, 2.0)
-        assert integral_tests.finite_integral(lambda t: t**-2.0, 1.0, 2.0) == \
+            quadrature.finite_integral(noisy, 1.0, 2.0)
+        assert quadrature.finite_integral(lambda t: t**-2.0, 1.0, 2.0) == \
             pytest.approx(0.5, rel=1e-14)
 
     def test_smooth_integrand_takes_one_array_call(self):
@@ -141,7 +142,7 @@ class TestRefinement:
 
         v = improper_integral_verdict(inverse_square, AtInfinity(1.0))
         assert v.converges and v.diagnostics["quad_warnings"] == 0
-        assert calls == [(integral_tests.DOUBLINGS * 16,)]
+        assert calls == [(quadrature.DOUBLINGS * 16,)]
 
     def test_scalar_psi_falls_back_point_by_point(self):
         # scalar LevyModel.laplace_exponent raises ValueError on arrays
@@ -154,6 +155,66 @@ class TestRefinement:
             AtInfinity(array.start))
         assert scalar.verdict == array.verdict == "converges"
         assert scalar.value == pytest.approx(array.value, rel=1e-13)
+
+
+def tempered_phi0(alpha: float) -> LevyModel:
+    return validate(-0.3, 0.2, TemperedStable(alpha, 0.6, 2.0))
+
+
+TARGET_MODELS = {**{n: builtin_model(n) for n in ("bmdrift", "bmup", "cpexp", "stable15")},
+                 "tempered13": tempered_phi0(1.3), "tempered06": tempered_phi0(0.6)}
+
+
+class TestVerdictTarget:
+    """The boundary verdicts ask for VERDICT_RTOL, and refine no further
+    unless the panel errors could move a ratio across a rule."""
+
+    @pytest.mark.parametrize("name", sorted(TARGET_MODELS))
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9, 1.5, 1.95, 2.5])
+    def test_boundary_verdicts_match_full_accuracy(self, monkeypatch, name, theta):
+        model, f = TARGET_MODELS[name], PowerLaw(theta)
+        tests = [extinction_test] + ([explosion_test] if model.phi_zero().value > 0.0 else [])
+        got = [test(model, f) for test in tests]
+        # the same integrands, judged by the engine at its default target
+        monkeypatch.setattr(integral_tests, "VERDICT_RTOL", quadrature.PANEL_EPSREL)
+        want = [test(model, f) for test in tests]
+        for g, w in zip(got, want):
+            assert (g.verdict, g.route, g.panels) == (w.verdict, w.route, w.panels)
+            if w.value is None or not math.isfinite(w.value):
+                assert g.value == w.value
+            else:
+                assert g.value == pytest.approx(w.value, rel=1e-13, abs=0.0)
+
+    def test_guard_refines_next_to_a_rule(self):
+        # panel ratios of 0.9 with 1e-7 relative noise: no panel error
+        # reaches VERDICT_RTOL, but the errors could move a ratio across
+        # CONVERGE_RATIO, so the verdict is judged again at PANEL_EPSREL
+        rng = np.random.default_rng(1)
+        power = math.log2(integral_tests.CONVERGE_RATIO) - 1.0
+        calls = []
+
+        def noisy(t):
+            calls.append(t.size)
+            return t**power * (1.0 + 1e-7 * rng.standard_normal(t.shape))
+
+        v = improper_integral_verdict(noisy, AtInfinity(1.0), rtol=integral_tests.VERDICT_RTOL)
+        assert len(calls) > 1
+        assert v.rtol == quadrature.PANEL_EPSREL
+        smooth = improper_integral_verdict(lambda t: t**power, AtInfinity(1.0),
+                                           rtol=integral_tests.VERDICT_RTOL)
+        assert smooth.rtol == integral_tests.VERDICT_RTOL
+
+    def test_smooth_boundary_verdicts_take_one_call(self, monkeypatch):
+        # cpexp's extinction verdict at theta = 0.7 is flagged at 1e-10 but
+        # not at VERDICT_RTOL
+        model = builtin_model("cpexp")
+        model.phi_zero()
+        calls = count_calls(monkeypatch, LevyModel, "laplace_exponent_array")
+        r = classify_boundary(model, PowerLaw(0.7), 1.0)
+        assert [np.size(args[1]) for args in calls] == [quadrature.DOUBLINGS * 16] * 2
+        for v in (r.extinction_verdict, r.explosion_verdict):
+            assert v.rtol == integral_tests.VERDICT_RTOL and v.quad_warnings == 0
+        assert r.extinction_verdict.max_rel_abserr > quadrature.PANEL_EPSREL
 
 
 class TestSharedRule:
@@ -182,13 +243,13 @@ class TestSharedRule:
             return np.exp(-t)
 
         improper_integral_verdict(spy, AtInfinity(base) if at_inf else AtZeroPlus(base))
-        n = integral_tests.DOUBLINGS
+        n = quadrature.DOUBLINGS
         k = np.arange(n + 1.0)
         edges = base * 2.0 ** (k if at_inf else -k)
         lo, hi = (edges[:-1], edges[1:]) if at_inf else (edges[1:], edges[:-1])
         # the midpoints and offsets are scaled apart, so the nodes are
         # those of the scaled ends bit for bit, not just within an ulp
-        np.testing.assert_array_equal(seen[0][:-n].reshape(n, -1), integral_tests._nodes(lo, hi))
+        np.testing.assert_array_equal(seen[0][:-n].reshape(n, -1), quadrature._nodes(lo, hi))
         np.testing.assert_allclose(seen[0][-n:], np.sqrt(lo * hi), rtol=4 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("integrand,endpoint", [
@@ -197,7 +258,7 @@ class TestSharedRule:
         (lambda t: 1.0 / t, AtInfinity(1.0)),
     ])
     def test_unflagged_verdict_scans_once(self, monkeypatch, integrand, endpoint):
-        calls = count_calls(monkeypatch, integral_tests, "_kept")
+        calls = count_calls(monkeypatch, quadrature, "_kept")
         v = improper_integral_verdict(integrand, endpoint)
         assert v.quad_warnings == 0
         assert len(calls) == 1
@@ -210,7 +271,7 @@ class TestSharedRule:
             arrays.append(t.size)
             return t**-2.0 * (1.0 + 1e-7 * rng.standard_normal(t.shape))
 
-        calls = count_calls(monkeypatch, integral_tests, "_kept")
+        calls = count_calls(monkeypatch, quadrature, "_kept")
         improper_integral_verdict(noisy, AtInfinity(1.0))
         assert len(arrays) > 1 and len(calls) == len(arrays)
 
@@ -228,7 +289,7 @@ class TestOpenEndTail:
         (lambda t: t**-0.99, 0.0, 1.0, 100.0),
     ], ids=["inf_half", "inf_root_half", "zero_root_half", "inf_power", "zero_power"])
     def test_tail_matches_closed_form(self, integrand, lo, hi, want):
-        assert integral_tests.finite_integral(integrand, lo, hi) == pytest.approx(want, rel=1e-13)
+        assert quadrature.finite_integral(integrand, lo, hi) == pytest.approx(want, rel=1e-13)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -264,7 +325,7 @@ class TestArrayIntegrands:
         assert math.isfinite(value)
         assert scalar == []
         head = [np.size(args[1]) for args in calls if np.max(args[1]) < phi0 / 2.0]
-        assert head == [integral_tests.DOUBLINGS * 16]
+        assert head == [quadrature.DOUBLINGS * 16]
         assert len(calls) > 1
 
 
@@ -272,7 +333,7 @@ def generic(fn):
     return Generic(fn=fn, decreasing=True, bounded_away_from_origin=True)
 
 
-ENGINE_KEYS = {"panels", "partial", "increments", "max_rel_abserr", "quad_warnings"}
+ENGINE_KEYS = {"panels", "partial", "increments", "max_rel_abserr", "quad_warnings", "rtol"}
 RATIO_KEYS = {"ratios", "fitted_exponent", "converge_margin", "diverge_margin"}
 
 
@@ -348,6 +409,18 @@ class TestCompactVerdict:
         r = classify_boundary(builtin_model("cpexp"), PowerLaw(1.9), 1.0)
         assert r.extinction_verdict.verdict == "inconclusive"
         assert r.extinction_possible is None and r.extinguishing_possible is None
+
+    def test_report_dict_shows_the_decision(self):
+        d = classify_boundary(builtin_model("cpexp"), PowerLaw(0.7), 1.0).to_dict()
+        for key in ("extinction_verdict", "explosion_verdict"):
+            v = d[key]
+            assert (v["panels"], v["quad_warnings"], v["rtol"]) == (
+                quadrature.DOUBLINGS, 0, integral_tests.VERDICT_RTOL)
+        assert d["extinction_verdict"]["converge_margin"] > 0.0
+        assert d["explosion_verdict"]["diverge_margin"] > 0.0
+        analytic = classify_boundary(builtin_model("stable15"), PowerLaw(1.0), 1.0).to_dict()
+        assert analytic["extinction_verdict"]["rtol"] is None
+        assert analytic["extinction_verdict"]["converge_margin"] is None
 
     def test_report_memory(self):
         models = [builtin_model(n) for n in ("bmdrift", "bmup", "cpexp", "stable15")]
