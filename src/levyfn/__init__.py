@@ -52,7 +52,6 @@ from .montecarlo import (
     functional_along_path,
     mc_estimate,
     sample_path,
-    time_change,
     time_changed_value,
 )
 from .scale_fn import (
@@ -60,7 +59,6 @@ from .scale_fn import (
     conditional_exp_constant_closed_form,
     conditional_exp_transform,
     laplace_identity_residual,
-    local_power_near_zero,
     occupation_transform,
 )
 

@@ -62,7 +62,7 @@ class CheckResult:
 
 def _as_generic(f) -> Generic:
     """The same function as a `Generic`, which takes the general route."""
-    return Generic(fn=f.value, decreasing=f.decreasing,
+    return Generic(fn=f.values, decreasing=f.decreasing,
                    bounded_away_from_origin=f.bounded_away_from_origin)
 
 

@@ -40,10 +40,10 @@ and `survival_prob` are derived from them, and `to_dict` gives each
 verdict's route, panels, `quad_warnings`, `rtol` and margins.
 
 The kind of the functional f alone picks the formula each test uses.  Every
-kind owns `value(x)` in plain float arithmetic, `values(arr)` on numpy
-arrays, the flags `decreasing` and `bounded_away_from_origin`,
-`laplace_density()`, `power` and `constant`.  Wrapping any f as a `Generic`
-names the general (reference) route.
+kind owns `values(x)`, f on a numpy array or on a float taken as a 0-d
+array, which is how every caller evaluates f; the flags `decreasing` and
+`bounded_away_from_origin`, `laplace_density()`, `power` and `constant`.
+Wrapping any f as a `Generic` names the general (reference) route.
 """
 
 from __future__ import annotations
@@ -136,9 +136,6 @@ class PowerLaw(_Functional):
     def power(self) -> float:
         return self.theta
 
-    def value(self, x: float) -> float:
-        return x ** (-self.theta)
-
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) ** (-self.theta)
 
@@ -170,9 +167,6 @@ class LaplaceRep(_Functional):
     """
 
     g: Callable[[float], float]
-
-    def value(self, x: float) -> float:
-        return float(self.values(np.array([x], dtype=float))[0])
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -213,9 +207,6 @@ class Constant(_Functional):
     def constant(self) -> float:
         return self.c
 
-    def value(self, x: float) -> float:
-        return self.c
-
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.full(np.shape(x), self.c, dtype=float)
 
@@ -235,9 +226,6 @@ class Generic(_Functional):
     fn: Callable
     decreasing: bool = False
     bounded_away_from_origin: bool = False
-
-    def value(self, x: float) -> float:
-        return float(self.fn(x))
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -15,11 +15,13 @@ convex with psi(0) = 0, and for a non-monotone process psi(lam) -> +inf.
 
 Each jump family is one frozen dataclass, and everything the package knows
 about a family lives in it: its JSON tag and parameter checks, its density,
-psi and psi' as closures, its closed-form scale function if psi has one,
-and its exact increment sampler where the law of an increment is known
-(`StableIncrement`), or else its jump-size sampler and the jump integrals
-of the truncated step (compound Poisson, tempered with alpha >= 1).  `_Family`
-states this contract; its defaults describe the empty measure.  Callers ask
+its jump index, psi and psi' as closures, its closed-form scale function if
+psi has one, and its exact increment sampler where the law of an increment
+is known (`StableIncrement`), or else its jump-size sampler and the jump
+integrals of the truncated step (compound Poisson, tempered with alpha >=
+1).  `_Family` states this contract; its defaults describe the empty
+measure.  `LevyModel.index_at_infinity` derives psi's index at infinity,
+and so W's power at 0+, from the jump index.  Callers ask
 the family instead of branching on it, so a new family is one class plus
 its entry in `JumpSpec`.
 A family writes its psi constants once, against float (`math`), numpy or
@@ -65,6 +67,7 @@ from .errors import (
     NegativeGaussianError,
     NonPositiveStartError,
     NumericalOverflowError,
+    PreconditionViolatedError,
     SubordinatorError,
 )
 from .quadrature import finite_integral
@@ -169,6 +172,9 @@ class _Family:
     """
 
     tag: ClassVar[str]
+    # the index of the jump part of psi at infinity: 0 for a finite measure,
+    # alpha for stable-like small jumps
+    jump_index: ClassVar[float] = 0.0
 
     def check(self) -> None:
         """Raise for parameters outside the family's domain."""
@@ -373,6 +379,10 @@ class StablePositive(_Family):
     scale: float
     tag: ClassVar[str] = "stable"
 
+    @property
+    def jump_index(self) -> float:
+        return self.alpha
+
     def check(self):
         _check_index_and_scale(self.alpha, self.scale)
 
@@ -485,6 +495,10 @@ class TemperedStable(_Family):
     scale: float
     tempering: float
     tag: ClassVar[str] = "tempered"
+
+    @property
+    def jump_index(self) -> float:
+        return self.alpha
 
     def check(self):
         _check_index_and_scale(self.alpha, self.scale)
@@ -620,9 +634,9 @@ class LevyModel:
     # -- Laplace exponent -------------------------------------------------
 
     def laplace_exponent(self, lam: float) -> float:
-        """psi(lam) for lam >= 0, via the family's closed form."""
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
+        """psi(lam) for finite lam >= 0, via the family's closed form."""
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
         val = self._exponent["psi"](lam)
         if not math.isfinite(val):
             raise NumericalOverflowError(f"psi({lam}) is not representable")
@@ -639,10 +653,20 @@ class LevyModel:
         compensator folded in, as the family's `exponent` gives it."""
         return self._exponent["b"]
 
+    @property
+    def index_at_infinity(self) -> float:
+        """The index p of psi at infinity, psi(lam) = lam^p L(lam) with L
+        slowly varying: 2 with a Gaussian part, else max(1, the family's jump
+        index), since jumps of index below 1 leave the drift's lam dominant.
+        By W(x) ~ 1/(x psi(1/x)) (Kuznetsov, Kyprianou & Rivero 2012), W
+        has the power p - 1 at 0+."""
+        return 2.0 if self.gaussian > 0.0 else max(1.0, self.jumps.jump_index)
+
     def laplace_exponent_derivative(self, lam: float) -> float:
-        """psi'(lam); at lam = 0 this is psi'(0+), which may be -inf."""
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
+        """psi'(lam) for finite lam >= 0; at lam = 0 this is psi'(0+), which
+        may be -inf."""
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
         return self._exponent["dpsi"](lam)
 
     # -- root of psi and derived quantities --------------------------------
@@ -690,6 +714,8 @@ class LevyModel:
         """P_x(process hits 0 in finite time) = exp(-Phi(0) * x)."""
         if x <= 0:
             raise NonPositiveStartError("starting point x must be > 0")
+        if not x < math.inf:
+            raise PreconditionViolatedError(f"starting point x must be finite, got {x}")
         return math.exp(-self._phi0.value * x)
 
 

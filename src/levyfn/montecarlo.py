@@ -16,7 +16,9 @@ J. Appl. Prob. 2001); `eps` applies to these truncated families only.
 Downward motion has no jumps, so first passage is detected on the grid
 and the crossing time interpolated linearly; the O(sqrt(dt)) overshoot
 bias this leaves is budgeted in the acceptance tolerances rather than
-corrected.
+corrected.  Below the last grid point of a hit the functional's final panel
+weights the linear descent by W's power gamma at 0+, which the model states
+exactly: its `index_at_infinity` less 1, as W(x) ~ 1/(x psi(1/x)).
 
 A path is drawn in blocks of 256 steps, doubling up to 16384, so it never
 draws more than twice the steps it uses plus 256.  Each step draws one
@@ -73,7 +75,6 @@ import numpy as np
 from .errors import AllCensoredError, PreconditionViolatedError
 from .integral_tests import FunctionalSpec, Generic
 from .levy_model import LevyModel, StableIncrement
-from .scale_fn import local_power_near_zero
 
 HIT_ZERO = "hit_zero"
 HIT_BARRIER = "hit_barrier"
@@ -125,8 +126,8 @@ class PathSample:
     `values[i]` is the value at time i*dt and `values[0]` the start point.
     On HIT_ZERO the final value lies at or below the stop level and
     `stop_time` is the linearly interpolated crossing.  `subgrid_exponent`
-    is the local scale-function power used to weight sub-grid occupation in
-    the final panel of integral functionals.
+    is W's power gamma at 0+, `model.index_at_infinity - 1`, which weights
+    the sub-grid occupation in the final panel of integral functionals.
     `steps_drawn` counts the steps drawn, at least the `len(values) - 1`
     used, and `jumps_drawn` the jumps drawn in them.
     """
@@ -154,7 +155,10 @@ def substream_generator(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class _StepLaw:
-    """Per-step increment law and stopping rule, shared by every path of a run."""
+    """Per-step increment law and stopping rule, shared by every path of a run.
+
+    `gamma` is W's power at 0+, `index_at_infinity - 1`, which weights the
+    sub-grid panel of a hit."""
 
     dt: float
     n_total: int
@@ -166,6 +170,7 @@ class _StepLaw:
     stop_level: float
     barrier: float
     seed: int
+    gamma: float
 
 
 def _step_law(model: LevyModel, x: float, cfg: PathConfig) -> _StepLaw:
@@ -192,7 +197,8 @@ def _step_law(model: LevyModel, x: float, cfg: PathConfig) -> _StepLaw:
         var += dt * jumps.small_variance(eps)
     return _StepLaw(dt=dt, n_total=int(math.ceil(cfg.horizon / dt)), base=base,
                     sd=math.sqrt(var), sampler=sampler, exact=exact, pois_mean=pois_mean,
-                    stop_level=cfg.stop_level, barrier=cfg.barrier, seed=cfg.seed)
+                    stop_level=cfg.stop_level, barrier=cfg.barrier, seed=cfg.seed,
+                    gamma=model.index_at_infinity - 1.0)
 
 
 _STATUS = (CENSORED, HIT_ZERO, HIT_BARRIER)
@@ -233,8 +239,7 @@ def _trapezoid_terms(fv: np.ndarray, first: int, dt: float) -> np.ndarray:
 
 
 def _simulate(law: _StepLaw, x: float, first: int, count: int,
-              f: Optional[FunctionalSpec] = None, gamma: float = 0.0,
-              keep: bool = False) -> _Batch:
+              f: Optional[FunctionalSpec] = None, keep: bool = False) -> _Batch:
     """Advance paths first, ..., first+count-1 in lockstep, block by block.
 
     Each live path fills its row of the block from its own substream, in
@@ -326,7 +331,7 @@ def _simulate(law: _StepLaw, x: float, first: int, count: int,
             for r, last, z_prev, seg in exits:
                 a = float(acc[r, last - 1]) if last else float(carry[r])
                 if z_prev is not None:
-                    a = a + _hit_panel(f, z_prev, seg, low, gamma)
+                    a = a + _hit_panel(f, z_prev, seg, low, law.gamma)
                 out.A[live[r]] = a
             carry = acc[:, -1]
         go = np.ones(live.size, dtype=bool)
@@ -350,7 +355,7 @@ def sample_path(model: LevyModel, x: float, cfg: PathConfig, substream: int) -> 
     return PathSample(dt=cfg.dt, values=np.concatenate([[x], *b.blocks[0]]),
                       status=_STATUS[b.status[0]], stop_time=b.stop_time[0],
                       substream=substream,
-                      subgrid_exponent=local_power_near_zero(model),
+                      subgrid_exponent=law.gamma,
                       stop_level=cfg.stop_level,
                       steps_drawn=int(b.steps_drawn[0]), jumps_drawn=int(b.jumps_drawn[0]))
 
@@ -364,13 +369,13 @@ class FunctionalSample:
     """A path together with its accumulated functional A_t = int f(Z_s) ds.
 
     `A` is aligned with `values`, taken at times i*dt (A[0] = 0 and A is
-    nondecreasing).
-    `A_final` is A at the stopping time: on a hit it includes the final
-    sub-grid panel and may be +inf when f is too singular at the boundary;
-    on a censored or barrier path it is the accumulated value so far, a
-    lower bound.  After :func:`time_change`, `x_times`/`x_values` hold the
-    time-changed skeleton (a pure reindexing of the same values) and
-    `boundary_time` the extinction or explosion clock estimate.
+    nondecreasing), and the two are the time-changed skeleton as they
+    stand: X at functional time A[i] is Z at grid time i*dt
+    (:func:`time_changed_value`).  `A_final` is A at the stopping time, the
+    extinction or explosion clock: on a hit it includes the final sub-grid
+    panel and may be +inf when f is too singular at the boundary; on a
+    censored or barrier path it is the value accumulated so far, a lower
+    bound.
     """
 
     dt: float
@@ -378,12 +383,7 @@ class FunctionalSample:
     A: np.ndarray
     A_final: float
     status: str
-    censored: bool
     stop_time: float
-    x_times: Optional[np.ndarray] = None
-    x_values: Optional[np.ndarray] = None
-    boundary_time: Optional[float] = None
-    boundary_is_lower_bound: bool = False
 
 
 def _subgrid_panel(f: FunctionalSpec, z_prev: float, slope: float, gamma: float) -> float:
@@ -401,7 +401,7 @@ def _subgrid_panel(f: FunctionalSpec, z_prev: float, slope: float, gamma: float)
             return math.inf
         return z_prev ** (1.0 - theta) / (slope * (gamma + 1.0 - theta))
     # locally constant f at the sub-grid scale
-    return f.value(z_prev) * z_prev / (slope * (gamma + 1.0))
+    return f.values(z_prev) * z_prev / (slope * (gamma + 1.0))
 
 
 def _hit_panel(f: FunctionalSpec, z_prev: float, seg: float, stop_level: float,
@@ -409,7 +409,7 @@ def _hit_panel(f: FunctionalSpec, z_prev: float, seg: float, stop_level: float,
     """The panel from the last grid point above the stop level, at value
     z_prev, to the interpolated crossing `seg` later."""
     if stop_level > 0.0:
-        return seg * 0.5 * (f.value(z_prev) + f.value(stop_level))
+        return seg * 0.5 * (f.values(z_prev) + f.values(stop_level))
     if seg > 0.0:
         return _subgrid_panel(f, z_prev, (z_prev - stop_level) / seg, gamma)
     return 0.0
@@ -432,33 +432,15 @@ def functional_along_path(path: PathSample, f: FunctionalSpec) -> FunctionalSamp
         A_final = A_final + _hit_panel(f, float(vals[npos - 1]), path.stop_time - t_prev,
                                        path.stop_level, path.subgrid_exponent)
 
-    return FunctionalSample(dt=path.dt, values=grid_vals,
-                            A=A, A_final=A_final, status=path.status,
-                            censored=path.status == CENSORED,
-                            stop_time=path.stop_time)
-
-
-def time_change(sample: FunctionalSample) -> FunctionalSample:
-    """Fill in the time-changed skeleton X_t = Z at the inverse functional clock.
-
-    The grid image of the inverse is a reindexing: X at functional time A_i
-    equals Z at grid time t_i, value for value.  The boundary time is the
-    extinction clock A at the hit (exact, by construction) or the
-    accumulated A at censoring, flagged as a lower bound.
-    """
-    return replace(sample,
-                   x_times=sample.A,
-                   x_values=sample.values,
-                   boundary_time=sample.A_final,
-                   boundary_is_lower_bound=sample.status != HIT_ZERO)
+    return FunctionalSample(dt=path.dt, values=grid_vals, A=A, A_final=A_final,
+                            status=path.status, stop_time=path.stop_time)
 
 
 def time_changed_value(sample: FunctionalSample, s: float) -> float:
-    """X_s for a time-changed sample: Z at the first grid index with A > s."""
-    if sample.x_times is None:
-        raise PreconditionViolatedError("call time_change first")
-    idx = int(np.searchsorted(sample.x_times, s, side="right"))
-    return float(sample.x_values[min(idx, len(sample.x_values) - 1)])
+    """X_s, the time-changed process at functional time s: Z at the first
+    grid index with A > s, or at the last grid point once s passes A."""
+    idx = int(np.searchsorted(sample.A, s, side="right"))
+    return float(sample.values[min(idx, len(sample.values) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +500,6 @@ def _weighted_spec(f: FunctionalSpec, lam: float) -> Generic:
 
     def fn(z):
         arr = np.asarray(z, dtype=float)
-        if not arr.ndim:
-            return float(f.values(arr) * np.exp(-lam * arr))
         out = np.multiply(arr, -lam)
         np.exp(out, out=out)
         if c is None:
@@ -560,14 +540,13 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
 
     start = time.perf_counter()
     law = _step_law(model, x, cfg)
-    spec, gamma = None, 0.0
+    spec = None
     if not isinstance(estimator, HitProb):
         spec = (_weighted_spec(f, estimator.lam) if isinstance(estimator, CondExpFunctional)
                 else f)
-        gamma = local_power_near_zero(model)
 
     def run(batch):
-        return _simulate(law, x, *batch, f=spec, gamma=gamma)
+        return _simulate(law, x, *batch, f=spec)
 
     batches = _batches(n, workers)
     if workers <= 1 or len(batches) == 1:

@@ -111,8 +111,6 @@ TALBOT_ORDER = 14
 # Relative disagreement between consecutive orders that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
 
-# large lambda at which psi's local power is read (see local_power_near_zero)
-LOCAL_POWER_LAM = 1e8
 # truncation of the Laplace-identity integral: where e^{-lam*M} W(M) drops below
 IDENTITY_INTEGRAND_TOL = 1e-8
 # rule of the Laplace-identity integral on [0, M]: Gauss-Legendre points per
@@ -221,20 +219,6 @@ def _talbot_rules(orders: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
 # Scale evaluator
 # ---------------------------------------------------------------------------
 
-def local_power_near_zero(model: LevyModel) -> float:
-    """Local power gamma with W(z) ~ z**gamma as z -> 0+.
-
-    Read off the large-lambda behavior of psi: gamma = lam*psi'/psi - 1 at
-    lam = LOCAL_POWER_LAM, clipped to [0, 1].  Zero for finite-variation
-    creep (W(0+) > 0), one for a Gaussian component, alpha-1 for untempered
-    stable-dominated small moves.
-    """
-    lam = LOCAL_POWER_LAM
-    psi = model.laplace_exponent(lam)
-    dpsi = model.laplace_exponent_derivative(lam)
-    return float(np.clip(lam * dpsi / psi - 1.0, 0.0, 1.0))
-
-
 @dataclass
 class ScaleEvaluator:
     """Scale-function evaluator with closed-form short-circuits.
@@ -308,15 +292,18 @@ class ScaleEvaluator:
         return self._w_checked(xs)
 
     def w_shifted(self, x: float) -> float:
-        """W_shift(x) = e^{-Phi(0)x} W(x); bounded whenever psi'(Phi(0)) > 0."""
+        """W_shift(x) = e^{-Phi(0)x} W(x); bounded whenever psi'(Phi(0)) > 0.
+        Zero for x < 0, -inf included; NaN and +inf raise."""
         if x < 0.0:
             return 0.0
+        if not x < math.inf:
+            raise PreconditionViolatedError(f"x must be finite, got {x}")
         if self.closed_form is not None:
             return self.closed_form.w_shifted(x)
         return self._w_checked(x)
 
     def scale_w(self, x: float) -> float:
-        """W(x); zero for x < 0."""
+        """W(x); zero for x < 0, and NaN and +inf raise as in `w_shifted`."""
         if x < 0.0:
             return 0.0
         wn = self.w_shifted(x)
@@ -398,8 +385,8 @@ class ScaleEvaluator:
         when Phi(0) > 0, and 0 below 1e-12 of its value at max(x, 1) when
         Phi(0) = 0.
         """
-        if x <= 0.0 or y <= 0.0:
-            raise ValueError("x and y must be > 0")
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+            raise ValueError(f"x and y must be finite and > 0, got x={x}, y={y}")
         return float(self._potential_density_fn(x)(np.array([float(y)]))[0])
 
     # -- expectation formulas -------------------------------------------------
@@ -412,8 +399,8 @@ class ScaleEvaluator:
         Laplace density take the transform route, `Generic` f the inversion
         route (see the module docstring).
         """
-        if not 0.0 < y < x:
-            raise PreconditionViolatedError("need 0 < y < x")
+        if not 0.0 < y < x < math.inf:
+            raise PreconditionViolatedError(f"need 0 < y < x < inf, got x={x}, y={y}")
         if _has_transform(f):
             return occupation_transform(self.model, f, x, y)
         d = x - y
@@ -445,8 +432,8 @@ class ScaleEvaluator:
         available as :func:`conditional_exp_constant_closed_form`.  The kind
         of f picks the route as in :meth:`occupation_expectation`.
         """
-        if x <= 0.0 or lam <= 0.0:
-            raise PreconditionViolatedError("need x > 0 and lam > 0")
+        if not (0.0 < x < math.inf and 0.0 < lam < math.inf):
+            raise PreconditionViolatedError(f"need finite x > 0 and lam > 0, got x={x}, lam={lam}")
         if _has_transform(f):
             return conditional_exp_transform(self.model, f, x, lam)
         # B(y) = e^{-Phi(0)(y-x)} times the potential density at (x, y).  At
@@ -498,8 +485,8 @@ def conditional_exp_transform(model: LevyModel, f: FunctionalSpec, x: float,
     Its tail at infinity is the extinction integral's, so `extinction_test`
     decides finiteness.
     """
-    if x <= 0.0 or lam <= 0.0:
-        raise PreconditionViolatedError("need x > 0 and lam > 0")
+    if not (0.0 < x < math.inf and 0.0 < lam < math.inf):
+        raise PreconditionViolatedError(f"need finite x > 0 and lam > 0, got x={x}, lam={lam}")
     if f.constant is not None:
         return f.constant * conditional_exp_constant_closed_form(model, x, lam)
     g = f.laplace_density()
@@ -525,8 +512,8 @@ def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float
 
     integral_0^inf g(t) e^{-yt} (e^{-Phi(0)d} - e^{-td}) / psi(t) dt, d = x - y.
     """
-    if not 0.0 < y < x:
-        raise PreconditionViolatedError("need 0 < y < x")
+    if not 0.0 < y < x < math.inf:
+        raise PreconditionViolatedError(f"need 0 < y < x < inf, got x={x}, y={y}")
     d = x - y
     phi0 = model.phi_zero().value
     d0 = model.laplace_exponent_derivative(0.0)
@@ -564,8 +551,8 @@ def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float
 
 def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float) -> float:
     """(1 - e^{-lam*x}) / psi(lam + Phi(0)): the f = 1 case in closed form."""
-    if x <= 0.0 or lam <= 0.0:
-        raise PreconditionViolatedError("need x > 0 and lam > 0")
+    if not (0.0 < x < math.inf and 0.0 < lam < math.inf):
+        raise PreconditionViolatedError(f"need finite x > 0 and lam > 0, got x={x}, lam={lam}")
     phi0 = model.phi_zero().value
     return -math.expm1(-lam * x) / model.laplace_exponent(lam + phi0)
 
@@ -597,8 +584,8 @@ def laplace_identity_residual(ev: ScaleEvaluator, lam: float) -> float:
     `ScaleEvaluator.w_shifted` checks one.
     """
     phi0 = ev.phi0
-    if lam <= phi0:
-        raise PreconditionViolatedError("need lam > Phi(0)")
+    if not phi0 < lam < math.inf:
+        raise PreconditionViolatedError(f"lam must be finite and > Phi(0), got {lam}")
     rate = lam - phi0
     M = 1.0
     while math.exp(-rate * M) * ev.w_shifted(M) >= IDENTITY_INTEGRAND_TOL:

@@ -32,7 +32,7 @@ from levyfn.errors import (
 
 def as_generic(f):
     """The same function as a Generic, which takes the general route."""
-    return Generic(fn=f.value, decreasing=f.decreasing,
+    return Generic(fn=f.values, decreasing=f.decreasing,
                    bounded_away_from_origin=f.bounded_away_from_origin)
 
 
@@ -109,7 +109,7 @@ class TestFunctionalSpecs:
     def test_constant_functional(self):
         f = constant_functional(2.5)
         assert isinstance(f, Constant) and f.constant == 2.5
-        assert f.value(0.3) == 2.5
+        assert f.values(0.3) == 2.5
         assert f.decreasing and f.bounded_away_from_origin
 
     @pytest.mark.parametrize("f,flags,power,constant,has_density", [
@@ -123,7 +123,7 @@ class TestFunctionalSpecs:
         vals = f.values(grid)
         assert vals.shape == grid.shape and vals.dtype == float
         for x, v in zip(grid, vals):
-            assert f.value(float(x)) == pytest.approx(v, rel=1e-14)
+            assert f.values(float(x)) == pytest.approx(v, rel=1e-14)
         assert (f.decreasing, f.bounded_away_from_origin) == flags
         assert f.power == power
         assert f.constant == constant
@@ -160,7 +160,7 @@ class TestLaplaceRepRule:
         np.testing.assert_allclose(rep.values(wide.reshape(5, 77)), f(wide).reshape(5, 77),
                                    rtol=1e-10, atol=0.0)
         assert len(calls) == 2 and all(len(shape) == 1 for shape in calls)
-        assert rep.value(2.0**15) == pytest.approx(f(2.0**15), rel=1e-12)
+        assert rep.values(2.0**15) == pytest.approx(f(2.0**15), rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(LAPLACE_PAIRS))
     def test_underflowing_nodes_change_nothing(self, name):
@@ -182,7 +182,7 @@ class TestLaplaceRepRule:
         with pytest.raises(PreconditionViolatedError):
             rep.values(np.array([1.0, x]))
         with pytest.raises(PreconditionViolatedError):
-            rep.value(x)
+            rep.values(x)
 
 
 class TestExtinction:

@@ -24,8 +24,8 @@ from levyfn import (
     functional_along_path,
     mc_estimate,
     sample_path,
+    extinction_test,
     stable_power_model,
-    time_change,
     time_changed_value,
     validate,
 )
@@ -294,48 +294,52 @@ class TestFunctionalAlongPath:
 
 
 class TestTimeChange:
-    def test_reindexing_exact(self):
-        p = drift_path()
-        fs = time_change(functional_along_path(p, PowerLaw(0.5)))
-        assert np.array_equal(fs.x_values, fs.values)
-        assert np.array_equal(fs.x_times, fs.A)
-
-    def test_boundary_clock_identity_bitwise(self):
-        m = stable_power_model(1.5)
-        cfg = PathConfig(dt=1e-3, horizon=30.0, barrier=1e6, seed=8)
-        for i in range(10):
-            p = sample_path(m, 1.0, cfg, i)
-            fs = time_change(functional_along_path(p, PowerLaw(1.0)))
-            assert fs.boundary_time == fs.A_final
-            assert fs.boundary_is_lower_bound == (p.status != "hit_zero")
-
     def test_identity_clock(self):
         p = drift_path()
-        fs = time_change(functional_along_path(p, constant_functional()))
+        fs = functional_along_path(p, constant_functional())
         for s in (0.1, 0.45, 0.8):
             times = p.dt * np.arange(len(p.values))
             grid_val = p.values[np.searchsorted(times, s, side="right")]
             assert time_changed_value(fs, s) == pytest.approx(grid_val, abs=2e-3)
 
-    def test_requires_filled_skeleton(self):
-        fs = functional_along_path(drift_path(), constant_functional())
-        with pytest.raises(PreconditionViolatedError):
-            time_changed_value(fs, 0.3)
-
     def test_barrier_path_reports_lower_bound(self):
         # upward drift line reaches the barrier; the explosion clock estimate
-        # is the functional accumulated so far, flagged as a lower bound
+        # A_final is the functional accumulated so far, a lower bound
         m = brownian_model(-1.0)
         cfg = PathConfig(dt=1e-3, horizon=50.0, barrier=3.0, seed=31)
         for i in range(20):
             p = sample_path(m, 1.0, cfg, i)
             if p.status != "hit_barrier":
                 continue
-            fs = time_change(functional_along_path(p, constant_functional()))
-            assert fs.boundary_is_lower_bound
-            assert fs.boundary_time == fs.A_final
+            fs = functional_along_path(p, constant_functional())
+            assert fs.status == "hit_barrier"
+            assert fs.A_final == fs.A[-1] > 0.0
+            assert time_changed_value(fs, fs.A_final) == fs.values[-1]
             return
         pytest.fail("no barrier path found in 20 substreams")
+
+
+class TestFinitenessAgreesWithIntegralTest:
+    """At and just above the critical theta the hitting clock is infinite on
+    every path, as `extinction_test` says; below it, finite.  gamma is W's
+    power at 0+ from the jump family: 0 on both models, where psi has index
+    1 at infinity (a drift, or alpha = 1 with a log factor).  A gamma read
+    numerically as lam psi'/psi - 1 at lam = 1e8 (2.4e-4 and 0.053 here)
+    puts theta below gamma + 1 and reads every clock finite, which fails
+    this test."""
+
+    MODELS = {"tempered0.6": (validate(2.0, 0.0, TemperedStable(0.6, 1.0, 1.0)), 1.0),
+              "stable1": (validate(1.0, 0.0, StablePositive(1.0, 1.0)), 1.02)}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_reads_the_extinction_verdict(self, name):
+        model, theta = self.MODELS[name]
+        assert extinction_test(model, PowerLaw(theta)).diverges
+        cfg = PathConfig(dt=1e-3, horizon=20.0, barrier=20.0, seed=5)
+        for th, want in ((theta, 0.0), (0.9, 1.0)):
+            s = mc_estimate(model, 1.0, PowerLaw(th), FunctionalFiniteness(), 100, cfg)
+            assert s.extras["n_hit"] > 50
+            assert s.estimate == want, (name, th)
 
 
 class TestMcEstimate:

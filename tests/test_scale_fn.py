@@ -22,7 +22,6 @@ from levyfn import (
     conditional_exp_transform,
     constant_functional,
     laplace_identity_residual,
-    local_power_near_zero,
     occupation_transform,
     stable_power_model,
     validate,
@@ -249,11 +248,56 @@ class TestConditionalExpFunctional:
 
 
 class TestLocalPower:
+    """W's power gamma at 0+ is psi's index at infinity less 1, a fact of
+    the family and the Gaussian part."""
+
     def test_values(self):
-        assert local_power_near_zero(stable_power_model(1.5)) == pytest.approx(0.5, abs=1e-6)
-        assert local_power_near_zero(validate(0.0, 1.0, NoJumps())) == pytest.approx(1.0, abs=1e-6)
-        assert local_power_near_zero(validate(1.0, 0.0, NoJumps())) == 0.0
-        assert local_power_near_zero(builtin_model("cpexp")) == pytest.approx(1.0, abs=1e-6)
+        cases = [
+            (validate(1.0, 0.0, NoJumps()), 0.0),
+            (validate(1.0, 0.0, CompoundPoissonExp(rate=2.0, jump_mean=0.5)), 0.0),
+            (validate(1.0, 0.0, StablePositive(alpha=0.6, scale=1.0)), 0.0),
+            (validate(2.0, 0.0, TemperedStable(alpha=0.6, scale=1.0, tempering=1.0)), 0.0),
+            (validate(1.0, 0.0, StablePositive(alpha=1.0, scale=1.0)), 0.0),
+            (validate(0.0, 0.0, StablePositive(alpha=1.05, scale=1.0)), 0.05),
+            (stable_power_model(1.5), 0.5),
+            (validate(0.0, 1.0, NoJumps()), 1.0),
+            (builtin_model("bmdrift"), 1.0),
+            (builtin_model("cpexp"), 1.0),
+            (validate(0.5, 0.2, StablePositive(alpha=1.0, scale=0.7)), 1.0),
+            (validate(0.0, 0.1, TemperedStable(alpha=1.2, scale=1.0, tempering=2.0)), 1.0),
+        ]
+        for model, gamma in cases:
+            assert model.index_at_infinity - 1.0 == pytest.approx(gamma, abs=1e-15), model
+
+
+class TestNonFiniteArguments:
+    """NaN and +inf raise a clear error naming the argument."""
+
+    CALLS = {
+        "scale_w": (lambda ev, v: ev.scale_w(v), PreconditionViolatedError, "x"),
+        "w_shifted": (lambda ev, v: ev.w_shifted(v), PreconditionViolatedError, "x"),
+        "potential_density": (lambda ev, v: ev.potential_density(v, 0.5), ValueError, "x"),
+        "conditional_exp_functional": (
+            lambda ev, v: ev.conditional_exp_functional(PowerLaw(0.5), v),
+            PreconditionViolatedError, "x"),
+        "laplace_identity_residual": (
+            lambda ev, v: laplace_identity_residual(ev, v), PreconditionViolatedError, "lam"),
+        "hit_probability": (
+            lambda ev, v: ev.model.hit_probability(v), PreconditionViolatedError, "x"),
+        "laplace_exponent": (lambda ev, v: ev.model.laplace_exponent(v), ValueError, "lam"),
+        "laplace_exponent_derivative": (
+            lambda ev, v: ev.model.laplace_exponent_derivative(v), ValueError, "lam"),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_raises(self, evaluators, call, value):
+        fn, error, name = self.CALLS[call]
+        with pytest.raises(error, match=rf"\b{name}\b"):
+            fn(evaluators["cpexp"], value)
+
+    def test_minus_infinity_reads_zero(self, evaluators):
+        assert evaluators["cpexp"].scale_w(-math.inf) == 0.0
 
 
 class TestTemperedFamily:
@@ -624,13 +668,13 @@ class TestTransformRoute:
         # the closed-form potential density, integrated against f
         # (a Generic f takes the inversion route)
         want = ScaleEvaluator(builtin_model("bmup")).occupation_expectation(
-            Generic(fn=PowerLaw(1.5).value), 1.0, 0.2)
+            Generic(fn=PowerLaw(1.5).values), 1.0, 0.2)
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_bmup_inversion_route_matches_transform(self):
         # the inversion route on the Talbot-inverted potential density
         ev = ScaleEvaluator(builtin_model("bmup"), use_closed_form=False)
-        got = ev.occupation_expectation(Generic(fn=PowerLaw(1.5).value), 1.0, 0.2)
+        got = ev.occupation_expectation(Generic(fn=PowerLaw(1.5).values), 1.0, 0.2)
         want = ev.occupation_expectation(PowerLaw(1.5), 1.0, 0.2)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -687,7 +731,7 @@ class TestTransformRoute:
         # a hand-built constant takes the inversion route, as does a Generic
         # wrapper of constant_functional
         got = ev.occupation_expectation(hand_built, 1.0, 0.01)
-        wrapped = Generic(fn=constant_functional().value, decreasing=True,
+        wrapped = Generic(fn=constant_functional().values, decreasing=True,
                           bounded_away_from_origin=True)
         assert got == ev.occupation_expectation(wrapped, 1.0, 0.01)
         # constant_functional takes the transform route: exactly d/psi'(0+)
@@ -730,7 +774,7 @@ class TestTransformOpenEnds:
         # positive plateau, so the occupation integral diverges
         f = LaplaceRep(g=lambda t: np.exp(-t))
         ev = ScaleEvaluator(builtin_model("cpexp"))
-        assert ev.occupation_expectation(Generic(fn=f.value), 1.0, 0.2) == math.inf
+        assert ev.occupation_expectation(Generic(fn=f.values), 1.0, 0.2) == math.inf
         assert ev.occupation_expectation(f, 1.0, 0.2) == math.inf
 
 
@@ -753,8 +797,8 @@ class TestInversionRoute:
         monkeypatch.setattr(scale_fn, "gs_invert_float", counting)
         ev = ScaleEvaluator(self.MODELS[name](), use_closed_form=False)
         assert ev.closed_form is None
-        condexp = ev.conditional_exp_functional(Generic(fn=PowerLaw(1.0).value), 1.0, 1.0)
-        occupation = ev.occupation_expectation(Generic(fn=PowerLaw(1.5).value), 1.0, 0.2)
+        condexp = ev.conditional_exp_functional(Generic(fn=PowerLaw(1.0).values), 1.0, 1.0)
+        occupation = ev.occupation_expectation(Generic(fn=PowerLaw(1.5).values), 1.0, 0.2)
         assert math.isfinite(condexp) and math.isfinite(occupation)
         for y in (0.05, 0.5, 2.0):
             ev.potential_density(1.0, y)
@@ -765,7 +809,7 @@ class TestInversionRoute:
     def test_condexp_matches_transform_route(self, name, theta):
         ev = ScaleEvaluator(self.MODELS[name](), use_closed_form=False)
         want = ev.conditional_exp_functional(PowerLaw(theta), 1.0, 1.0)
-        got = ev.conditional_exp_functional(Generic(fn=PowerLaw(theta).value), 1.0, 1.0)
+        got = ev.conditional_exp_functional(Generic(fn=PowerLaw(theta).values), 1.0, 1.0)
         assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("theta", [1.5, 2.5])
@@ -773,7 +817,7 @@ class TestInversionRoute:
         # W ~ z^{1/2} at 0+: the head [0, d] is a 0+ sweep, not one panel
         ev = ScaleEvaluator(builtin_model("stable15"), use_closed_form=False)
         want = ev.occupation_expectation(PowerLaw(theta), 1.0, 0.2)
-        got = ev.occupation_expectation(Generic(fn=PowerLaw(theta).value), 1.0, 0.2)
+        got = ev.occupation_expectation(Generic(fn=PowerLaw(theta).values), 1.0, 0.2)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_scalar_only_fn(self):

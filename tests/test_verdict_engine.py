@@ -151,7 +151,7 @@ class TestRefinement:
         array = extinction_test(model, Generic(fn=f.values, decreasing=True,
                                                bounded_away_from_origin=True))
         scalar = improper_integral_verdict(
-            lambda lam: f.value(1.0 / lam) / (lam * model.laplace_exponent(lam)),
+            lambda lam: f.values(1.0 / lam) / (lam * model.laplace_exponent(lam)),
             AtInfinity(array.start))
         assert scalar.verdict == array.verdict == "converges"
         assert scalar.value == pytest.approx(array.value, rel=1e-13)
