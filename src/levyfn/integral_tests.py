@@ -39,6 +39,21 @@ the two ratio rules and the tail estimate derived from the increments.  A
 and `survival_prob` are derived from them, and `to_dict` gives each
 verdict's route, panels, `quad_warnings`, `rtol` and margins.
 
+For f = PowerLaw(theta), psi's index decides the divergent side with no
+sweep (route `analytic_index`).  The extinction integrand is
+lam^(theta-1)/psi(lam) with psi(lam) = lam^p L(lam) at infinity, p =
+`LevyModel.index_at_infinity` and L slowly varying, so the integral
+diverges exactly when theta >= p, also at theta = p where L is a constant
+or, for alpha = 1 with no Gaussian part, ~ log lam.  The Laplace explosion
+integrand is lam^(theta-1)/(Gamma(theta) psi(lam)) with |psi(lam)| =
+lam^p0 L(lam) at 0+, p0 = `LevyModel.index_at_zero` (1 where psi'(0+) is
+finite, the stable alpha <= 1 otherwise), so it diverges exactly when theta
+<= p0.  On the convergent side the engine runs as for any f, except that a
+"diverges" its ratios read there is returned as inconclusive, with a
+reason: the ratio rule cannot tell a local exponent just below -1 from -1.
+A pure-power psi keeps its exact `analytic_power` route, which also gives
+the convergent value.
+
 The kind of the functional f alone picks the formula each test uses.  Every
 kind owns `values(x)`, f on a numpy array or on a float taken as a 0-d
 array, which is how every caller evaluates f; the flags `decreasing` and
@@ -49,7 +64,7 @@ Wrapping any f as a `Generic` names the general (reference) route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -311,7 +326,9 @@ class TestVerdict:
         if self.route is not None:
             d["route"] = self.route
         if self.kappa is not None:
-            d["kappa"], d["power"] = self.kappa, self.power
+            d["kappa"] = self.kappa
+        if self.power is not None:
+            d["power"] = self.power
         if self.start is not None:
             d["start"] = self.start
         rec = self._record()
@@ -420,6 +437,11 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     Converges  <=>  integral^inf f(1/lam) / (lam * psi(lam)) d lam < inf
     <=> the time-changed process dies out in finite time (given it hits 0);
     Diverges <=> it only extinguishes (approaches 0 without reaching it).
+
+    A pure-power psi = kappa lam^p decides f = PowerLaw(theta) exactly
+    (``analytic_power``).  Otherwise theta >= psi's index at infinity
+    diverges with no sweep (``analytic_index``), and below it a sweep that
+    reads "diverges" is returned as inconclusive.
     """
     if not f.bounded_away_from_origin:
         raise PreconditionViolatedError(
@@ -428,22 +450,27 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     start = max(1.0, 2.0 * phi0)
 
     theta = f.power
-    closed = model.jumps.closed_form(model) if theta is not None else None
-    if closed is not None and closed.power is not None:
-        kappa, p = closed.power
-        facts = {"route": "analytic_power", "kappa": kappa, "power": p, "start": start}
-        if theta < p:
-            value = start ** (theta - p) / (kappa * (p - theta))
-            return TestVerdict(CONVERGES, value, **facts)
-        return TestVerdict(DIVERGES, math.inf, **facts)
+    if theta is not None:
+        closed = model.jumps.closed_form(model)
+        if closed is not None and closed.power is not None:
+            kappa, p = closed.power
+            facts = {"route": "analytic_power", "kappa": kappa, "power": p, "start": start}
+            if theta < p:
+                value = start ** (theta - p) / (kappa * (p - theta))
+                return TestVerdict(CONVERGES, value, **facts)
+            return TestVerdict(DIVERGES, math.inf, **facts)
+        p = model.index_at_infinity
+        if theta >= p:
+            return TestVerdict(DIVERGES, math.inf, route="analytic_index", power=p, start=start)
 
     psi = model.laplace_exponent_array
 
     def integrand(lam):
         return f.values(1.0 / lam) / (lam * psi(lam))
 
-    return improper_integral_verdict(integrand, AtInfinity(start), route="doubling_panels",
-                                     start=start, rtol=VERDICT_RTOL)
+    v = improper_integral_verdict(integrand, AtInfinity(start), route="doubling_panels",
+                                  start=start, rtol=VERDICT_RTOL)
+    return v if theta is None else _unless_contradicted(v, f"at infinity is {p:g} > theta")
 
 
 def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
@@ -459,13 +486,23 @@ def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     * ``tail_integral`` -- otherwise, when psi'(0+) is finite, test
       integral^inf f(y) dy < inf.
 
-    When neither applies the verdict is inconclusive.
+    When neither applies the verdict is inconclusive.  For f =
+    PowerLaw(theta), theta <= psi's index at 0+ diverges with no sweep
+    (``analytic_index``), and above it a Laplace sweep that reads
+    "diverges" is returned as inconclusive.
     """
     phi0 = model.phi_zero().value
     if phi0 <= 0.0:
         raise NotApplicableError("Phi(0) = 0: survival has probability zero")
     if not f.decreasing:
         raise PreconditionViolatedError("explosion test needs decreasing f")
+
+    theta = f.power
+    if theta is not None:
+        p0 = model.index_at_zero
+        if theta <= p0:
+            return TestVerdict(DIVERGES, -math.inf, route="analytic_index", power=p0,
+                               at_infinity=False)
 
     g = f.laplace_density()
     if g is not None:
@@ -474,8 +511,9 @@ def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
         def integrand(lam):
             return g(lam) / psi(lam)
 
-        return improper_integral_verdict(integrand, AtZeroPlus(phi0 / 2.0), route="laplace_zero",
-                                         rtol=VERDICT_RTOL)
+        v = improper_integral_verdict(integrand, AtZeroPlus(phi0 / 2.0), route="laplace_zero",
+                                      rtol=VERDICT_RTOL)
+        return v if theta is None else _unless_contradicted(v, f"at 0+ is {p0:g} < theta")
 
     if math.isfinite(model.laplace_exponent_derivative(0.0)):
         return improper_integral_verdict(f.values, AtInfinity(1.0), route="tail_integral",
@@ -551,6 +589,16 @@ class BoundaryReport:
             "extinction_verdict": verdict_dict(self.extinction_verdict),
             "explosion_verdict": verdict_dict(self.explosion_verdict),
         }
+
+
+def _unless_contradicted(v: TestVerdict, fact: str) -> TestVerdict:
+    """`v`, made inconclusive when its panel ratios say "diverges" of a
+    power-law integral that psi's index (`fact`) says converges: the ratios
+    cannot tell a local exponent just below -1 from -1 itself."""
+    if not v.diverges:
+        return v
+    return replace(v, verdict=INCONCLUSIVE, value=None,
+                   reason=f"panel ratios say diverges, but psi's index {fact}, so it converges")
 
 
 def _decision(verdict: TestVerdict) -> Optional[bool]:

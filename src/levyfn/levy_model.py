@@ -21,7 +21,8 @@ is known (`StableIncrement`), or else its jump-size sampler and the jump
 integrals of the truncated step (compound Poisson, tempered with alpha >=
 1).  `_Family` states this contract; its defaults describe the empty
 measure.  `LevyModel.index_at_infinity` derives psi's index at infinity,
-and so W's power at 0+, from the jump index.  Callers ask
+and so W's power at 0+, from the jump index, and `LevyModel.index_at_zero`
+derives psi's index at 0+ from psi'(0+) and the jump index at 0+.  Callers ask
 the family instead of branching on it, so a new family is one class plus
 its entry in `JumpSpec`.
 A family writes its psi constants once, against float (`math`), numpy or
@@ -175,6 +176,9 @@ class _Family:
     # the index of the jump part of psi at infinity: 0 for a finite measure,
     # alpha for stable-like small jumps
     jump_index: ClassVar[float] = 0.0
+    # the index at 0+ of the jump part of psi beyond its linear term: 2 for
+    # jumps of finite variance, alpha for stable large jumps
+    jump_index_at_zero: ClassVar[float] = 2.0
 
     def check(self) -> None:
         """Raise for parameters outside the family's domain."""
@@ -381,6 +385,10 @@ class StablePositive(_Family):
 
     @property
     def jump_index(self) -> float:
+        return self.alpha
+
+    @property
+    def jump_index_at_zero(self) -> float:
         return self.alpha
 
     def check(self):
@@ -661,6 +669,17 @@ class LevyModel:
         By W(x) ~ 1/(x psi(1/x)) (Kuznetsov, Kyprianou & Rivero 2012), W
         has the power p - 1 at 0+."""
         return 2.0 if self.gaussian > 0.0 else max(1.0, self.jumps.jump_index)
+
+    @property
+    def index_at_zero(self) -> float:
+        """The index p0 of psi at 0+, |psi(lam)| = lam^p0 L(lam) with L
+        slowly varying as lam -> 0+: 1 where psi'(0+) is finite and not 0,
+        else the family's index at 0+, which is at most the Gaussian's 2
+        (alpha for stable jumps, with L ~ log(1/lam) at alpha = 1; 2
+        otherwise).  Where Phi(0) > 0, psi'(0+) < 0, so p0 is 1 unless the
+        jumps have an infinite mean, and then it is the stable alpha <= 1."""
+        d0 = self.laplace_exponent_derivative(0.0)
+        return 1.0 if d0 != 0.0 and math.isfinite(d0) else self.jumps.jump_index_at_zero
 
     def laplace_exponent_derivative(self, lam: float) -> float:
         """psi'(lam) for finite lam >= 0; at lam = 0 this is psi'(0+), which

@@ -7,10 +7,14 @@ from hypothesis import given, strategies as st
 from levyfn import (
     AtInfinity,
     AtZeroPlus,
+    CompoundPoissonExp,
     Constant,
     Generic,
     LaplaceRep,
+    LevyModel,
+    NoJumps,
     PowerLaw,
+    StablePositive,
     TemperedStable,
     brownian_model,
     builtin_model,
@@ -34,6 +38,12 @@ def as_generic(f):
     """The same function as a Generic, which takes the general route."""
     return Generic(fn=f.values, decreasing=f.decreasing,
                    bounded_away_from_origin=f.bounded_away_from_origin)
+
+
+def as_laplace_rep(f):
+    """f by its Laplace density alone, which takes the Laplace route at 0+
+    with no index known."""
+    return LaplaceRep(g=f.laplace_density())
 
 
 class TestVerdictEngine:
@@ -192,7 +202,7 @@ class TestExtinction:
         assert v.verdict == want
 
     def test_pure_gaussian(self):
-        m = validate(0.0, 1.0, __import__("levyfn").NoJumps())
+        m = validate(0.0, 1.0, NoJumps())
         assert extinction_test(m, PowerLaw(0.5)).converges
 
     def test_analytic_shortcut_matches_engine(self):
@@ -296,13 +306,126 @@ class TestExplosion:
 
     def test_route_disagreement_boundary(self):
         # theta = 1: tail integral of y^-1 is log-divergent, and so is the
-        # Laplace route near 0
+        # Laplace route near 0 (PowerLaw(1.0) itself is decided by psi's index)
         m = builtin_model("cpexp")
         a = explosion_test(m, as_generic(PowerLaw(1.0)))
-        b = explosion_test(m, PowerLaw(1.0))
+        b = explosion_test(m, as_laplace_rep(PowerLaw(1.0)))
         assert a.diagnostics["route"] == "tail_integral"
         assert b.diagnostics["route"] == "laplace_zero"
         assert a.diverges and b.diverges
+
+
+# (drift, gaussian, jumps, critical theta at infinity, at 0+ or None where
+# Phi(0) = 0), the critical values read off psi's form: at infinity 2 with a
+# Gaussian part, else the larger of 1 and the jump index (lam log lam at
+# alpha = 1); at 0+ 1 where psi'(0+) is finite, else the stable alpha
+INDEX_CASES = {
+    "none_c0": (1.0, 0.0, NoJumps(), 1.0, None),
+    "none_phi0": (-1.0, 0.5, NoJumps(), 2.0, 1.0),
+    "none_up": (1.0, 0.5, NoJumps(), 2.0, None),
+    "cpexp_c0_phi0": (0.25, 0.0, CompoundPoissonExp(1.0, 1.0), 1.0, 1.0),
+    "cpexp_c0_up": (1.5, 0.0, CompoundPoissonExp(1.0, 1.0), 1.0, None),
+    "cpexp_phi0": (0.25, 0.3, CompoundPoissonExp(1.0, 1.0), 2.0, 1.0),
+    "stable0.8_c0": (0.5, 0.0, StablePositive(0.8, 1.0), 1.0, 0.8),
+    "stable0.8": (0.5, 0.3, StablePositive(0.8, 1.0), 2.0, 0.8),
+    "stable1_c0": (1.0, 0.0, StablePositive(1.0, 1.0), 1.0, 1.0),
+    "stable1": (1.0, 0.3, StablePositive(1.0, 1.0), 2.0, 1.0),
+    "stable1.5_c0_phi0": (1.5, 0.0, StablePositive(1.5, 1.0), 1.5, 1.0),
+    "stable1.5_c0_up": (2.5, 0.0, StablePositive(1.5, 1.0), 1.5, None),
+    "stable1.5_phi0": (1.5, 0.3, StablePositive(1.5, 1.0), 2.0, 1.0),
+    "tempered0.6_c0_phi0": (0.2, 0.0, TemperedStable(0.6, 1.0, 1.0), 1.0, 1.0),
+    "tempered0.6_c0_up": (2.0, 0.0, TemperedStable(0.6, 1.0, 1.0), 1.0, None),
+    "tempered0.6_phi0": (-0.5, 0.3, TemperedStable(0.6, 1.0, 1.0), 2.0, 1.0),
+    "tempered1_c0_phi0": (-0.5, 0.0, TemperedStable(1.0, 1.0, 1.0), 1.0, 1.0),
+    "tempered1_phi0": (-0.5, 0.3, TemperedStable(1.0, 1.0, 1.0), 2.0, 1.0),
+    "tempered1.5_c0_phi0": (-0.5, 0.0, TemperedStable(1.5, 1.0, 1.0), 1.5, 1.0),
+    "tempered1.5_phi0": (-0.5, 0.3, TemperedStable(1.5, 1.0, 1.0), 2.0, 1.0),
+}
+# psi = b lam exactly: the pure-power route decides it
+PURE_POWER = {"none_c0"}
+
+
+def index_case(name):
+    drift, gaussian, jumps, crit_inf, crit_zero = INDEX_CASES[name]
+    model = validate(drift, gaussian, jumps)
+    assert (model.phi_zero().value > 0.0) == (crit_zero is not None)
+    return model, crit_inf, crit_zero
+
+
+def psi_array_calls(monkeypatch):
+    calls = []
+    orig = LevyModel.laplace_exponent_array
+
+    def counting(self, lam):
+        calls.append(lam)
+        return orig(self, lam)
+
+    monkeypatch.setattr(LevyModel, "laplace_exponent_array", counting)
+    return calls
+
+
+class TestIndexRoute:
+    """PowerLaw verdicts next to the critical theta: psi's index decides the
+    divergent side with no sweep, and no decisive verdict is wrong."""
+
+    @pytest.mark.parametrize("offset", [-0.01, 0.0, 0.01])
+    @pytest.mark.parametrize("name", sorted(INDEX_CASES))
+    def test_extinction(self, monkeypatch, name, offset):
+        model, crit, _ = index_case(name)
+        calls = psi_array_calls(monkeypatch)
+        theta = crit + offset
+        v = extinction_test(model, PowerLaw(theta))
+        if theta < crit:
+            assert v.verdict in ("converges", "inconclusive")
+            return
+        assert v.diverges and v.value == math.inf
+        assert v.route == ("analytic_power" if name in PURE_POWER else "analytic_index")
+        assert calls == []
+
+    @pytest.mark.parametrize("offset", [-0.01, 0.0, 0.01])
+    @pytest.mark.parametrize("name", sorted(n for n, case in INDEX_CASES.items()
+                                            if case[4] is not None))
+    def test_explosion(self, monkeypatch, name, offset):
+        model, _, crit = index_case(name)
+        calls = psi_array_calls(monkeypatch)
+        theta = crit + offset
+        v = explosion_test(model, PowerLaw(theta))
+        if theta > crit:
+            assert v.verdict in ("converges", "inconclusive")
+            return
+        assert v.diverges and v.value == -math.inf
+        assert v.route == "analytic_index" and v.diagnostics == {"route": "analytic_index",
+                                                                  "power": crit}
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["cpexp_phi0", "stable1_c0", "tempered1.5_c0_phi0"])
+    def test_wrapped_power_takes_the_engine(self, name):
+        model, crit_inf, crit_zero = index_case(name)
+        ext = extinction_test(model, as_generic(PowerLaw(crit_inf + 0.01)))
+        assert ext.route == "doubling_panels"
+        expl = explosion_test(model, as_laplace_rep(PowerLaw(crit_zero - 0.01)))
+        assert expl.route == "laplace_zero" and expl.diverges
+
+    @pytest.mark.parametrize("model,theta,where", [
+        (builtin_model("cpexp"), 1.95, "at infinity is 2"),
+        (builtin_model("cpexp"), 1.99, "at infinity is 2"),
+        (builtin_model("bmdrift"), 1.02, "at 0+ is 1"),
+        (builtin_model("bmdrift"), 1.04, "at 0+ is 1"),
+        (validate(0.5, 0.0, StablePositive(0.8, 1.0)), 0.81, "at 0+ is 0.8"),
+    ])
+    def test_ratios_against_the_index_are_inconclusive(self, model, theta, where):
+        # the panel ratios read "diverges" on these convergent integrals
+        test = extinction_test if where.startswith("at infinity") else explosion_test
+        engine = test(model, as_generic(PowerLaw(theta)) if test is extinction_test
+                      else as_laplace_rep(PowerLaw(theta)))
+        assert engine.diverges
+        v = test(model, PowerLaw(theta))
+        assert v.verdict == "inconclusive" and v.value is None
+        assert where in v.reason and v.panels == engine.panels
+
+    def test_log_harmonic_tail_diverges(self):
+        v = improper_integral_verdict(lambda t: 1.0 / (t * np.log(t)), AtInfinity(2.0))
+        assert v.diverges and v.value == math.inf
 
 
 class TestClassifyBoundary:

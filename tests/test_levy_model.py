@@ -94,6 +94,31 @@ class TestValidate:
             validate(0.0, 1.0, TemperedStable(alpha=1.2, scale=1.0, tempering=0.0))
 
 
+class TestIndexAtZero:
+    """psi's index at 0+: 1 where psi'(0+) is finite and not 0, else the
+    family's, checked against the local exponent lam psi'(lam) / psi(lam)."""
+
+    @pytest.mark.parametrize("model,index", [
+        (validate(0.5, 0.0, StablePositive(alpha=0.8, scale=1.0)), 0.8),
+        (validate(0.5, 0.3, StablePositive(alpha=0.8, scale=1.0)), 0.8),
+        (validate(1.0, 0.0, StablePositive(alpha=1.0, scale=1.0)), 1.0),
+        (validate(1.5, 0.0, StablePositive(alpha=1.5, scale=1.0)), 1.0),
+        (stable_power_model(1.5), 1.5),
+        (validate(-0.5, 0.0, TemperedStable(alpha=0.6, scale=1.0, tempering=1.0)), 1.0),
+        (validate(-0.5, 0.3, TemperedStable(alpha=1.5, scale=1.0, tempering=1.0)), 1.0),
+        (builtin_model("cpexp"), 1.0),
+        (builtin_model("bmdrift"), 1.0),
+        (validate(0.0, 1.0, NoJumps()), 2.0),
+    ], ids=["stable0.8", "stable0.8_gauss", "stable1", "stable1.5", "stable15", "tempered0.6",
+            "tempered1.5_gauss", "cpexp", "bmdrift", "bm"])
+    def test_values(self, model, index):
+        assert model.index_at_zero == index
+        lam = 1e-12
+        local = lam * model.laplace_exponent_derivative(lam) / model.laplace_exponent(lam)
+        # at alpha = 1 the log factor leaves 1 + 1/log(lam), about 0.04 off
+        assert local == pytest.approx(index, abs=0.05)
+
+
 class TestLaplaceExponent:
     def test_brownian_drift_value(self):
         m = brownian_model(-1.0)  # psi = lam^2 - lam

@@ -17,6 +17,7 @@ from levyfn import (
     AtZeroPlus,
     CompoundPoissonExp,
     Generic,
+    LaplaceRep,
     LevyModel,
     PowerLaw,
     StablePositive,
@@ -206,11 +207,12 @@ class TestVerdictTarget:
 
     def test_smooth_boundary_verdicts_take_one_call(self, monkeypatch):
         # cpexp's extinction verdict at theta = 0.7 is flagged at 1e-10 but
-        # not at VERDICT_RTOL
+        # not at VERDICT_RTOL; the Laplace density alone takes the engine at
+        # 0+, where PowerLaw(0.7) is decided by psi's index
         model = builtin_model("cpexp")
         model.phi_zero()
         calls = count_calls(monkeypatch, LevyModel, "laplace_exponent_array")
-        r = classify_boundary(model, PowerLaw(0.7), 1.0)
+        r = classify_boundary(model, as_laplace_rep(PowerLaw(0.7)), 1.0)
         assert [np.size(args[1]) for args in calls] == [quadrature.DOUBLINGS * 16] * 2
         for v in (r.extinction_verdict, r.explosion_verdict):
             assert v.rtol == integral_tests.VERDICT_RTOL and v.quad_warnings == 0
@@ -310,7 +312,7 @@ class TestArrayIntegrands:
         assert model.phi_zero().value > 0.0
         calls = count_calls(monkeypatch, LevyModel, "laplace_exponent")
         for theta in (0.5, 1.5, 2.5):
-            r = classify_boundary(model, PowerLaw(theta), 1.0)
+            r = classify_boundary(model, as_laplace_rep(PowerLaw(theta)), 1.0)
             assert r.explosion_verdict.diagnostics["route"] == "laplace_zero"
         assert calls == []
 
@@ -333,6 +335,17 @@ def generic(fn):
     return Generic(fn=fn, decreasing=True, bounded_away_from_origin=True)
 
 
+def as_generic(f):
+    """The same function as a Generic, which takes the general route."""
+    return generic(f.values)
+
+
+def as_laplace_rep(f):
+    """f by its Laplace density alone, which takes the Laplace route at 0+
+    with no index known."""
+    return LaplaceRep(g=f.laplace_density())
+
+
 ENGINE_KEYS = {"panels", "partial", "increments", "max_rel_abserr", "quad_warnings", "rtol"}
 RATIO_KEYS = {"ratios", "fitted_exponent", "converge_margin", "diverge_margin"}
 
@@ -341,7 +354,7 @@ class TestCompactVerdict:
     @pytest.mark.parametrize("case,keys", [
         (lambda: extinction_test(builtin_model("cpexp"), PowerLaw(1.5)),
          ENGINE_KEYS | RATIO_KEYS | {"route", "start", "tail_estimate"}),
-        (lambda: extinction_test(builtin_model("cpexp"), PowerLaw(2.5)),
+        (lambda: extinction_test(builtin_model("cpexp"), as_generic(PowerLaw(2.5))),
          ENGINE_KEYS | RATIO_KEYS | {"route", "start"}),
         (lambda: explosion_test(builtin_model("bmdrift"), PowerLaw(2.0)),
          ENGINE_KEYS | RATIO_KEYS | {"route", "tail_estimate"}),
@@ -411,7 +424,7 @@ class TestCompactVerdict:
         assert r.extinction_possible is None and r.extinguishing_possible is None
 
     def test_report_dict_shows_the_decision(self):
-        d = classify_boundary(builtin_model("cpexp"), PowerLaw(0.7), 1.0).to_dict()
+        d = classify_boundary(builtin_model("cpexp"), as_generic(PowerLaw(0.7)), 1.0).to_dict()
         for key in ("extinction_verdict", "explosion_verdict"):
             v = d[key]
             assert (v["panels"], v["quad_warnings"], v["rtol"]) == (
