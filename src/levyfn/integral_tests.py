@@ -51,8 +51,8 @@ finite, the stable alpha <= 1 otherwise), so it diverges exactly when theta
 <= p0.  On the convergent side the engine runs as for any f, except that a
 "diverges" its ratios read there is returned as inconclusive, with a
 reason: the ratio rule cannot tell a local exponent just below -1 from -1.
-A pure-power psi keeps its exact `analytic_power` route, which also gives
-the convergent value.
+Below the critical theta a pure-power psi keeps its exact `analytic_power`
+route, which gives the convergent value.
 
 The kind of the functional f alone picks the formula each test uses.  Every
 kind owns `values(x)`, f on a numpy array or on a float taken as a 0-d
@@ -111,6 +111,8 @@ _EXP_UFLOW = 746.0
 CONVERGES = "converges"
 DIVERGES = "diverges"
 INCONCLUSIVE = "inconclusive"
+# the reason of a sweep stopped on a negligible tail; it reports no ratios
+TAIL_NEGLIGIBLE = "tail negligible"
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +339,7 @@ class TestVerdict:
             d.update(panels=self.panels, partial=float(rec[0]), increments=mags.tolist(),
                      max_rel_abserr=float(rec[1]), quad_warnings=self.quad_warnings,
                      rtol=self.rtol)
-            if self.reason is None and self.panels > WINDOW:
+            if self.reason != TAIL_NEGLIGIBLE and self.panels > WINDOW:
                 ratios = _ratios(mags)
                 d["ratios"] = ratios
                 d["fitted_exponent"] = _fitted_exponent(ratios, self.at_infinity)
@@ -399,7 +401,7 @@ def improper_integral_verdict(integrand: Callable, endpoint: AtInfinity | AtZero
              "at_infinity": at_inf, "sweep": sweep}
 
     if negligible or not mags[-WINDOW:].any():
-        return TestVerdict(CONVERGES, total, reason="tail negligible", **facts)
+        return TestVerdict(CONVERGES, total, reason=TAIL_NEGLIGIBLE, **facts)
     if n < WINDOW + 1:
         return TestVerdict(INCONCLUSIVE, None, **facts)
 
@@ -438,9 +440,9 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     <=> the time-changed process dies out in finite time (given it hits 0);
     Diverges <=> it only extinguishes (approaches 0 without reaching it).
 
-    A pure-power psi = kappa lam^p decides f = PowerLaw(theta) exactly
-    (``analytic_power``).  Otherwise theta >= psi's index at infinity
-    diverges with no sweep (``analytic_index``), and below it a sweep that
+    For f = PowerLaw(theta), theta >= psi's index at infinity diverges with
+    no sweep (``analytic_index``).  Below it a pure-power psi = kappa lam^p
+    gives the exact value (``analytic_power``), and otherwise a sweep that
     reads "diverges" is returned as inconclusive.
     """
     if not f.bounded_away_from_origin:
@@ -451,17 +453,15 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
 
     theta = f.power
     if theta is not None:
-        closed = model.jumps.closed_form(model)
-        if closed is not None and closed.power is not None:
-            kappa, p = closed.power
-            facts = {"route": "analytic_power", "kappa": kappa, "power": p, "start": start}
-            if theta < p:
-                value = start ** (theta - p) / (kappa * (p - theta))
-                return TestVerdict(CONVERGES, value, **facts)
-            return TestVerdict(DIVERGES, math.inf, **facts)
         p = model.index_at_infinity
         if theta >= p:
             return TestVerdict(DIVERGES, math.inf, route="analytic_index", power=p, start=start)
+        closed = model.jumps.closed_form(model)
+        if closed is not None and closed.power is not None:
+            kappa, p = closed.power
+            value = start ** (theta - p) / (kappa * (p - theta))
+            return TestVerdict(CONVERGES, value, route="analytic_power", kappa=kappa, power=p,
+                               start=start)
 
     psi = model.laplace_exponent_array
 

@@ -341,8 +341,6 @@ INDEX_CASES = {
     "tempered1.5_c0_phi0": (-0.5, 0.0, TemperedStable(1.5, 1.0, 1.0), 1.5, 1.0),
     "tempered1.5_phi0": (-0.5, 0.3, TemperedStable(1.5, 1.0, 1.0), 2.0, 1.0),
 }
-# psi = b lam exactly: the pure-power route decides it
-PURE_POWER = {"none_c0"}
 
 
 def index_case(name):
@@ -379,7 +377,7 @@ class TestIndexRoute:
             assert v.verdict in ("converges", "inconclusive")
             return
         assert v.diverges and v.value == math.inf
-        assert v.route == ("analytic_power" if name in PURE_POWER else "analytic_index")
+        assert v.route == "analytic_index"
         assert calls == []
 
     @pytest.mark.parametrize("offset", [-0.01, 0.0, 0.01])
@@ -422,6 +420,8 @@ class TestIndexRoute:
         v = test(model, PowerLaw(theta))
         assert v.verdict == "inconclusive" and v.value is None
         assert where in v.reason and v.panels == engine.panels
+        margin = v.diagnostics["diverge_margin"]
+        assert margin >= 0.0 and margin == engine.diagnostics["diverge_margin"]
 
     def test_log_harmonic_tail_diverges(self):
         v = improper_integral_verdict(lambda t: 1.0 / (t * np.log(t)), AtInfinity(2.0))

@@ -311,8 +311,10 @@ class TestArrayIntegrands:
         model = drawn_cpexp_phi0()
         assert model.phi_zero().value > 0.0
         calls = count_calls(monkeypatch, LevyModel, "laplace_exponent")
-        for theta in (0.5, 1.5, 2.5):
-            r = classify_boundary(model, as_laplace_rep(PowerLaw(theta)), 1.0)
+        # psi's index at 0+ decides a plain PowerLaw(0.5), so that one is
+        # wrapped to keep the Laplace sweep
+        for f in (as_laplace_rep(PowerLaw(0.5)), PowerLaw(1.5), PowerLaw(2.5)):
+            r = classify_boundary(model, f, 1.0)
             assert r.explosion_verdict.diagnostics["route"] == "laplace_zero"
         assert calls == []
 
