@@ -214,9 +214,8 @@ def cmd_simulate(args) -> int:
     def fmt(v: float) -> str:
         return "" if isinstance(v, float) and math.isnan(v) else f"{v:.10g}"
 
-    csv_lines = ["path_id,status,zeta,A_final,T_boundary"]
-    csv_lines.extend(f"{i},{status},{fmt(zeta)},{fmt(a)},{fmt(t)}"
-                     for i, status, zeta, a, t in rows)
+    csv_lines = ["path_id,status,zeta,A_final"]
+    csv_lines.extend(f"{i},{status},{fmt(zeta)},{fmt(a)}" for i, status, zeta, a in rows)
     csv_text = "\n".join(csv_lines) + "\n"
 
     payload = {

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
@@ -129,18 +130,28 @@ def _log1p_np(u):
     return np.where(live, np.log(w) * (u / np.where(live, d, 1.0)), u)
 
 
+def _power_np(x, a):
+    """x**a, for a complex array x as exp(a log x): glibc's cpow, which
+    numpy's complex ** calls, computes the same, and more slowly."""
+    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
+        return np.exp(a * np.log(x))
+    return x**a
+
+
 # The arithmetic a family writes its psi constants against: float64, numpy
 # (float64 constants; psi then takes real or complex arrays), or mpmath at
-# the caller's working precision.  `xlogx(x)` is x*log(x), 0 at x = 0.
+# the caller's working precision.  `xlogx(x)` is x*log(x), 0 at x = 0, and
+# `power(x, a)` is x**a.
 _FLOAT = SimpleNamespace(real=float, gamma=math.gamma, exp=math.exp, log=math.log,
                          expm1=math.expm1, log1p=math.log1p, euler=EULER_GAMMA,
-                         upper_gamma=_upper_gamma,
+                         upper_gamma=_upper_gamma, power=operator.pow,
                          xlogx=lambda x: x * math.log(x) if x > 0 else 0.0)
 _NP = SimpleNamespace(**{**vars(_FLOAT), "log": np.log, "expm1": np.expm1,
-                         "log1p": _log1p_np, "xlogx": lambda x: x * np.log(x)})
+                         "log1p": _log1p_np, "power": _power_np,
+                         "xlogx": lambda x: x * np.log(x)})
 _MP = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
                       expm1=mp.expm1, log1p=mp.log1p, euler=mp.euler,
-                      upper_gamma=mp.gammainc,
+                      upper_gamma=mp.gammainc, power=operator.pow,
                       xlogx=lambda x: x * mp.log(x) if x > 0 else 0.0)
 
 
@@ -411,9 +422,10 @@ class StablePositive(_Family):
             return {"b": beff, "c": c, "psi": psi, "dpsi": dpsi}
         CG = C * ops.gamma(-a)  # Gamma(-a) > 0 for a in (1,2), < 0 for a in (0,1)
         beff = b - C / (a - 1) if self.alpha > 1.0 else b + C / (1 - a)
+        power = ops.power
 
         def psi(lam):
-            return beff * lam + c * lam * lam + CG * lam**a
+            return beff * lam + c * lam * lam + CG * power(lam, a)
 
         def dpsi(lam):
             if lam == 0.0:

@@ -607,7 +607,7 @@ def mc_estimate(model: LevyModel, x: float, f: Optional[FunctionalSpec],
 
     if keep_path_rows:
         zeta = np.where(hit, joined("stop_time"), math.nan).tolist()
-        extras["path_rows"] = [(i, _STATUS[s], zt, a, a)
+        extras["path_rows"] = [(i, _STATUS[s], zt, a)
                                for i, (s, zt, a) in enumerate(zip(status, zeta, A.tolist()))]
 
     return MCSummary(estimate=estimate, stderr=stderr, n_paths=n,

@@ -31,6 +31,12 @@ at all points of a fixed rule on [0, M] in one Talbot evaluation, each
 point checked N against 2N nodes: IDENTITY_GL_POINTS-point Gauss-Legendre
 on the panels [M 2^{-j-1}, M 2^{-j}], j < IDENTITY_PANELS - 1, and
 [0, M 2^{1-IDENTITY_PANELS}], graded towards 0 where W(y) ~ y^gamma.  The
+N nodes at y are bitwise the even 2N nodes at 2y (nu^{2N}_{2k} = 2 nu^N_k),
+and each panel halves the next, so a point whose 2y is a rule point reads
+its N-node check from there: one psi call on 160 x 28 + 16 x 14 nodes.
+M is the first power of 2 where the integrand drops below
+IDENTITY_INTEGRAND_TOL; W_shift is nondecreasing, so the search evaluates
+W only where its last value does not already decide.  The
 inversion route below evaluates Talbot W on arrays at the nodes of the
 verdict engine's K15 panels.  Float64 Gaver-Stehfest (`gs_invert_float`,
 ~1e-5) remains only for levybench's layer probe.
@@ -110,6 +116,8 @@ LN2 = math.log(2.0)
 TALBOT_ORDER = 14
 # Relative disagreement between consecutive orders that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
+# Relative step down that W's monotonicity tolerates, as rounding.
+MONOTONE_RTOL = 1e-9
 
 # truncation of the Laplace-identity integral: where e^{-lam*M} W(M) drops below
 IDENTITY_INTEGRAND_TOL = 1e-8
@@ -238,7 +246,8 @@ class ScaleEvaluator:
         self.phi0 = self.model.phi_zero().value
         if self.use_closed_form:
             self.closed_form = self.model.jumps.closed_form(self.model)
-        # W on the grid as scale_w gives it, from one Talbot evaluation
+        # W on the grid from one Talbot evaluation, within about 1e-12 of
+        # what scale_w gives point by point
         grid = np.geomspace(0.05, 20.0, 16)
         shifted = self._w_shifted_array(grid)
         with np.errstate(over="ignore"):
@@ -247,33 +256,52 @@ class ScaleEvaluator:
             raise NumericalOverflowError(f"W({grid[~np.isfinite(growth)][0]:g}) overflows")
         grid_w = growth * shifted
         scale = max(grid_w.max(), 1e-300)
-        if (grid_w <= 0.0).any() or (np.diff(grid_w) < -1e-9 * scale).any():
+        if (grid_w <= 0.0).any() or (np.diff(grid_w) < -MONOTONE_RTOL * scale).any():
             raise InversionUnstableError(
                 "scale function not positive/nondecreasing on the cache grid")
 
     # -- core inversions -----------------------------------------------------
 
-    def _w_talbot(self, x, orders: tuple[int, ...]) -> tuple:
+    def _w_talbot(self, x, orders: tuple[int, ...], twice=None) -> tuple:
         """W_shift at x for each of `orders` Talbot node counts, from one psi
         call on the nodes of all of them: floats for a float x, arrays for a
-        1-D array of x (one row of nodes per point)."""
+        1-D array of x (one row of nodes per point).
+
+        `twice`, for orders (N, 2N) and an array x, pairs the points:
+        x[twice[i]] == 2 x[i], or twice[i] < 0 where 2 x[i] is not in x.  The
+        even 2N nodes are nu^{2N}_{2k} = 2 nu^N_k bitwise, so the N-node
+        value at a paired x[i] reads psi at the even 2N nodes of x[twice[i]],
+        and only the unpaired points add N nodes of their own."""
         nodes, parts = _talbot_rules(orders)
         array = isinstance(x, np.ndarray)
+        if twice is None:
+            s = nodes / (x[:, None] if array else x)
+        else:
+            (lo, omega_lo), (hi, omega_hi) = parts
+            own = twice < 0
+            s = np.concatenate(((nodes[hi] / x[:, None]).ravel(),
+                                (nodes[lo] / x[own, None]).ravel()))
+        if self.phi0:
+            s += self.phi0
         with np.errstate(all="ignore"):
-            psi = self.model.laplace_exponent_array(
-                nodes / (x[:, None] if array else x) + self.phi0)
+            psi = self.model.laplace_exponent_array(s)
         if not np.isfinite(psi).all():
             raise NumericalOverflowError(
                 f"psi overflows at the Talbot nodes of x={np.min(x):g}")
         transform = 1.0 / psi
+        if twice is not None:
+            top = transform[:len(x) * omega_hi.size].reshape(len(x), -1)
+            rows = top[twice, ::2]
+            rows[own] = transform[top.size:].reshape(-1, omega_lo.size)
+            return (rows @ omega_lo).real / x, (top @ omega_hi).real / x
         values = tuple((transform[..., part] @ omega).real / x for part, omega in parts)
         return values if array else tuple(map(float, values))
 
-    def _w_checked(self, x):
+    def _w_checked(self, x, twice=None):
         """W_shift at a float x or at each x of a 1-D array: the 2N-node
         Talbot value, once the N-node value agrees with it to
-        ORDER_AGREEMENT_RTOL."""
-        lo, hi = self._w_talbot(x, (TALBOT_ORDER, 2 * TALBOT_ORDER))
+        ORDER_AGREEMENT_RTOL.  `twice` pairs x with 2x as in `_w_talbot`."""
+        lo, hi = self._w_talbot(x, (TALBOT_ORDER, 2 * TALBOT_ORDER), twice)
         # |hi - lo| > RTOL * max(|hi|, 1e-300), in operators that take a
         # float as cheaply as an array
         gap = abs(hi - lo)
@@ -285,11 +313,14 @@ class ScaleEvaluator:
                 f"x={np.ravel(x)[i]:g}: {np.ravel(lo)[i]:.6g} vs {np.ravel(hi)[i]:.6g}")
         return hi
 
-    def _w_shifted_array(self, xs: np.ndarray) -> np.ndarray:
-        """W_shift at each x > 0 of a 1-D array, as `w_shifted` gives it."""
+    def _w_shifted_array(self, xs: np.ndarray, twice=None) -> np.ndarray:
+        """W_shift at each x > 0 of a 1-D array.  It agrees with `w_shifted`
+        at each point to about 1e-12 relative, not bitwise: a matrix of rows
+        sums in another order than one point's dot product.  `twice` pairs
+        xs with 2 xs as in `_w_talbot`."""
         if self.closed_form is not None:
             return np.array([self.closed_form.w_shifted(float(x)) for x in xs])
-        return self._w_checked(xs)
+        return self._w_checked(xs, twice)
 
     def w_shifted(self, x: float) -> float:
         """W_shift(x) = e^{-Phi(0)x} W(x); bounded whenever psi'(Phi(0)) > 0.
@@ -558,41 +589,67 @@ def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float)
 
 
 @lru_cache(maxsize=1)
-def _identity_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of the Laplace-identity rule on [0, 1]:
-    IDENTITY_GL_POINTS-point Gauss-Legendre on each panel [2^{-j-1}, 2^{-j}],
-    j < IDENTITY_PANELS - 1, and on [0, 2^{1-IDENTITY_PANELS}]."""
+def _identity_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points, weights and doubled points of the Laplace-identity rule on
+    [0, 1]: IDENTITY_GL_POINTS-point Gauss-Legendre on each panel
+    [2^{-j-1}, 2^{-j}], j < IDENTITY_PANELS - 1, and on
+    [0, 2^{1-IDENTITY_PANELS}].  Each panel halves the next one exactly, so
+    the points of all but the first and last panel double bitwise to points
+    of the next; `twice` indexes them as `ScaleEvaluator._w_talbot` reads it,
+    -1 where 2y is not a point."""
     nodes, weights = np.polynomial.legendre.leggauss(IDENTITY_GL_POINTS)
     edges = np.concatenate(([0.0], 2.0 ** -np.arange(IDENTITY_PANELS - 1.0, -1.0, -1.0)))
     half = np.diff(edges)[:, None] / 2.0
     points = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
-    points.flags.writeable = False
     weights = (half * weights).ravel()
-    weights.flags.writeable = False
-    return points, weights
+    twice = np.searchsorted(points, 2.0 * points)
+    twice[points[np.minimum(twice, points.size - 1)] != 2.0 * points] = -1
+    for a in (points, weights, twice):
+        a.flags.writeable = False
+    return points, weights, twice
+
+
+def _identity_truncation(ev: ScaleEvaluator, rate: float) -> float:
+    """The first M of 1, 2, 4, ... with e^{-rate M} W_shift(M) below
+    IDENTITY_INTEGRAND_TOL.  W_shift is nondecreasing (it is the scale
+    function of the process tilted by Phi(0)), so W_shift(M) is at least
+    its last evaluated value, less MONOTONE_RTOL of it, and W_shift is
+    evaluated only at the M that bound does not decide.  The M is that of
+    evaluating W_shift at every M."""
+    M, floor = 1.0, 0.0
+    while True:
+        decay = math.exp(-rate * M)
+        if decay * floor < IDENTITY_INTEGRAND_TOL:
+            w = ev.w_shifted(M)
+            if decay * w < IDENTITY_INTEGRAND_TOL:
+                return M
+            floor = w * (1.0 - MONOTONE_RTOL)
+        M *= 2.0
+        if M > 2.0**40:
+            raise QuadratureFailureError("no usable truncation point found")
 
 
 def laplace_identity_residual(ev: ScaleEvaluator, lam: float) -> float:
     """|psi(lam) * integral_0^M e^{-lam*y} W(y) dy - 1| for lam > Phi(0).
 
     The integrand is the W that `ev` publishes, in shifted form
-    e^{-(lam-Phi(0))y} W_shift(y).  M doubles from 1 until the integrand at
-    M drops below IDENTITY_INTEGRAND_TOL.  The integral is a fixed rule on
-    [0, M], Gauss-Legendre on panels graded geometrically towards 0, where
-    W(y) ~ y^gamma (see `_identity_rule`); without a closed form its points
-    take one Talbot evaluation, checked N against 2N nodes at every point as
-    `ScaleEvaluator.w_shifted` checks one.
+    e^{-(lam-Phi(0))y} W_shift(y).  M is the first of 1, 2, 4, ... where the
+    integrand drops below IDENTITY_INTEGRAND_TOL; the search evaluates W
+    only at the M that W_shift's monotonicity leaves open (see
+    `_identity_truncation`).  The integral is a fixed rule on [0, M],
+    Gauss-Legendre on panels graded geometrically towards 0, where
+    W(y) ~ y^gamma (see `_identity_rule`).  Without a closed form its points
+    take one Talbot evaluation, each checked N against 2N nodes as
+    `ScaleEvaluator.w_shifted` checks one; the N-node check of a point y
+    reads psi at the 2N nodes of the point 2y where there is one, so the
+    psi call covers 160 x 28 + 16 x 14 nodes.
     """
     phi0 = ev.phi0
     if not phi0 < lam < math.inf:
         raise PreconditionViolatedError(f"lam must be finite and > Phi(0), got {lam}")
     rate = lam - phi0
-    M = 1.0
-    while math.exp(-rate * M) * ev.w_shifted(M) >= IDENTITY_INTEGRAND_TOL:
-        M *= 2.0
-        if M > 2.0**40:
-            raise QuadratureFailureError("no usable truncation point found")
-    points, weights = _identity_rule()
+    M = _identity_truncation(ev, rate)
+    points, weights, twice = _identity_rule()
     ys = M * points
-    val = M * (weights @ (np.exp(-rate * ys) * ev._w_shifted_array(ys)))
+    val = M * (weights @ (np.exp(-rate * ys) * ev._w_shifted_array(ys, twice)))
     return abs(ev.model.laplace_exponent(lam) * val - 1.0)

@@ -154,7 +154,7 @@ class TestSimulate:
         for fname in ("paths.csv", "summary.json", "manifest.json"):
             assert (out1 / fname).read_text() == (out2 / fname).read_text()
         csv = (out1 / "paths.csv").read_text().splitlines()
-        assert csv[0] == "path_id,status,zeta,A_final,T_boundary"
+        assert csv[0] == "path_id,status,zeta,A_final"
         assert len(csv) == 151
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["oracles"]["hit_probability"] == pytest.approx(math.exp(-1))

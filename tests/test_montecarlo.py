@@ -413,11 +413,11 @@ class TestMcEstimate:
         cfg = PathConfig(dt=1e-3, horizon=3.0, barrier=1e6, seed=24)
         s = mc_estimate(m, 1.0, PowerLaw(0.5), FunctionalFiniteness(), 100, cfg,
                         workers=2, keep_path_rows=True)
-        for i, status, zeta, a_final, t_boundary in s.extras["path_rows"][::9]:
+        for i, status, zeta, a_final in s.extras["path_rows"][::9]:
             p = sample_path(m, 1.0, cfg, i)
             assert status == p.status
             assert zeta == p.zeta or (math.isnan(zeta) and p.zeta is None)
-            assert a_final == t_boundary == functional_along_path(p, PowerLaw(0.5)).A_final
+            assert a_final == functional_along_path(p, PowerLaw(0.5)).A_final
 
     @pytest.mark.parametrize("estimator", ["hitprob", "meanpassage", "condexp", "finiteness"])
     @pytest.mark.parametrize("model", [
@@ -440,7 +440,7 @@ class TestMcEstimate:
         for i in range(100):
             p = sample_path(model, 1.0, path_cfg, i)
             a = functional_along_path(p, spec).A_final if spec else math.nan
-            want.append((i, p.status, p.zeta if p.zeta is not None else math.nan, a, a))
+            want.append((i, p.status, p.zeta if p.zeta is not None else math.nan, a))
         assert {row[1] for row in want} >= {"hit_zero"}
         for workers in (1, 2):
             s = mc_estimate(model, 1.0, None if spec is None else f, est, 100, cfg,

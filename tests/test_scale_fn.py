@@ -548,6 +548,123 @@ class TestLaplaceIdentity:
         ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
         assert calls == [(16, 42)]
 
+    @pytest.mark.parametrize("name", ["cpexp", "stable15"])
+    def test_rule_reads_n_node_checks_at_2y(self, name, monkeypatch):
+        # 144 of the 160 points take their N-node check from the 2N nodes of
+        # the point 2y; the search adds at most 3 W points of 3N nodes each
+        from levyfn import LevyModel
+
+        sizes = []
+        orig = LevyModel.laplace_exponent_array
+
+        def counting(model, lam):
+            sizes.append(np.size(lam))
+            return orig(model, lam)
+
+        ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
+        monkeypatch.setattr(LevyModel, "laplace_exponent_array", counting)
+        n = scale_fn.TALBOT_ORDER
+        for shift in (0.5, 1.0, 2.0, 5.0):
+            sizes.clear()
+            laplace_identity_residual(ev, ev.phi0 + shift)
+            assert sizes[-1] == 160 * 2 * n + 16 * n
+            assert sum(sizes) <= 160 * 2 * n + 16 * n + 3 * 3 * n
+
+    @pytest.mark.parametrize("name", ["cpexp", "stable15", "bmdrift"])
+    def test_identity_w_is_the_checked_w(self, name, monkeypatch):
+        ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
+        seen = []
+        orig = ScaleEvaluator._w_shifted_array
+
+        def recording(self, xs, twice=None):
+            out = orig(self, xs, twice)
+            seen.append((xs, twice, out))
+            return out
+
+        monkeypatch.setattr(ScaleEvaluator, "_w_shifted_array", recording)
+        laplace_identity_residual(ev, ev.phi0 + 1.0)
+        ((ys, twice, got),) = seen
+        np.testing.assert_allclose(got, ev._w_checked(ys), rtol=1e-15, atol=0.0)
+        # the N-node values read at 2y are the ones the points' own nodes give
+        orders = (scale_fn.TALBOT_ORDER, 2 * scale_fn.TALBOT_ORDER)
+        for paired, own in zip(ev._w_talbot(ys, orders, twice), ev._w_talbot(ys, orders)):
+            np.testing.assert_allclose(paired, own, rtol=1e-15, atol=0.0)
+        paired = twice >= 0
+        assert paired.sum() == 144
+        assert (ys[twice[paired]] == 2.0 * ys[paired]).all()
+
+
+def _search_evaluators():
+    """Evaluators of every family, closed forms on and off, Phi(0) = 0 and > 0."""
+    models = [builtin_model(name) for name in ("bmup", "bmdrift", "cpexp", "stable15")]
+    models += [
+        stable_power_model(1.2), stable_power_model(1.8),
+        validate(0.3, 0.0, StablePositive(alpha=1.6, scale=0.7)),
+        validate(-0.2, 0.0, StablePositive(alpha=1.0, scale=0.8)),
+        validate(0.2, 0.25, CompoundPoissonExp(rate=2.0, jump_mean=0.5)),
+        validate(-0.3, 0.1, CompoundPoissonExp(rate=1.0, jump_mean=0.8)),
+        validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0)),
+        validate(0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5)),
+        validate(0.4, 0.0, TemperedStable(alpha=0.7, scale=0.6, tempering=2.0)),
+        _tempered_phi0(),
+    ]
+    evs = [ScaleEvaluator(m, use_closed_form=False) for m in models]
+    return evs + [ScaleEvaluator(m) for m in models[:6]]
+
+
+class TestIdentityTruncation:
+    """The search for the identity's M skips the W values that W_shift's
+    monotonicity already decides, and lands on the M of plain doubling."""
+
+    RATES = np.geomspace(0.01, 50.0, 300)
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        calls = {"skipping": 0, "plain": 0}
+        found = []
+        for ev in _search_evaluators():
+            orig = ev.w_shifted
+
+            def counting(x, key):
+                calls[key] += 1
+                return orig(x)
+
+            for rate in self.RATES:
+                rate = float(rate)
+                ev.w_shifted = lambda x: counting(x, "skipping")
+                got = scale_fn._identity_truncation(ev, rate)
+                plain = 1.0
+                while math.exp(-rate * plain) * counting(plain, "plain") >= 1e-8:
+                    plain *= 2.0
+                found.append((ev.model, rate, got, plain))
+            del ev.w_shifted
+        return found, calls
+
+    def test_same_m_as_plain_doubling(self, searches):
+        found, _ = searches
+        assert len(found) == 20 * len(self.RATES)
+        assert [f[2] for f in found] == [f[3] for f in found]
+
+    def test_fewer_w_calls(self, searches):
+        _, calls = searches
+        # 20 evaluators x 300 rates: 11647 W calls against plain doubling's 37831
+        assert 3 * calls["skipping"] < calls["plain"], calls
+
+
+class TestStablePsiNodes:
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.2, 1.5, 1.95])
+    def test_complex_power_matches_cpow(self, alpha):
+        # the numpy psi takes lam**a on complex nodes as exp(a log lam)
+        model = validate(0.2 if alpha < 1.0 else 0.0, 0.1, StablePositive(alpha, 0.7))
+        consts = model._exponent_np
+        nodes, _ = scale_fn._talbot_rules((scale_fn.TALBOT_ORDER, 2 * scale_fn.TALBOT_ORDER))
+        lam = nodes / np.geomspace(1e-6, 1e8, 60)[:, None]
+        want = consts["b"] * lam + consts["c"] * lam * lam + consts["CG"] * lam**alpha
+        np.testing.assert_allclose(model.laplace_exponent_array(lam), want, rtol=1e-15, atol=0.0)
+        real = np.geomspace(1e-6, 1e8, 60)
+        assert (model.laplace_exponent_array(real)
+                == consts["b"] * real + consts["c"] * real * real + consts["CG"] * real**alpha).all()
+
 
 def _tempered_phi0():
     """Tempered model with Phi(0) > 0 (drift up)."""
