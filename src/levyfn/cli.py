@@ -143,14 +143,13 @@ def cmd_scale_table(args) -> int:
                  else ScaleEvaluator(model, use_closed_form=False))
 
     lines = ["x,W,W_closed_form,rel_err"]
-    for x in xs:
-        w = inversion.scale_w(float(x))
-        if ev.closed_form is not None:
-            ref = ev.scale_w(float(x))
+    ws = inversion.scale_w(xs)
+    if ev.closed_form is None:
+        lines += [f"{x:.10g},{w:.12g},," for x, w in zip(xs, ws)]
+    else:
+        for x, w, ref in zip(xs, ws, ev.scale_w(xs)):
             rel = abs(w - ref) / abs(ref) if ref != 0.0 else 0.0
             lines.append(f"{x:.10g},{w:.12g},{ref:.12g},{rel:.3e}")
-        else:
-            lines.append(f"{x:.10g},{w:.12g},,")
     text = "\n".join(lines) + "\n"
 
     manifest = _manifest("scale-table", model,

@@ -163,12 +163,13 @@ _MP = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
 class ClosedForm:
     """A closed-form scale function.
 
-    `w_shifted(x)` is W_shift(x) = e^{-Phi(0)x} W(x) for x >= 0,
+    `w_shifted(x)` is W_shift(x) = e^{-Phi(0)x} W(x) for x >= 0, at a float
+    or a 1-D array (numpy's expm1 and `**`, a few ulp off libm's on a table),
     `potential(z, d)` the potential density e^{-Phi(0)d} W(z) - W(z-d) for
     z > 0, and `power` is (kappa, p) when psi(lam) = kappa * lam**p exactly.
     """
 
-    w_shifted: Callable[[float], float]
+    w_shifted: Callable
     potential: Callable[[float, float], float]
     power: Optional[tuple[float, float]] = None
 
@@ -371,17 +372,18 @@ class NoJumps(_Family):
         if c == 0.0:  # pure drift
             if b <= 0.0:
                 return None
-            return ClosedForm(lambda x: 1.0 / b, lambda z, d: 1.0 / b if z <= d else 0.0, (b, 1.0))
+            return ClosedForm(lambda x: np.full(np.shape(x), 1.0 / b),
+                              lambda z, d: 1.0 / b if z <= d else 0.0, (b, 1.0))
         if b == 0.0:
             return ClosedForm(lambda x: x / c, lambda z, d: min(z, d) / c, (c, 2.0))
         if b > 0.0:  # Phi(0) = 0
             return ClosedForm(
-                lambda x: -math.expm1(-b * x / c) / b,
+                lambda x: -np.expm1(-b * x / c) / b,
                 lambda z, d: (-math.expm1(-b * z / c) / b if z <= d
                               else math.exp(-b * z / c) * math.expm1(b * d / c) / b))
         phi0 = model.phi_zero().value  # = -b/c
         return ClosedForm(
-            lambda x: math.expm1(-phi0 * x) / b,
+            lambda x: np.expm1(-phi0 * x) / b,
             lambda z, d: (math.exp(-phi0 * d) * math.expm1(phi0 * z) / (-b) if z <= d
                           else -math.expm1(-phi0 * d) / (-b)))
 

@@ -12,7 +12,9 @@ r theta (cot theta + i), theta_k = k pi/M, r = 2M/(5x), it sums the
 transform at the nodes against fixed weights.  x enters only through
 r, so the nodes are s_k = nu_k/x and the weights e^{x s_k}(1 + i sigma_k)
 do not depend on x; one W point is one numpy psi call on the nodes of M
-and 2M together.  M is TALBOT_ORDER: the M- and 2M-node values must
+and 2M together, and a 1-D array of x one call per TABLE_BLOCK points,
+within about 1e-12 relative of its points (a matrix sums in another order
+than a row).  M is TALBOT_ORDER: the M- and 2M-node values must
 agree to ORDER_AGREEMENT_RTOL or the evaluation reports instability, and
 the 2M-node value is returned (about 1e-12 relative at M = 14).  The
 contour wraps the negative real axis, so it needs the
@@ -118,6 +120,8 @@ TALBOT_ORDER = 14
 ORDER_AGREEMENT_RTOL = 1e-3
 # Relative step down that W's monotonicity tolerates, as rounding.
 MONOTONE_RTOL = 1e-9
+# Points of a W table per psi call, at least the identity rule's 160.
+TABLE_BLOCK = 512
 
 # truncation of the Laplace-identity integral: where e^{-lam*M} W(M) drops below
 IDENTITY_INTEGRAND_TOL = 1e-8
@@ -246,15 +250,7 @@ class ScaleEvaluator:
         self.phi0 = self.model.phi_zero().value
         if self.use_closed_form:
             self.closed_form = self.model.jumps.closed_form(self.model)
-        # W on the grid from one Talbot evaluation, within about 1e-12 of
-        # what scale_w gives point by point
-        grid = np.geomspace(0.05, 20.0, 16)
-        shifted = self._w_shifted_array(grid)
-        with np.errstate(over="ignore"):
-            growth = np.exp(self.phi0 * grid)
-        if not np.isfinite(growth).all():
-            raise NumericalOverflowError(f"W({grid[~np.isfinite(growth)][0]:g}) overflows")
-        grid_w = growth * shifted
+        grid_w = self.scale_w(np.geomspace(0.05, 20.0, 16))
         scale = max(grid_w.max(), 1e-300)
         if (grid_w <= 0.0).any() or (np.diff(grid_w) < -MONOTONE_RTOL * scale).any():
             raise InversionUnstableError(
@@ -313,50 +309,53 @@ class ScaleEvaluator:
                 f"x={np.ravel(x)[i]:g}: {np.ravel(lo)[i]:.6g} vs {np.ravel(hi)[i]:.6g}")
         return hi
 
-    def _w_shifted_array(self, xs: np.ndarray, twice=None) -> np.ndarray:
-        """W_shift at each x > 0 of a 1-D array.  It agrees with `w_shifted`
-        at each point to about 1e-12 relative, not bitwise: a matrix of rows
-        sums in another order than one point's dot product.  `twice` pairs
-        xs with 2 xs as in `_w_talbot`."""
-        if self.closed_form is not None:
-            return np.array([self.closed_form.w_shifted(float(x)) for x in xs])
-        return self._w_checked(xs, twice)
+    def w_shifted(self, x: float | np.ndarray, twice=None) -> float | np.ndarray:
+        """W_shift(x) = e^{-Phi(0)x} W(x), bounded whenever psi'(Phi(0)) > 0,
+        at a float x or at each x of a 1-D array.  Zero for x < 0, -inf
+        included; NaN and +inf raise, naming the first such x.  A float stays
+        on scalar arithmetic; a table goes TABLE_BLOCK points at a time to the
+        closed form or one checked Talbot evaluation, within about 1e-12
+        relative of its points.  `twice` pairs a table of at most TABLE_BLOCK
+        points x > 0 with 2x as in `_w_talbot`."""
+        if not isinstance(x, np.ndarray):
+            if x < 0.0:
+                return 0.0
+            if not x < math.inf:
+                raise PreconditionViolatedError(f"x must be finite, got {x}")
+            if self.closed_form is not None:
+                return float(self.closed_form.w_shifted(x))
+            return self._w_checked(x)
+        bad = np.isnan(x) | (x == math.inf)
+        if bad.any():
+            raise PreconditionViolatedError(f"x must be finite, got {x[bad][0]}")
+        out, rows = np.zeros(len(x)), np.flatnonzero(x >= 0.0)
+        for i in range(0, len(rows), TABLE_BLOCK):
+            block = rows[i:i + TABLE_BLOCK]
+            out[block] = (self._w_checked(x[block], twice) if self.closed_form is None
+                          else self.closed_form.w_shifted(x[block]))
+        return out
 
-    def w_shifted(self, x: float) -> float:
-        """W_shift(x) = e^{-Phi(0)x} W(x); bounded whenever psi'(Phi(0)) > 0.
-        Zero for x < 0, -inf included; NaN and +inf raise."""
-        if x < 0.0:
-            return 0.0
-        if not x < math.inf:
-            raise PreconditionViolatedError(f"x must be finite, got {x}")
-        if self.closed_form is not None:
-            return self.closed_form.w_shifted(x)
-        return self._w_checked(x)
-
-    def scale_w(self, x: float) -> float:
-        """W(x); zero for x < 0, and NaN and +inf raise as in `w_shifted`."""
-        if x < 0.0:
-            return 0.0
+    def scale_w(self, x: float | np.ndarray) -> float | np.ndarray:
+        """W(x) = e^{Phi(0)x} W_shift(x) with the contract of `w_shifted`; the
+        growth factor is libm's exp at a float, numpy's on an array."""
         wn = self.w_shifted(x)
-        try:
-            return math.exp(self.phi0 * x) * wn
-        except OverflowError as exc:
-            raise NumericalOverflowError(f"W({x:g}) overflows") from exc
+        if not isinstance(x, np.ndarray):
+            try:
+                return math.exp(self.phi0 * x) * wn if x > 0.0 else wn
+            except OverflowError as exc:
+                raise NumericalOverflowError(f"W({x:g}) overflows") from exc
+        with np.errstate(over="ignore"):
+            growth = np.exp(self.phi0 * np.maximum(x, 0.0))
+        if np.isinf(growth).any():
+            raise NumericalOverflowError(f"W({x[np.isinf(growth)][0]:g}) overflows")
+        return growth * wn
 
     # -- potential density ---------------------------------------------------
-    #
-    # D(z) = e^{-Phi(0)d} W(z) - W(z-d) is bounded: in shifted form it is
-    # e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)], and the shifted difference
-    # decays at exactly the rate Phi(0) (the transform's next singularity
-    # sits at -Phi(0)), so D approaches the computable plateau
-    # (e^{-Phi(0)d} - 1)/psi'(0+) exponentially.  Direct subtraction of two
-    # scale-function inversions loses all signal once that transient falls
-    # below the inversion noise; past the switch point we return the plateau.
 
     def _potential_density_fn(self, d: float) -> Callable[[np.ndarray], np.ndarray]:
         """z -> e^{-Phi(0)d} W(z) - W(z-d) on a 1-D array of z, 0 at z <= 0:
         the closed form, or e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)] from
-        one checked Talbot evaluation (`_w_checked`) where the difference is
+        one checked Talbot evaluation (`w_shifted`) where the difference is
         resolvable, and the plateau (Phi(0) > 0) or 0 (below the noise floor,
         Phi(0) = 0) where it is not."""
         if self.closed_form is not None:
@@ -369,14 +368,15 @@ class ScaleEvaluator:
             pos, lag = z > 0.0, z > d
             lead, lagged = np.zeros((2, len(z)))
             lead[pos], lagged[lag] = np.split(
-                self._w_checked(np.concatenate((z[pos], z[lag] - d))), [np.count_nonzero(pos)])
+                self.w_shifted(np.concatenate((z[pos], z[lag] - d))), [np.count_nonzero(pos)])
             return np.exp(phi0 * (z - d)) * (lead - lagged)
 
         if phi0 > 0.0:
-            # The transient above the plateau decays at rate Phi(0) (next
-            # transform singularity sits at -Phi(0)), while the inversion
-            # noise is amplified by e^{Phi(0)(z-d)}: direct evaluation covers
-            # the resolvable window (up to the first of d + (12, 9, 6)/Phi(0)
+            # The shifted difference decays at rate Phi(0) (the transform's
+            # next singularity sits at -Phi(0)), so D approaches the plateau
+            # (e^{-Phi(0)d} - 1)/psi'(0+), while the inversion noise is
+            # amplified by e^{Phi(0)(z-d)}: direct evaluation covers the
+            # resolvable window (up to the first of d + (12, 9, 6)/Phi(0)
             # where it meets the plateau), the plateau the rest.
             d0 = self.model.laplace_exponent_derivative(0.0)
             plateau = math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
@@ -477,7 +477,7 @@ class ScaleEvaluator:
         def integrand(y: np.ndarray) -> np.ndarray:
             near = y <= x
             bracket = np.empty_like(y)
-            bracket[near] = self._w_shifted_array(y[near])
+            bracket[near] = self.w_shifted(y[near])
             far = y[~near]
             bracket[~near] = np.exp(-phi0 * (far - x)) * density(far)
             return np.exp(-lam * y) * f.values(y) * bracket
@@ -651,5 +651,5 @@ def laplace_identity_residual(ev: ScaleEvaluator, lam: float) -> float:
     M = _identity_truncation(ev, rate)
     points, weights, twice = _identity_rule()
     ys = M * points
-    val = M * (weights @ (np.exp(-rate * ys) * ev._w_shifted_array(ys, twice)))
+    val = M * (weights @ (np.exp(-rate * ys) * ev.w_shifted(ys, twice)))
     return abs(ev.model.laplace_exponent(lam) * val - 1.0)

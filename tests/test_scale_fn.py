@@ -445,6 +445,121 @@ class TestTalbot:
         assert abs(ev.scale_w(20.0) - limit) <= 1e-9 * limit
 
 
+
+def _table_models():
+    return {name: builtin_model(name) for name in ("bmdrift", "bmup", "cpexp", "stable15")} | {
+        "tempered1.3": validate(-0.1, 0.2, TemperedStable(alpha=1.3, scale=0.5, tempering=1.0))}
+
+
+class TestTables:
+    """`w_shifted` and `scale_w` take a 1-D array with the contract of a point."""
+
+    @pytest.fixture(scope="class", params=sorted(_table_models()))
+    def inverted(self, request):
+        return ScaleEvaluator(_table_models()[request.param], use_closed_form=False)
+
+    def test_array_of_one_is_the_point(self, inverted):
+        for x in np.geomspace(0.01, 50.0, 23):
+            x = float(x)
+            assert inverted.w_shifted(np.array([x]))[0] == inverted.w_shifted(x)
+            assert inverted.w_shifted(np.array([x])).dtype == np.float64
+
+    def test_table_matches_its_points(self, inverted):
+        xs = np.geomspace(0.11, 9.0, 16)
+        for fn in (inverted.w_shifted, inverted.scale_w):
+            points = [fn(float(x)) for x in xs]
+            assert all(type(p) is float for p in points)
+            np.testing.assert_allclose(fn(xs), points, rtol=5e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["bmdrift", "bmup", "stable15"])
+    def test_closed_form_table_within_4_ulp(self, name):
+        ev = ScaleEvaluator(builtin_model(name))
+        assert ev.closed_form is not None
+        xs = np.geomspace(0.01, 50.0, 200)
+        for fn in (ev.w_shifted, ev.scale_w):
+            np.testing.assert_array_max_ulp(fn(xs), np.array([fn(float(x)) for x in xs]), 4)
+
+    def test_pure_drift_table_is_an_array(self):
+        ev = ScaleEvaluator(validate(0.5, 0.0, NoJumps()))
+        xs = np.array([-1.0, 0.0, 0.5, 3.0])
+        np.testing.assert_array_equal(ev.w_shifted(xs), [0.0, 2.0, 2.0, 2.0])
+        assert ev.w_shifted(0.5) == 2.0
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_negative_x_reads_zero(self, closed):
+        ev = ScaleEvaluator(builtin_model("bmdrift"), use_closed_form=closed)
+        xs = np.array([-math.inf, -2.0, 0.5, -1e-300, 3.0])
+        for fn in (ev.w_shifted, ev.scale_w):
+            points = [fn(float(x)) for x in xs]
+            assert points[0] == points[1] == points[3] == 0.0
+            np.testing.assert_allclose(fn(xs), points, rtol=5e-13, atol=0.0)
+
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_x_raises_naming_the_first(self, closed, bad):
+        ev = ScaleEvaluator(builtin_model("bmdrift"), use_closed_form=closed)
+        other = math.inf if math.isnan(bad) else math.nan
+        xs = np.array([0.5, -math.inf, bad, 2.0, other])
+        for fn in (ev.w_shifted, ev.scale_w):
+            with pytest.raises(PreconditionViolatedError, match=rf"got {bad}$"):
+                fn(float(bad))
+            with pytest.raises(PreconditionViolatedError, match=rf"got {bad}$"):
+                fn(xs)
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_order_disagreement_names_the_first_unstable_x(self, closed, monkeypatch):
+        # at 4 against 8 nodes cpexp's W disagrees near x = 9; the closed
+        # form of bmup inverts nothing and so never disagrees
+        model = builtin_model("cpexp" if not closed else "bmup")
+        ev = ScaleEvaluator(model, use_closed_form=closed)
+        xs = np.geomspace(0.05, 30.0, 25)
+        monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
+        unstable = []
+        for x in xs:
+            try:
+                ev.w_shifted(float(x))
+            except InversionUnstableError:
+                unstable.append(float(x))
+        assert bool(unstable) is not closed
+        for fn in (ev.w_shifted, ev.scale_w):
+            if closed:
+                assert len(fn(xs)) == len(xs)
+                continue
+            with pytest.raises(InversionUnstableError, match=re.escape(f"x={unstable[0]:g}:")):
+                fn(xs)
+
+    def test_overflow_names_the_first_x(self):
+        ev = ScaleEvaluator(builtin_model("bmdrift"), use_closed_form=False)
+        xs = np.array([1.0, 800.0, 900.0])
+        with pytest.raises(NumericalOverflowError, match=re.escape("W(800) overflows")):
+            ev.scale_w(800.0)
+        with pytest.raises(NumericalOverflowError, match=re.escape("W(800) overflows")):
+            ev.scale_w(xs)
+
+    def test_long_table_is_evaluated_in_blocks(self, monkeypatch):
+        from levyfn import LevyModel
+
+        ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
+        xs = np.geomspace(0.05, 30.0, 2 * scale_fn.TABLE_BLOCK + 76)
+        whole = ev.w_shifted(xs)
+        blocks = [ev.w_shifted(xs[i:i + scale_fn.TABLE_BLOCK])
+                  for i in range(0, len(xs), scale_fn.TABLE_BLOCK)]
+        np.testing.assert_array_equal(whole, np.concatenate(blocks))
+        shapes = []
+        orig = LevyModel.laplace_exponent_array
+
+        def counting(model, lam):
+            shapes.append(np.shape(lam))
+            return orig(model, lam)
+
+        monkeypatch.setattr(LevyModel, "laplace_exponent_array", counting)
+        ev.scale_w(xs)
+        n = 3 * scale_fn.TALBOT_ORDER
+        assert shapes == [(scale_fn.TABLE_BLOCK, n), (scale_fn.TABLE_BLOCK, n), (76, n)]
+        shapes.clear()
+        ev.scale_w(np.geomspace(0.1, 10.0, 25))
+        assert shapes == [(25, n)]
+
 def _mp_identity_residual(name, lam):
     """|psi(lam) integral_0^M e^{-lam y} W(y) dy - 1| at 30 digits for the
     exact W of a Brownian builtin, with M doubled from 1 until
@@ -520,7 +635,7 @@ class TestLaplaceIdentity:
         want = [ev.w_shifted(float(x)) for x in xs]
         # the rows sum in another order than one point's dot product does;
         # the weights reach e^{0.4 * 28}, so rounding differs near 1e-12
-        np.testing.assert_allclose(ev._w_shifted_array(xs), want, rtol=1e-11)
+        np.testing.assert_allclose(ev.w_shifted(xs), want, rtol=1e-11)
         monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         unstable = []
         for x in xs:
@@ -530,9 +645,9 @@ class TestLaplaceIdentity:
                 unstable.append(float(x))
         assert unstable
         with pytest.raises(InversionUnstableError, match=re.escape(f"x={unstable[0]:g}:")):
-            ev._w_shifted_array(xs)
+            ev.w_shifted(xs)
         stable = np.array([x for x in xs if x not in unstable])
-        assert len(ev._w_shifted_array(stable)) == len(stable)
+        assert len(ev.w_shifted(stable)) == len(stable)
 
     def test_self_check_is_one_psi_call(self, monkeypatch):
         from levyfn import LevyModel
@@ -574,14 +689,15 @@ class TestLaplaceIdentity:
     def test_identity_w_is_the_checked_w(self, name, monkeypatch):
         ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
         seen = []
-        orig = ScaleEvaluator._w_shifted_array
+        orig = ScaleEvaluator.w_shifted
 
         def recording(self, xs, twice=None):
             out = orig(self, xs, twice)
-            seen.append((xs, twice, out))
+            if isinstance(xs, np.ndarray):
+                seen.append((xs, twice, out))
             return out
 
-        monkeypatch.setattr(ScaleEvaluator, "_w_shifted_array", recording)
+        monkeypatch.setattr(ScaleEvaluator, "w_shifted", recording)
         laplace_identity_residual(ev, ev.phi0 + 1.0)
         ((ys, twice, got),) = seen
         np.testing.assert_allclose(got, ev._w_checked(ys), rtol=1e-15, atol=0.0)
