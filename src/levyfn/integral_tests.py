@@ -30,29 +30,35 @@ point by point.
 
 A `TestVerdict` is a frozen, slotted record with typed fields: the verdict,
 value, route, start, panel count, flagged-panel count, the panel target
-`rtol` it met and reason, and one float64 record of the sweep (the partial
-sum, the largest relative error estimate and the magnitudes of the last
-WINDOW + 1 increments).  Its `diagnostics` property builds the familiar
-dict on each read, with the ratios, the fitted exponent, the margins to
-the two ratio rules and the tail estimate derived from the increments.  A
+`rtol` it met and reason, an index verdict's `tail_error`, and the engine's
+one float64 record of the sweep (the partial sum, the largest relative
+error estimate and the magnitudes of the last WINDOW + 1 increments).  Its
+`diagnostics` property builds the familiar dict on each read, with the
+ratios, the fitted exponent, the margins to the two ratio rules and the
+tail estimate derived from the increments.  A
 `BoundaryReport` holds the hitting probability and its verdicts; its flags
 and `survival_prob` are derived from them, and `to_dict` gives each
 verdict's route, panels, `quad_warnings`, `rtol` and margins.
 
-For f = PowerLaw(theta), psi's index decides the divergent side with no
-sweep (route `analytic_index`).  The extinction integrand is
-lam^(theta-1)/psi(lam) with psi(lam) = lam^p L(lam) at infinity, p =
-`LevyModel.index_at_infinity` and L slowly varying, so the integral
-diverges exactly when theta >= p, also at theta = p where L is a constant
-or, for alpha = 1 with no Gaussian part, ~ log lam.  The Laplace explosion
+For f = PowerLaw(theta), psi's index decides both sides (route
+`analytic_index`).  The extinction integrand is lam^(theta-1)/psi(lam)
+with psi(lam) = lam^p L(lam) at infinity, p = `LevyModel.index_at_infinity`
+and L slowly varying, so by Potter's bounds (Bingham, Goldie & Teugels,
+*Regular Variation*, 1987, Thm 1.5.6) the integral converges exactly when
+theta < p; it diverges at theta = p too, where L is a constant or, for
+alpha = 1 with no Gaussian part, ~ log lam.  The Laplace explosion
 integrand is lam^(theta-1)/(Gamma(theta) psi(lam)) with |psi(lam)| =
 lam^p0 L(lam) at 0+, p0 = `LevyModel.index_at_zero` (1 where psi'(0+) is
-finite, the stable alpha <= 1 otherwise), so it diverges exactly when theta
-<= p0.  On the convergent side the engine runs as for any f, except that a
-"diverges" its ratios read there is returned as inconclusive, with a
-reason: the ratio rule cannot tell a local exponent just below -1 from -1.
-Below the critical theta a pure-power psi keeps its exact `analytic_power`
-route, which gives the convergent value.
+finite, the stable alpha <= 1 otherwise), so it converges exactly when
+theta > p0.  A divergent verdict takes no sweep.  A convergent one takes
+its value from one sweep at VERDICT_RTOL plus the tail beyond it, whose
+panel ratios tend to the known 2^(theta-p) per doubling at infinity
+(2^(p0-theta) per halving at 0+): only the rate at which they approach it
+is fitted (`_index_verdict`), and `tail_error` records how far that tail
+is from the geometric one at the limit ratio.  Such a verdict reads no
+sign probe and no ratio rule, and keeps no sweep record.  A pure-power psi
+keeps its exact `analytic_power` value.  `Generic` and `LaplaceRep` f take
+the engine, the reference route.
 
 The kind of the functional f alone picks the formula each test uses.  Every
 kind owns `values(x)`, f on a numpy array or on a float taken as a 0-d
@@ -64,7 +70,7 @@ Wrapping any f as a `Generic` names the general (reference) route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,6 +90,7 @@ from .quadrature import (
     AtInfinity,
     AtZeroPlus,
     _endpoint_rule,
+    _extrapolated_tail,
     _laplace_rule,
     _on_arrays,
     _ratios,
@@ -265,7 +272,7 @@ def constant_functional(value: float = 1.0) -> Constant:
 class TestVerdict:
     """One verdict and the facts behind it, immutable once built.
 
-    A doubling-panel sweep keeps its numbers in `sweep`, one float64 record
+    An engine sweep keeps its numbers in `sweep`, one float64 record
     stored as bytes: the partial sum, the largest relative error estimate
     and the magnitudes of the last WINDOW + 1 increments, which `partial`,
     `max_rel_abserr` and `increments` read back (None on routes without a
@@ -278,7 +285,9 @@ class TestVerdict:
     verdict's own margin is >= 0 and an inconclusive one has both < 0.
     `rtol` is the panel target the sweep met (see
     `improper_integral_verdict`), and `quad_warnings` counts the kept panels
-    whose error estimate is still above it.
+    whose error estimate is still above it.  A convergent `analytic_index`
+    verdict sweeps but keeps no record; its `tail_error` estimates the error
+    of its extrapolated tail (see `_index_verdict`).
     """
 
     verdict: str                      # converges | diverges | inconclusive
@@ -293,6 +302,7 @@ class TestVerdict:
     power: Optional[float] = None
     at_infinity: bool = True
     sweep: Optional[bytes] = None
+    tail_error: Optional[float] = None
 
     @property
     def converges(self) -> bool:
@@ -333,12 +343,15 @@ class TestVerdict:
             d["power"] = self.power
         if self.start is not None:
             d["start"] = self.start
+        if self.rtol is not None:
+            d.update(panels=self.panels, quad_warnings=self.quad_warnings, rtol=self.rtol)
+        if self.tail_error is not None:
+            d["tail_error"] = self.tail_error
         rec = self._record()
         if rec is not None:
             mags = rec[2:]
-            d.update(panels=self.panels, partial=float(rec[0]), increments=mags.tolist(),
-                     max_rel_abserr=float(rec[1]), quad_warnings=self.quad_warnings,
-                     rtol=self.rtol)
+            d.update(partial=float(rec[0]), increments=mags.tolist(),
+                     max_rel_abserr=float(rec[1]))
             if self.reason != TAIL_NEGLIGIBLE and self.panels > WINDOW:
                 ratios = _ratios(mags)
                 d["ratios"] = ratios
@@ -429,6 +442,34 @@ def _near_a_rule(ratios: list[float], rel: list[float]) -> bool:
     return False
 
 
+def _index_verdict(integrand: Callable, endpoint: AtInfinity | AtZeroPlus, rho: float,
+                   power: float, start: Optional[float] = None) -> TestVerdict:
+    """"converges" for a PowerLaw integral that psi's index `power` proves
+    convergent at the endpoint (route `analytic_index`), with its value.
+
+    The value is one `_sweep` at VERDICT_RTOL plus the tail beyond its last
+    panel, whose ratios approach the known limit `rho` per doubling at the
+    rate the last two panel ratios show (`_extrapolated_tail`).  `tail_error`
+    records |that tail - the geometric tail at rho|; both are 0 when the
+    sweep stopped on negligible increments.  No sign probe, ratio rule or
+    sweep record is kept.  A non-finite kept panel raises
+    NumericalOverflowError."""
+    rule, base = _endpoint_rule(endpoint)
+    values, errors, _, (n, total, negligible) = _sweep(integrand, rule, base, VERDICT_RTOL)
+    if not math.isfinite(total):
+        raise NumericalOverflowError("integrand is not finite on a kept panel")
+    mags = np.abs(values[:n])
+    tail = tail_error = 0.0
+    if not negligible:
+        tail = _extrapolated_tail(mags, _ratios(mags), rho)
+        tail_error = float(abs(tail - float(mags[-1]) * rho / (1.0 - rho)))
+    return TestVerdict(CONVERGES, total + math.copysign(tail, values[n - 1]),
+                       route="analytic_index", start=start, panels=n,
+                       quad_warnings=int((errors[:n] > VERDICT_RTOL * mags).sum()),
+                       rtol=VERDICT_RTOL, power=power,
+                       at_infinity=isinstance(endpoint, AtInfinity), tail_error=tail_error)
+
+
 # ---------------------------------------------------------------------------
 # Extinction / explosion tests
 # ---------------------------------------------------------------------------
@@ -440,10 +481,12 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
     <=> the time-changed process dies out in finite time (given it hits 0);
     Diverges <=> it only extinguishes (approaches 0 without reaching it).
 
-    For f = PowerLaw(theta), theta >= psi's index at infinity diverges with
-    no sweep (``analytic_index``).  Below it a pure-power psi = kappa lam^p
-    gives the exact value (``analytic_power``), and otherwise a sweep that
-    reads "diverges" is returned as inconclusive.
+    For f = PowerLaw(theta) psi's index p at infinity decides: theta >= p
+    diverges with no sweep, and theta < p converges (both ``analytic_index``).
+    A pure-power psi = kappa lam^p gives the exact convergent value
+    (``analytic_power``); otherwise the value is one sweep from `start` plus
+    a tail extrapolated towards the known ratio 2^(theta-p) per doubling
+    (`_index_verdict`).
     """
     if not f.bounded_away_from_origin:
         raise PreconditionViolatedError(
@@ -464,13 +507,15 @@ def extinction_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
                                start=start)
 
     psi = model.laplace_exponent_array
+    if theta is not None:
+        return _index_verdict(lambda lam: lam ** (theta - 1.0) / psi(lam), AtInfinity(start),
+                              2.0 ** (theta - p), p, start)
 
     def integrand(lam):
         return f.values(1.0 / lam) / (lam * psi(lam))
 
-    v = improper_integral_verdict(integrand, AtInfinity(start), route="doubling_panels",
-                                  start=start, rtol=VERDICT_RTOL)
-    return v if theta is None else _unless_contradicted(v, f"at infinity is {p:g} > theta")
+    return improper_integral_verdict(integrand, AtInfinity(start), route="doubling_panels",
+                                     start=start, rtol=VERDICT_RTOL)
 
 
 def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
@@ -487,9 +532,11 @@ def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
       integral^inf f(y) dy < inf.
 
     When neither applies the verdict is inconclusive.  For f =
-    PowerLaw(theta), theta <= psi's index at 0+ diverges with no sweep
-    (``analytic_index``), and above it a Laplace sweep that reads
-    "diverges" is returned as inconclusive.
+    PowerLaw(theta) psi's index p0 at 0+ decides: theta <= p0 diverges with
+    no sweep, and theta > p0 converges (both ``analytic_index``), with the
+    value of the Laplace integral from one sweep below Phi(0)/2 plus a tail
+    extrapolated towards the known ratio 2^(p0-theta) per halving
+    (`_index_verdict`).
     """
     phi0 = model.phi_zero().value
     if phi0 <= 0.0:
@@ -511,9 +558,10 @@ def explosion_test(model: LevyModel, f: FunctionalSpec) -> TestVerdict:
         def integrand(lam):
             return g(lam) / psi(lam)
 
-        v = improper_integral_verdict(integrand, AtZeroPlus(phi0 / 2.0), route="laplace_zero",
-                                      rtol=VERDICT_RTOL)
-        return v if theta is None else _unless_contradicted(v, f"at 0+ is {p0:g} < theta")
+        if theta is not None:
+            return _index_verdict(integrand, AtZeroPlus(phi0 / 2.0), 2.0 ** (p0 - theta), p0)
+        return improper_integral_verdict(integrand, AtZeroPlus(phi0 / 2.0),
+                                         route="laplace_zero", rtol=VERDICT_RTOL)
 
     if math.isfinite(model.laplace_exponent_derivative(0.0)):
         return improper_integral_verdict(f.values, AtInfinity(1.0), route="tail_integral",
@@ -589,16 +637,6 @@ class BoundaryReport:
             "extinction_verdict": verdict_dict(self.extinction_verdict),
             "explosion_verdict": verdict_dict(self.explosion_verdict),
         }
-
-
-def _unless_contradicted(v: TestVerdict, fact: str) -> TestVerdict:
-    """`v`, made inconclusive when its panel ratios say "diverges" of a
-    power-law integral that psi's index (`fact`) says converges: the ratios
-    cannot tell a local exponent just below -1 from -1 itself."""
-    if not v.diverges:
-        return v
-    return replace(v, verdict=INCONCLUSIVE, value=None,
-                   reason=f"panel ratios say diverges, but psi's index {fact}, so it converges")
 
 
 def _decision(verdict: TestVerdict) -> Optional[bool]:

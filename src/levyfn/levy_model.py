@@ -22,7 +22,10 @@ integrals of the truncated step (compound Poisson, tempered with alpha >=
 1).  `_Family` states this contract; its defaults describe the empty
 measure.  `LevyModel.index_at_infinity` derives psi's index at infinity,
 and so W's power at 0+, from the jump index, and `LevyModel.index_at_zero`
-derives psi's index at 0+ from psi'(0+) and the jump index at 0+.  Callers ask
+derives psi's index at 0+ from psi'(0+) and the jump index at 0+.
+`LevyModel.drift_at_infinity`, d = lim psi(lam)/lam, adds the family's
+`small_jump_mean` to the drift; it is finite exactly for bounded variation,
+and W(0) = 1/d.  Callers ask
 the family instead of branching on it, so a new family is one class plus
 its entry in `JumpSpec`.
 A family writes its psi constants once, against float (`math`), numpy or
@@ -191,6 +194,9 @@ class _Family:
     # the index at 0+ of the jump part of psi beyond its linear term: 2 for
     # jumps of finite variance, alpha for stable large jumps
     jump_index_at_zero: ClassVar[float] = 2.0
+    # integral_(0, 1] u pi(du): finite for jumps of bounded variation (a
+    # finite measure, or jump index below 1), inf otherwise
+    small_jump_mean: ClassVar[float] = 0.0
 
     def check(self) -> None:
         """Raise for parameters outside the family's domain."""
@@ -404,6 +410,11 @@ class StablePositive(_Family):
     def jump_index_at_zero(self) -> float:
         return self.alpha
 
+    @property
+    def small_jump_mean(self) -> float:
+        a = self.alpha
+        return self.scale / (1.0 - a) if a < 1.0 else math.inf
+
     def check(self):
         _check_index_and_scale(self.alpha, self.scale)
 
@@ -472,6 +483,10 @@ class CompoundPoissonExp(_Family):
     def mu(self) -> float:
         return 1.0 / self.jump_mean
 
+    @property
+    def small_jump_mean(self) -> float:
+        return self.mean_eps_to_one(0.0)
+
     def check(self):
         if self.rate <= 0.0 or self.jump_mean <= 0.0:
             raise ValueError("rate and jump_mean must be > 0")
@@ -521,6 +536,14 @@ class TemperedStable(_Family):
     @property
     def jump_index(self) -> float:
         return self.alpha
+
+    @property
+    def small_jump_mean(self) -> float:
+        # C q^(a-1) (Gamma(1-a) - Gamma(1-a, q))
+        a, C, q = self.alpha, self.scale, self.tempering
+        if a >= 1.0:
+            return math.inf
+        return C * q ** (a - 1.0) * (math.gamma(1.0 - a) - _upper_gamma(1.0 - a, q))
 
     def check(self):
         _check_index_and_scale(self.alpha, self.scale)
@@ -683,6 +706,15 @@ class LevyModel:
         By W(x) ~ 1/(x psi(1/x)) (Kuznetsov, Kyprianou & Rivero 2012), W
         has the power p - 1 at 0+."""
         return 2.0 if self.gaussian > 0.0 else max(1.0, self.jumps.jump_index)
+
+    @cached_property
+    def drift_at_infinity(self) -> float:
+        """d = lim psi(lam)/lam as lam -> inf: the drift plus the family's
+        `small_jump_mean` when the process has bounded variation (no
+        Gaussian part, and a finite jump measure or jump index below 1),
+        +inf otherwise.  W(0) = 1/d: 1/d for bounded variation, else 0
+        (Kuznetsov, Kyprianou & Rivero 2012)."""
+        return math.inf if self.gaussian > 0.0 else self.drift + self.jumps.small_jump_mean
 
     @property
     def index_at_zero(self) -> float:

@@ -92,7 +92,9 @@ K15_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
 G7_WEIGHTS = np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
                        0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
 _EPS = np.finfo(float).eps
-_UFLOW = np.finfo(float).tiny
+# qk15 raises an error estimate to 50 eps of the panel's |f| integral only
+# above this floor, where that bound cannot underflow
+_RESABS_FLOOR = np.finfo(float).tiny / (50.0 * _EPS)
 
 
 @lru_cache(maxsize=1)
@@ -146,17 +148,15 @@ def _k15(fx: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The estimate scales the Kronrod-Gauss gap as qk15 does:
     resasc * min(1, (200 |K15 - G7| / resasc)**1.5), at least 50 eps resabs.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         resk = fx @ K15_WEIGHTS
         value = resk * half
         abserr = np.abs((resk - fx @ G7_WEIGHTS) * half)
         resabs = (np.abs(fx) @ K15_WEIGHTS) * half
         resasc = (np.abs(fx - (resk / 2.0)[:, None]) @ K15_WEIGHTS) * half
-        scaled = (resasc != 0.0) & (abserr != 0.0)
-        ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
-        abserr = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), abserr)
-        abserr = np.where(resabs > _UFLOW / (50.0 * _EPS),
-                          np.maximum(50.0 * _EPS * resabs, abserr), abserr)
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+        np.copyto(abserr, scaled, where=(resasc != 0.0) & (abserr != 0.0))
+        np.maximum(50.0 * _EPS * resabs, abserr, out=abserr, where=resabs > _RESABS_FLOOR)
     return value, abserr
 
 
@@ -277,10 +277,10 @@ def _tail(mags: np.ndarray, ratios: list[float]) -> float:
     return float(mags[-1]) * rho / (1.0 - rho)
 
 
-# the open-end tail (see `_open_end`): the extrapolated ratios multiplied
-# out before the geometric remainder; a fitted gap factor needs ratio
-# differences above _TAIL_FIT_MIN, well clear of rounding, and is trusted
-# up to _TAIL_GAP_MAX
+# the open-end tail (see `_extrapolated_tail`): the extrapolated ratios
+# multiplied out before the geometric remainder; a fitted gap factor needs
+# ratio differences above _TAIL_FIT_MIN, well clear of rounding, and, where
+# it also fits the limit ratio, is trusted up to _TAIL_GAP_MAX
 _TAIL_TERMS = 64
 _TAIL_FIT_MIN = 1e-12
 _TAIL_GAP_MAX = 0.9
@@ -313,17 +313,33 @@ def _open_end(integrand: Callable, endpoint: AtInfinity | AtZeroPlus) -> tuple[f
     if not all(r < 1.0 for r in ratios):
         raise QuadratureFailureError(
             f"open end of a convergent integral: panel ratios {np.round(ratios, 4).tolist()}")
+    return total + math.copysign(_extrapolated_tail(mags, ratios), values[n - 1]), error
+
+
+def _extrapolated_tail(mags: np.ndarray, ratios: list[float], rho: float | None = None) -> float:
+    """The magnitude of the tail beyond the last of the panel magnitudes
+    `mags`, whose last ratios are `ratios` (`_ratios`), by one Richardson
+    step: the i-th ratio beyond the last panel is rho + (r_n - rho) q^i.
+
+    With the limit rho unknown, q and rho are fitted as `_open_end` states.
+    A caller that knows rho in (0, 1) passes it, and q is then the last
+    ratio's gap to it over the one before, (r_n - rho) / (r_{n-1} - rho),
+    when that denominator exceeds _TAIL_FIT_MIN and the fit lies in (0, 1),
+    else 1/2."""
     first, prev, last = ratios[-3:]
-    gap = (last - prev) / (prev - first) if abs(prev - first) > _TAIL_FIT_MIN else 0.5
-    if not 0.0 < gap <= _TAIL_GAP_MAX:
-        gap = 0.5
-    rho = last + (last - prev) * gap / (1.0 - gap)
-    if 0.0 < rho < 1.0:
-        terms = np.cumprod(rho + (last - rho) * gap ** np.arange(1.0, _TAIL_TERMS + 1.0))
-        tail = float(mags[-1]) * (terms.sum() + terms[-1] * rho / (1.0 - rho))
+    if rho is None:
+        gap = (last - prev) / (prev - first) if abs(prev - first) > _TAIL_FIT_MIN else 0.5
+        if not 0.0 < gap <= _TAIL_GAP_MAX:
+            gap = 0.5
+        rho = last + (last - prev) * gap / (1.0 - gap)
+        if not 0.0 < rho < 1.0:
+            return _tail(mags, ratios)
     else:
-        tail = _tail(mags, ratios)
-    return total + math.copysign(tail, values[n - 1]), error
+        gap = (last - rho) / (prev - rho) if abs(prev - rho) > _TAIL_FIT_MIN else 0.5
+        if not 0.0 < gap < 1.0:
+            gap = 0.5
+    terms = np.cumprod(rho + (last - rho) * gap ** np.arange(1.0, _TAIL_TERMS + 1.0))
+    return float(mags[-1]) * (terms.sum() + terms[-1] * rho / (1.0 - rho))
 
 
 def finite_integral(integrand: Callable, lo: float, hi: float) -> float:

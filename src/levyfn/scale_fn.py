@@ -24,7 +24,9 @@ zeros, which holds for the four jump families here, whose Levy densities
 are completely monotone (Kyprianou & Rivero, EJP 2008).  A new family must
 meet the same condition.  The nodes grow like 1/x, so below about
 x = 1e-140 psi overflows at them and the evaluation raises
-NumericalOverflowError instead of returning a value.
+NumericalOverflowError instead of returning a value; at x = 0 itself W is
+the model fact 1/`LevyModel.drift_at_infinity` (0 unless the process has
+bounded variation).
 
 The arbitrary-precision Gaver-Stehfest series (real nodes k*ln2/x,
 `gs_invert_mp` on `laplace_exponent_hp`) is the reference the inversion is
@@ -279,18 +281,20 @@ class ScaleEvaluator:
                                 (nodes[lo] / x[own, None]).ravel()))
         if self.phi0:
             s += self.phi0
+        # a node rounded onto psi's root reads 1/psi = inf, and the NaN it
+        # leaves in the sums fails the order check of `_w_checked`
         with np.errstate(all="ignore"):
             psi = self.model.laplace_exponent_array(s)
-        if not np.isfinite(psi).all():
-            raise NumericalOverflowError(
-                f"psi overflows at the Talbot nodes of x={np.min(x):g}")
-        transform = 1.0 / psi
-        if twice is not None:
-            top = transform[:len(x) * omega_hi.size].reshape(len(x), -1)
-            rows = top[twice, ::2]
-            rows[own] = transform[top.size:].reshape(-1, omega_lo.size)
-            return (rows @ omega_lo).real / x, (top @ omega_hi).real / x
-        values = tuple((transform[..., part] @ omega).real / x for part, omega in parts)
+            if not np.isfinite(psi).all():
+                raise NumericalOverflowError(
+                    f"psi overflows at the Talbot nodes of x={np.min(x):g}")
+            transform = 1.0 / psi
+            if twice is not None:
+                top = transform[:len(x) * omega_hi.size].reshape(len(x), -1)
+                rows = top[twice, ::2]
+                rows[own] = transform[top.size:].reshape(-1, omega_lo.size)
+                return (rows @ omega_lo).real / x, (top @ omega_hi).real / x
+            values = tuple((transform[..., part] @ omega).real / x for part, omega in parts)
         return values if array else tuple(map(float, values))
 
     def _w_checked(self, x, twice=None):
@@ -298,12 +302,11 @@ class ScaleEvaluator:
         Talbot value, once the N-node value agrees with it to
         ORDER_AGREEMENT_RTOL.  `twice` pairs x with 2x as in `_w_talbot`."""
         lo, hi = self._w_talbot(x, (TALBOT_ORDER, 2 * TALBOT_ORDER), twice)
-        # |hi - lo| > RTOL * max(|hi|, 1e-300), in operators that take a
-        # float as cheaply as an array
-        gap = abs(hi - lo)
-        bad = (gap > ORDER_AGREEMENT_RTOL * abs(hi)) & (gap > ORDER_AGREEMENT_RTOL * 1e-300)
-        if bad.any() if isinstance(bad, np.ndarray) else bad:
-            i = np.flatnonzero(bad)[0]
+        # |hi - lo| <= RTOL * (|hi| + 1e-300), in operators that take a float
+        # as cheaply as an array, and false where lo or hi is NaN or infinite
+        ok = abs(hi - lo) - ORDER_AGREEMENT_RTOL * abs(hi) <= ORDER_AGREEMENT_RTOL * 1e-300
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            i = np.flatnonzero(np.logical_not(ok))[0]
             raise InversionUnstableError(
                 f"orders {TALBOT_ORDER} and {2 * TALBOT_ORDER} disagree at "
                 f"x={np.ravel(x)[i]:g}: {np.ravel(lo)[i]:.6g} vs {np.ravel(hi)[i]:.6g}")
@@ -312,7 +315,8 @@ class ScaleEvaluator:
     def w_shifted(self, x: float | np.ndarray, twice=None) -> float | np.ndarray:
         """W_shift(x) = e^{-Phi(0)x} W(x), bounded whenever psi'(Phi(0)) > 0,
         at a float x or at each x of a 1-D array.  Zero for x < 0, -inf
-        included; NaN and +inf raise, naming the first such x.  A float stays
+        included; W(0) = 1/`LevyModel.drift_at_infinity` where no closed
+        form gives it; NaN and +inf raise, naming the first such x.  A float stays
         on scalar arithmetic; a table goes TABLE_BLOCK points at a time to the
         closed form or one checked Talbot evaluation, within about 1e-12
         relative of its points.  `twice` pairs a table of at most TABLE_BLOCK
@@ -324,11 +328,12 @@ class ScaleEvaluator:
                 raise PreconditionViolatedError(f"x must be finite, got {x}")
             if self.closed_form is not None:
                 return float(self.closed_form.w_shifted(x))
-            return self._w_checked(x)
+            return self._w_checked(x) if x > 0.0 else 1.0 / self.model.drift_at_infinity
         bad = np.isnan(x) | (x == math.inf)
         if bad.any():
             raise PreconditionViolatedError(f"x must be finite, got {x[bad][0]}")
-        out, rows = np.zeros(len(x)), np.flatnonzero(x >= 0.0)
+        out, rows = np.zeros(len(x)), np.flatnonzero(x > 0.0)
+        out[x == 0.0] = self.w_shifted(0.0)
         for i in range(0, len(rows), TABLE_BLOCK):
             block = rows[i:i + TABLE_BLOCK]
             out[block] = (self._w_checked(x[block], twice) if self.closed_form is None

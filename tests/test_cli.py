@@ -43,10 +43,19 @@ class TestClassify:
         assert payload["explosion_possible"] is False
         assert payload["hit_prob"] == pytest.approx(math.exp(-1.0))
 
-    def test_inconclusive_exit_two(self):
-        code, out, _ = run_cli("classify", "--model", "cpexp", "--theta", "1.9")
+    def test_inconclusive_exit_two(self, monkeypatch, capsys):
+        # psi's index decides every PowerLaw verdict, so the functional is
+        # the same x^-1.9 as a Generic, whose panel ratios at infinity sit
+        # between the two ratio rules on cpexp
+        from levyfn import Generic, cli
+
+        monkeypatch.setattr(cli, "PowerLaw", lambda theta: Generic(
+            fn=PowerLaw(theta).values, decreasing=True, bounded_away_from_origin=True))
+        code = main(["classify", "--model", "cpexp", "--theta", "1.9"])
         assert code == 2
-        assert json.loads(out)["extinction_possible"] is None
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["extinction_possible"] is None
+        assert payload["extinction_verdict"]["route"] == "doubling_panels"
 
     def test_model_file(self, tmp_path):
         code, out, _ = run_cli("classify", "--model",

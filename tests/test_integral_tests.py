@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,10 +25,12 @@ from levyfn import (
     explosion_test,
     extinction_test,
     improper_integral_verdict,
+    integral_tests,
     stable_power_model,
     quadrature,
     validate,
 )
+from levyfn.levy_model import _hp_consts, laplace_exponent_hp
 from levyfn.errors import (
     NotApplicableError,
     PreconditionViolatedError,
@@ -267,9 +271,10 @@ class TestExplosion:
         assert v.diverges and v.value == -math.inf
 
     def test_tempered_laplace_route_quadrature_is_clean(self):
-        # psi near 0+ must be accurate enough for quad to converge on every panel
+        # psi near 0+ must be accurate enough for quad to converge on every
+        # panel; the LaplaceRep takes the engine, which reads the panels
         m = validate(-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
-        v = explosion_test(m, PowerLaw(1.5))
+        v = explosion_test(m, as_laplace_rep(PowerLaw(1.5)))
         assert v.diagnostics["route"] == "laplace_zero"
         assert v.diagnostics["panels"] == 40
         assert v.diagnostics["quad_warnings"] == 0
@@ -296,13 +301,18 @@ class TestExplosion:
     @pytest.mark.parametrize("name", ["bmdrift", "cpexp"])
     @pytest.mark.parametrize("theta", [1.5, 2.0, 3.0])
     def test_routes_agree(self, name, theta):
-        # the Generic wrapper has no Laplace density, so it takes the tail route
+        # the Generic wrapper has no Laplace density, so it takes the tail
+        # route; the LaplaceRep takes the engine's Laplace route, and the
+        # PowerLaw itself psi's index at 0+
         model = builtin_model(name)
         a = explosion_test(model, as_generic(PowerLaw(theta)))
-        b = explosion_test(model, PowerLaw(theta))
+        b = explosion_test(model, as_laplace_rep(PowerLaw(theta)))
+        c = explosion_test(model, PowerLaw(theta))
         assert a.diagnostics["route"] == "tail_integral"
         assert b.diagnostics["route"] == "laplace_zero"
-        assert a.verdict == b.verdict == "converges"
+        assert c.diagnostics["route"] == "analytic_index"
+        assert a.verdict == b.verdict == c.verdict == "converges"
+        assert c.value == pytest.approx(b.value, rel=1e-6)
 
     def test_route_disagreement_boundary(self):
         # theta = 1: tail integral of y^-1 is log-divergent, and so is the
@@ -362,19 +372,35 @@ def psi_array_calls(monkeypatch):
     return calls
 
 
+def engine_calls(monkeypatch):
+    calls = []
+    orig = integral_tests.improper_integral_verdict
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(integral_tests, "improper_integral_verdict", counting)
+    return calls
+
+
 class TestIndexRoute:
-    """PowerLaw verdicts next to the critical theta: psi's index decides the
-    divergent side with no sweep, and no decisive verdict is wrong."""
+    """PowerLaw verdicts next to the critical theta: psi's index decides
+    both sides, the divergent one with no sweep, and none calls the ratio
+    engine."""
 
     @pytest.mark.parametrize("offset", [-0.01, 0.0, 0.01])
     @pytest.mark.parametrize("name", sorted(INDEX_CASES))
     def test_extinction(self, monkeypatch, name, offset):
         model, crit, _ = index_case(name)
+        engine = engine_calls(monkeypatch)
         calls = psi_array_calls(monkeypatch)
         theta = crit + offset
         v = extinction_test(model, PowerLaw(theta))
+        assert engine == []
         if theta < crit:
-            assert v.verdict in ("converges", "inconclusive")
+            assert v.converges and 0.0 < v.value < math.inf
+            assert v.route in ("analytic_index", "analytic_power")
             return
         assert v.diverges and v.value == math.inf
         assert v.route == "analytic_index"
@@ -385,11 +411,15 @@ class TestIndexRoute:
                                             if case[4] is not None))
     def test_explosion(self, monkeypatch, name, offset):
         model, _, crit = index_case(name)
+        engine = engine_calls(monkeypatch)
         calls = psi_array_calls(monkeypatch)
         theta = crit + offset
         v = explosion_test(model, PowerLaw(theta))
+        assert engine == []
         if theta > crit:
-            assert v.verdict in ("converges", "inconclusive")
+            assert v.converges and -math.inf < v.value < 0.0
+            assert v.route == "analytic_index" and v.power == crit
+            assert len(calls) == 1
             return
         assert v.diverges and v.value == -math.inf
         assert v.route == "analytic_index" and v.diagnostics == {"route": "analytic_index",
@@ -412,20 +442,134 @@ class TestIndexRoute:
         (validate(0.5, 0.0, StablePositive(0.8, 1.0)), 0.81, "at 0+ is 0.8"),
     ])
     def test_ratios_against_the_index_are_inconclusive(self, model, theta, where):
-        # the panel ratios read "diverges" on these convergent integrals
+        # the panel ratios read "diverges" on these convergent integrals, so
+        # the engine, which knows no index, is wrong on the wrapped f; the
+        # PowerLaw verdict reads psi's index (`where`) and converges
         test = extinction_test if where.startswith("at infinity") else explosion_test
         engine = test(model, as_generic(PowerLaw(theta)) if test is extinction_test
                       else as_laplace_rep(PowerLaw(theta)))
-        assert engine.diverges
+        assert engine.diverges and engine.diagnostics["diverge_margin"] >= 0.0
         v = test(model, PowerLaw(theta))
-        assert v.verdict == "inconclusive" and v.value is None
-        assert where in v.reason and v.panels == engine.panels
-        margin = v.diagnostics["diverge_margin"]
-        assert margin >= 0.0 and margin == engine.diagnostics["diverge_margin"]
+        assert v.converges and math.isfinite(v.value) and v.reason is None
+        assert v.route == "analytic_index" and where.endswith(f" is {v.power:g}")
+        assert v.panels == engine.panels and v.sweep is None
 
     def test_log_harmonic_tail_diverges(self):
         v = improper_integral_verdict(lambda t: 1.0 / (t * np.log(t)), AtInfinity(2.0))
         assert v.diverges and v.value == math.inf
+
+
+# models of the value tests: (drift, gaussian, jumps); psi's index decides
+# the extinction values at infinity and the explosion values at 0+
+VALUE_CASES = {
+    "cpexp": builtin_model("cpexp"),
+    "bmdrift": builtin_model("bmdrift"),
+    "tempered1.1_c0": validate(1.0, 0.0, TemperedStable(1.1, 1.0, 1.0)),
+    "tempered1.5_phi0": validate(-0.5, 0.3, TemperedStable(1.5, 1.0, 1.0)),
+    "tempered1.5_c0_phi0": validate(-0.5, 0.0, TemperedStable(1.5, 1.0, 1.0)),
+    "tempered0.6_c0_up": validate(2.0, 0.0, TemperedStable(0.6, 1.0, 1.0)),
+    "tempered0.6_phi0": validate(-0.5, 0.3, TemperedStable(0.6, 1.0, 1.0)),
+    "stable1_c0": validate(1.0, 0.0, StablePositive(1.0, 1.0)),
+    "stable1_c0_phi0": validate(-1.0, 0.0, StablePositive(1.0, 1.0)),
+    "stable0.8_c0": validate(0.5, 0.0, StablePositive(0.8, 1.0)),
+}
+VALUE_DPS = 40
+
+
+def psi_reference(model, lam):
+    """psi at the working precision; below e^-30 a tempered model takes its
+    two-term Taylor series psi'(0) lam + psi''(0) lam^2 / 2, where the direct
+    high-precision form cancels."""
+    jumps = model.jumps
+    if isinstance(jumps, TemperedStable) and lam < mp.exp(-30):
+        a, C, q = mp.mpf(jumps.alpha), mp.mpf(jumps.scale), mp.mpf(jumps.tempering)
+        d1 = _hp_consts(model, mp.mp.dps)["dpsi"](mp.mpf(0))
+        d2 = 2 * mp.mpf(model.gaussian) + C * mp.gamma(2 - a) * q ** (a - 2)
+        return d1 * lam + d2 / 2 * lam**2
+    return laplace_exponent_hp(model, lam)
+
+
+@functools.lru_cache(maxsize=None)
+def index_value_reference(name, theta, at_infinity):
+    """The extinction integral int_start^inf lam^(theta-1) / psi dlam, or
+    the Laplace explosion integral int_0^(Phi(0)/2) lam^(theta-1) /
+    (Gamma(theta) psi) dlam, in t = +-log lam at VALUE_DPS digits, on
+    pieces t0 + [0, 1, 2, 4, ...] out to where the integrand has decayed by
+    e^-100."""
+    model = VALUE_CASES[name]
+    with mp.workdps(VALUE_DPS):
+        th = mp.mpf(theta)
+        if at_infinity:
+            t0 = mp.log(max(1.0, 2.0 * model.phi_zero().value))
+            decay = model.index_at_infinity - theta
+
+            def integrand(t):
+                return mp.exp(t * th) / psi_reference(model, mp.exp(t))
+        else:
+            t0 = -mp.log(mp.mpf(model.phi_zero().value) / 2)
+            decay = theta - model.index_at_zero
+
+            def integrand(t):
+                return mp.exp(-t * th) / psi_reference(model, mp.exp(-t)) / mp.gamma(th)
+        pieces, width = [t0], 1.0
+        while width < 200.0 / decay:
+            pieces.append(t0 + width)
+            width *= 2.0
+        return float(mp.quad(integrand, pieces))
+
+
+class TestIndexValues:
+    """Convergent PowerLaw values against a high-precision reference: within
+    1e-6 relative at 0.3 from the critical theta, and within the recorded
+    tail estimate closer to it."""
+
+    @pytest.mark.parametrize("offset", [0.3, 0.1, 0.01])
+    @pytest.mark.parametrize("name", ["cpexp", "bmdrift", "tempered1.1_c0", "tempered1.5_phi0",
+                                      "tempered0.6_c0_up", "stable1_c0"])
+    def test_extinction(self, name, offset):
+        model = VALUE_CASES[name]
+        theta = model.index_at_infinity - offset
+        v = extinction_test(model, PowerLaw(theta))
+        assert v.route == "analytic_index" and v.rtol == integral_tests.VERDICT_RTOL
+        self.check(v, index_value_reference(name, theta, True), offset)
+
+    @pytest.mark.parametrize("offset", [0.3, 0.1, 0.01])
+    @pytest.mark.parametrize("name", ["cpexp", "bmdrift", "tempered1.5_c0_phi0",
+                                      "tempered0.6_phi0", "stable1_c0_phi0", "stable0.8_c0"])
+    def test_explosion(self, name, offset):
+        model = VALUE_CASES[name]
+        theta = model.index_at_zero + offset
+        v = explosion_test(model, PowerLaw(theta))
+        assert v.route == "analytic_index" and v.rtol == integral_tests.VERDICT_RTOL
+        self.check(v, index_value_reference(name, theta, False), offset)
+
+    @staticmethod
+    def check(v, ref, offset):
+        err = abs(v.value - ref)
+        assert v.tail_error >= 0.0
+        if offset >= 0.3:
+            assert err <= 1e-6 * abs(ref), (v.value, ref)
+        else:
+            assert err <= v.tail_error + 1e-9 * abs(ref), (v.value, ref, v.tail_error)
+
+    def test_reference_next_to_the_critical_theta(self):
+        # the integrand decays like lam^-1.01; mp.quad on [1, inf) in lam
+        # itself reads about 214.6, t = log lam resolves the slow tail
+        ref = index_value_reference("cpexp", 1.99, True)
+        assert ref == pytest.approx(396.137, abs=1e-3)
+        assert extinction_test(VALUE_CASES["cpexp"], PowerLaw(1.99)).value == pytest.approx(
+            ref, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["tempered0.6_c0_up", "stable1_c0"])
+    def test_power_law_0_9_converges(self, name):
+        # panel ratios near 2^-0.1 lie between the engine's two ratio rules,
+        # where the engine alone answers "inconclusive"
+        model = VALUE_CASES[name]
+        assert extinction_test(model, as_generic(PowerLaw(0.9))).verdict == "inconclusive"
+        v = extinction_test(model, PowerLaw(0.9))
+        assert v.converges and v.route == "analytic_index"
+        ref = index_value_reference(name, 0.9, True)
+        assert abs(v.value - ref) <= v.tail_error + 1e-9 * ref
 
 
 class TestClassifyBoundary:
@@ -453,7 +597,8 @@ class TestClassifyBoundary:
         assert r.explosion_possible is False
 
     def test_inconclusive_is_none_not_guess(self):
-        r = classify_boundary(builtin_model("cpexp"), PowerLaw(1.9), 1.0)
+        # the engine's ratios on x^-1.9 at infinity sit between its rules
+        r = classify_boundary(builtin_model("cpexp"), as_generic(PowerLaw(1.9)), 1.0)
         assert r.extinction_possible is None
         assert r.extinguishing_possible is None
         assert not r.decisive

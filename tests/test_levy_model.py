@@ -119,6 +119,37 @@ class TestIndexAtZero:
         assert local == pytest.approx(index, abs=0.05)
 
 
+class TestDriftAtInfinity:
+    """d = lim psi(lam)/lam, finite exactly for bounded variation, against
+    the high-precision psi at lam = 1e40."""
+
+    @pytest.mark.parametrize("model", [
+        validate(0.5, 0.0, NoJumps()),
+        validate(0.25, 0.0, CompoundPoissonExp(rate=1.0, jump_mean=1.0)),
+        validate(0.5, 0.0, StablePositive(alpha=0.8, scale=1.0)),
+        validate(0.5, 0.0, StablePositive(alpha=0.3, scale=2.0)),
+        validate(2.0, 0.0, TemperedStable(alpha=0.6, scale=1.0, tempering=1.0)),
+        validate(-1.0, 0.0, TemperedStable(alpha=0.6, scale=1.0, tempering=1.0)),
+        validate(0.2, 0.0, TemperedStable(alpha=0.3, scale=1.3, tempering=2.5)),
+    ], ids=["drift", "cpexp_c0", "stable0.8", "stable0.3", "tempered0.6_up",
+            "tempered0.6_phi0", "tempered0.3"])
+    def test_bounded_variation(self, model):
+        d = model.drift_at_infinity
+        with mp.workdps(30):
+            lam = mp.mpf(10) ** 40
+            assert d == pytest.approx(float(laplace_exponent_hp(model, lam) / lam), rel=1e-7)
+        assert d > 0.0
+
+    @pytest.mark.parametrize("model", [
+        builtin_model("cpexp"), builtin_model("bmdrift"), stable_power_model(1.5),
+        validate(1.0, 0.0, StablePositive(alpha=1.0, scale=1.0)),
+        validate(-0.5, 0.0, TemperedStable(alpha=1.0, scale=1.0, tempering=1.0)),
+        validate(-0.5, 0.0, TemperedStable(alpha=1.5, scale=1.0, tempering=1.0)),
+    ], ids=["cpexp", "bmdrift", "stable15", "stable1_c0", "tempered1_c0", "tempered1.5_c0"])
+    def test_unbounded_variation(self, model):
+        assert model.drift_at_infinity == math.inf
+
+
 class TestLaplaceExponent:
     def test_brownian_drift_value(self):
         m = brownian_model(-1.0)  # psi = lam^2 - lam

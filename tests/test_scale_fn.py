@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -527,6 +528,51 @@ class TestTables:
                 continue
             with pytest.raises(InversionUnstableError, match=re.escape(f"x={unstable[0]:g}:")):
                 fn(xs)
+
+    def test_non_finite_inversion_raises_naming_x(self):
+        # Phi(0) = 20.70: at x = 2^50 some nodes nu/x + Phi(0) round onto
+        # Phi(0), where 1/psi is infinite, and the sum reads NaN
+        model = validate(-1.0, 0.0, TemperedStable(0.6, 1.0, 1.0))
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (ev.w_shifted, ev.scale_w):
+                for x in (2.0**50, np.array([1.0, 2.0**50])):
+                    with pytest.raises(InversionUnstableError,
+                                       match=re.escape(f"x={2.0**50:g}: ") + ".* vs nan"):
+                        fn(x)
+            assert ev.w_shifted(np.array([1.0]))[0] == ev.w_shifted(1.0) > 0.0
+
+    @pytest.mark.parametrize("name", ["bmdrift", "bmup", "stable15", "pure_drift",
+                                      "driftless_bm"])
+    def test_w_at_zero_with_closed_forms_on_and_off(self, name):
+        model = {"pure_drift": validate(0.5, 0.0, NoJumps()),
+                 "driftless_bm": brownian_model(0.0)}.get(name) or builtin_model(name)
+        closed, inverted = ScaleEvaluator(model), ScaleEvaluator(model, use_closed_form=False)
+        assert closed.closed_form is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in ("w_shifted", "scale_w"):
+                want = getattr(closed, fn)(0.0)
+                assert getattr(inverted, fn)(0.0) == want
+                assert want == (2.0 if name == "pure_drift" else 0.0)
+                xs = np.array([0.0, 1.0, -0.0, 0.5])
+                table = getattr(inverted, fn)(xs)
+                assert table[0] == table[2] == want
+                np.testing.assert_allclose(table, getattr(closed, fn)(xs), rtol=1e-9, atol=0.0)
+
+    def test_w_at_zero_of_bounded_variation(self):
+        # c = 0 and finite jump activity: W(0) = 1/d, d = lim psi(lam)/lam
+        model = validate(0.25, 0.0, CompoundPoissonExp(1.0, 1.0))
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        d = model.drift_at_infinity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ev.scale_w(0.0) == ev.w_shifted(0.0) == 1.0 / d
+            assert ev.scale_w(np.array([0.0]))[0] == 1.0 / d
+            assert ev.scale_w(1e-8) == pytest.approx(1.0 / d, rel=1e-6)
+        unbounded = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
+        assert unbounded.scale_w(0.0) == 0.0
 
     def test_overflow_names_the_first_x(self):
         ev = ScaleEvaluator(builtin_model("bmdrift"), use_closed_form=False)

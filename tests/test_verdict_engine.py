@@ -90,6 +90,34 @@ class TestPanelRule:
                 assert quadrature.G7_WEIGHTS @ x**degree == pytest.approx(want, abs=1e-15)
 
 
+    def test_error_estimate_is_qk15_bit_for_bit(self):
+        # QUADPACK's two branches, written out: the scaled Kronrod-Gauss gap
+        # where resasc and the gap are nonzero, raised to 50 eps resabs
+        # above the underflow floor
+        rng = np.random.default_rng(7)
+        fx = rng.standard_normal((64, 15)) * 10.0 ** rng.integers(-300, 300, (64, 1))
+        fx[0], fx[1], fx[2] = 0.0, 3.0, 1e-320
+        fx[3, 7] = np.nan
+        half = 10.0 ** rng.uniform(-5, 5, 64)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        with np.errstate(all="ignore"):
+            resk = fx @ quadrature.K15_WEIGHTS
+            abserr = np.abs((resk - fx @ quadrature.G7_WEIGHTS) * half)
+            resabs = (np.abs(fx) @ quadrature.K15_WEIGHTS) * half
+            resasc = (np.abs(fx - (resk / 2.0)[:, None]) @ quadrature.K15_WEIGHTS) * half
+            scaled = (resasc != 0.0) & (abserr != 0.0)
+            ratio = 200.0 * abserr / np.where(scaled, resasc, 1.0)
+            want = np.where(scaled, resasc * np.minimum(1.0, ratio**1.5), abserr)
+            want = np.where(resabs > tiny / (50.0 * eps), np.maximum(50.0 * eps * resabs, want),
+                            want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, err = quadrature._k15(fx, half)
+        np.testing.assert_array_equal(value, resk * half)
+        np.testing.assert_array_equal(err, want)
+        assert err[0] == 0.0 and math.isnan(err[3])
+
+
 class TestNonFinite:
     def test_past_the_early_stop_is_ignored(self):
         v = improper_integral_verdict(lambda t: np.where(t > 1e4, np.nan, np.exp(-t)),
@@ -311,11 +339,12 @@ class TestArrayIntegrands:
         model = drawn_cpexp_phi0()
         assert model.phi_zero().value > 0.0
         calls = count_calls(monkeypatch, LevyModel, "laplace_exponent")
-        # psi's index at 0+ decides a plain PowerLaw(0.5), so that one is
-        # wrapped to keep the Laplace sweep
-        for f in (as_laplace_rep(PowerLaw(0.5)), PowerLaw(1.5), PowerLaw(2.5)):
+        # psi's index at 0+ decides every plain PowerLaw, and above it sweeps
+        # the Laplace integral; the LaplaceRep takes the engine's sweep
+        for f, route in ((as_laplace_rep(PowerLaw(0.5)), "laplace_zero"),
+                         (PowerLaw(1.5), "analytic_index"), (PowerLaw(2.5), "analytic_index")):
             r = classify_boundary(model, f, 1.0)
-            assert r.explosion_verdict.diagnostics["route"] == "laplace_zero"
+            assert r.explosion_verdict.diagnostics["route"] == route
         assert calls == []
 
     def test_occupation_head_is_one_array_call(self, monkeypatch):
@@ -348,18 +377,25 @@ def as_laplace_rep(f):
     return LaplaceRep(g=f.laplace_density())
 
 
-ENGINE_KEYS = {"panels", "partial", "increments", "max_rel_abserr", "quad_warnings", "rtol"}
+SWEEP_KEYS = {"panels", "quad_warnings", "rtol"}
+ENGINE_KEYS = SWEEP_KEYS | {"partial", "increments", "max_rel_abserr"}
 RATIO_KEYS = {"ratios", "fitted_exponent", "converge_margin", "diverge_margin"}
 
 
 class TestCompactVerdict:
     @pytest.mark.parametrize("case,keys", [
-        (lambda: extinction_test(builtin_model("cpexp"), PowerLaw(1.5)),
+        (lambda: extinction_test(builtin_model("cpexp"), as_generic(PowerLaw(1.5))),
          ENGINE_KEYS | RATIO_KEYS | {"route", "start", "tail_estimate"}),
         (lambda: extinction_test(builtin_model("cpexp"), as_generic(PowerLaw(2.5))),
          ENGINE_KEYS | RATIO_KEYS | {"route", "start"}),
-        (lambda: explosion_test(builtin_model("bmdrift"), PowerLaw(2.0)),
+        (lambda: explosion_test(builtin_model("bmdrift"), as_laplace_rep(PowerLaw(2.0))),
          ENGINE_KEYS | RATIO_KEYS | {"route", "tail_estimate"}),
+        (lambda: extinction_test(builtin_model("cpexp"), PowerLaw(1.5)),
+         SWEEP_KEYS | {"route", "power", "start", "tail_error"}),
+        (lambda: explosion_test(builtin_model("bmdrift"), PowerLaw(2.0)),
+         SWEEP_KEYS | {"route", "power", "tail_error"}),
+        (lambda: extinction_test(builtin_model("cpexp"), PowerLaw(2.5)),
+         {"route", "power", "start"}),
         (lambda: explosion_test(builtin_model("bmdrift"), generic(lambda z: np.exp(-z))),
          ENGINE_KEYS | {"route", "reason"}),
         (lambda: extinction_test(builtin_model("stable15"), PowerLaw(1.0)),
@@ -369,8 +405,9 @@ class TestCompactVerdict:
          {"route", "reason"}),
         (lambda: improper_integral_verdict(lambda t: t**-2.0, AtInfinity(1.0)),
          ENGINE_KEYS | RATIO_KEYS | {"tail_estimate"}),
-    ], ids=["doubling_panels", "doubling_panels_diverges", "laplace_zero", "tail_integral",
-            "analytic_power", "none", "engine"])
+    ], ids=["doubling_panels", "doubling_panels_diverges", "laplace_zero",
+            "analytic_index_extinction", "analytic_index_explosion", "analytic_index_diverges",
+            "tail_integral", "analytic_power", "none", "engine"])
     def test_diagnostics_keys(self, case, keys):
         assert set(case().diagnostics) == keys
 
@@ -398,7 +435,7 @@ class TestCompactVerdict:
         assert d["converge_margin"] == integral_tests.CONVERGE_RATIO - max(d["ratios"])
 
     def test_verdict_is_frozen(self):
-        v = extinction_test(builtin_model("cpexp"), PowerLaw(0.5))
+        v = extinction_test(builtin_model("cpexp"), as_generic(PowerLaw(0.5)))
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.verdict = "diverges"
         v.diagnostics["route"] = "changed"
@@ -421,7 +458,8 @@ class TestCompactVerdict:
             r.extinction_verdict.converges, r.extinction_verdict.diverges,
             r.explosion_verdict.converges)
         assert not hasattr(r, "__dict__")
-        r = classify_boundary(builtin_model("cpexp"), PowerLaw(1.9), 1.0)
+        # the engine's ratios on x^-1.9 at infinity sit between its rules
+        r = classify_boundary(builtin_model("cpexp"), as_generic(PowerLaw(1.9)), 1.0)
         assert r.extinction_verdict.verdict == "inconclusive"
         assert r.extinction_possible is None and r.extinguishing_possible is None
 
