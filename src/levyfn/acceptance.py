@@ -259,7 +259,7 @@ def check_expectation_routes() -> CheckResult:
     The inversion route is named by passing f as a `Generic`.  Closed forms
     are off, so the inversion route inverts W by Talbot at the nodes of the
     verdict engine's K15 panels.  The two routes agree to about 2e-10 on
-    condexp and 1.2e-9 on occupation (cpexp at theta = 1.5), far inside
+    condexp and 2.7e-10 on occupation (cpexp at theta = 1.5), far inside
     the tolerances.
     """
     start = time.perf_counter()

@@ -16,18 +16,22 @@ convex with psi(0) = 0, and for a non-monotone process psi(lam) -> +inf.
 Each jump family is one frozen dataclass, and everything the package knows
 about a family lives in it: its JSON tag and parameter checks, its density,
 its jump index, psi and psi' as closures, its closed-form scale function if
-psi has one, and its exact increment sampler where the law of an increment
-is known (`StableIncrement`), or else its jump-size sampler and the jump
-integrals of the truncated step (compound Poisson, tempered with alpha >=
-1).  `_Family` states this contract; its defaults describe the empty
-measure.  `LevyModel.index_at_infinity` derives psi's index at infinity,
-and so W's power at 0+, from the jump index, and `LevyModel.index_at_zero`
-derives psi's index at 0+ from psi'(0+) and the jump index at 0+.
-`LevyModel.drift_at_infinity`, d = lim psi(lam)/lam, adds the family's
-`small_jump_mean` to the drift; it is finite exactly for bounded variation,
-and W(0) = 1/d.  Callers ask
-the family instead of branching on it, so a new family is one class plus
-its entry in `JumpSpec`.
+psi has one, its Esscher tilt (`tilted(theta)`, the family of the density
+e^{-theta u} pi(du): stable becomes tempered, tempered and compound Poisson
+stay in their family), and its exact increment sampler where the law of an
+increment is known (`StableIncrement`), or else its jump-size sampler and
+the jump integrals of the truncated step (compound Poisson, tempered with
+alpha >= 1).  `_Family` states this contract; its defaults describe the
+empty measure.  `LevyModel.tilted` is the model tilted by its own Phi(0),
+whose exponent is psi(lam + Phi(0)) and whose scale function is
+e^{-Phi(0)x} W(x); the scale-function code inverts that model's exponent
+and asks it for closed forms.  `LevyModel.index_at_infinity` derives
+psi's index at infinity, and so W's power at 0+, from the jump index, and
+`LevyModel.index_at_zero` derives psi's index at 0+ from psi'(0+) and the
+jump index at 0+.  `LevyModel.drift_at_infinity`, d = lim psi(lam)/lam,
+adds the family's `small_jump_mean` to the drift; it is finite exactly for
+bounded variation, and W(0) = 1/d.  Callers ask the family instead of
+branching on it, so a new family is one class plus its entry in `JumpSpec`.
 A family writes its psi constants once, against float (`math`), numpy or
 mpmath arithmetic, and the model builds the float and numpy closures once;
 the numpy psi takes complex arrays, the nodes of the Laplace inversion in
@@ -58,7 +62,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Callable, ClassVar, Optional, get_args
@@ -164,15 +168,16 @@ _MP = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A closed-form scale function.
+    """A closed-form scale function of a model with Phi(0) = 0.
 
-    `w_shifted(x)` is W_shift(x) = e^{-Phi(0)x} W(x) for x >= 0, at a float
-    or a 1-D array (numpy's expm1 and `**`, a few ulp off libm's on a table),
-    `potential(z, d)` the potential density e^{-Phi(0)d} W(z) - W(z-d) for
-    z > 0, and `power` is (kappa, p) when psi(lam) = kappa * lam**p exactly.
+    `w(x)` is W(x) for x >= 0, at a float or a 1-D array (numpy's expm1 and
+    `**`, a few ulp off libm's on a table), `potential(z, d)` the potential
+    density W(z) - W(z-d) for z > 0, and `power` is (kappa, p) when
+    psi(lam) = kappa * lam**p exactly.  Where Phi(0) > 0 the scale-function
+    code asks for the closed form of `LevyModel.tilted`, whose Phi(0) is 0.
     """
 
-    w_shifted: Callable
+    w: Callable
     potential: Callable[[float, float], float]
     power: Optional[tuple[float, float]] = None
 
@@ -222,8 +227,13 @@ class _Family:
         return {"b": b, "c": c, "psi": psi, "dpsi": dpsi}
 
     def closed_form(self, model: LevyModel) -> Optional[ClosedForm]:
-        """The closed-form scale function of `model`, if there is one."""
+        """The closed-form scale function of `model`, if it has Phi(0) = 0
+        and there is one."""
         return None
+
+    def tilted(self, theta: float) -> JumpSpec:
+        """The family of the Levy density e^{-theta u} pi(du), theta > 0."""
+        return self
 
     def sampler(self, eps: float) -> Optional[Callable]:
         """`sample(gen, n)`: n jump sizes from pi restricted to [eps, inf),
@@ -382,16 +392,13 @@ class NoJumps(_Family):
                               lambda z, d: 1.0 / b if z <= d else 0.0, (b, 1.0))
         if b == 0.0:
             return ClosedForm(lambda x: x / c, lambda z, d: min(z, d) / c, (c, 2.0))
-        if b > 0.0:  # Phi(0) = 0
-            return ClosedForm(
-                lambda x: -np.expm1(-b * x / c) / b,
-                lambda z, d: (-math.expm1(-b * z / c) / b if z <= d
-                              else math.exp(-b * z / c) * math.expm1(b * d / c) / b))
-        phi0 = model.phi_zero().value  # = -b/c
+        if b < 0.0:  # Phi(0) = -b/c > 0
+            return None
+        # beyond d, e^{-b(z-d)/c} (1 - e^{-bd/c})/b: no factor overflows
         return ClosedForm(
-            lambda x: np.expm1(-phi0 * x) / b,
-            lambda z, d: (math.exp(-phi0 * d) * math.expm1(phi0 * z) / (-b) if z <= d
-                          else -math.expm1(-phi0 * d) / (-b)))
+            lambda x: -np.expm1(-b * x / c) / b,
+            lambda z, d: (-math.expm1(-b * z / c) / b if z <= d
+                          else -math.exp(-b * (z - d) / c) * math.expm1(-b * d / c) / b))
 
 
 @dataclass(frozen=True)
@@ -464,6 +471,9 @@ class StablePositive(_Family):
         return ClosedForm(lambda x: x ** (a - 1.0) / g, potential,
                           (self.scale * math.gamma(-a), a))
 
+    def tilted(self, theta):
+        return TemperedStable(self.alpha, self.scale, theta)
+
     def increment_sampler(self, dt):
         return _stable_increment(self.alpha, self.scale, dt)
 
@@ -517,6 +527,11 @@ class CompoundPoissonExp(_Family):
             return beff + 2 * c * lam - rho * mu / (lam + mu) ** 2
 
         return {"b": beff, "c": c, "psi": psi, "dpsi": dpsi}
+
+    def tilted(self, theta):
+        # rho mu e^{-(mu + theta)u}: rate rho mu/(mu + theta), mean 1/(mu + theta)
+        mu = self.mu
+        return CompoundPoissonExp(self.rate * mu / (mu + theta), 1.0 / (mu + theta))
 
     def sampler(self, eps):
         mean = self.jump_mean
@@ -603,6 +618,9 @@ class TemperedStable(_Family):
             return beff + 2 * c * lam + K * a / q * expm1((a - 1) * log1p(lam / q))
 
         return {"b": beff, "c": c, "CG": CG, "psi": psi, "dpsi": dpsi}
+
+    def tilted(self, theta):
+        return replace(self, tempering=self.tempering + theta)
 
     def sampler(self, eps):
         # alpha < 1 draws exact increments; else rejection from the stable
@@ -774,6 +792,22 @@ class LevyModel:
     def phi_zero(self) -> PhiZero:
         """inf{lam > 0 : psi(lam) > 0}, to absolute tolerance 1e-10."""
         return self._phi0
+
+    @cached_property
+    def tilted(self) -> LevyModel:
+        """The model tilted by its own Phi(0) (the Esscher transform): Levy
+        density e^{-Phi(0)u} pi(du), the same c, and the drift for which its
+        psi'(0+) is psi'(Phi(0)).  Its exponent is psi(lam + Phi(0)), its own
+        Phi(0) is 0, and its scale function is W_shift(x) = e^{-Phi(0)x} W(x)
+        (Kyprianou, Fluctuations of Levy Processes, 2nd ed. 2014, section
+        8.1).  The model itself when Phi(0) = 0."""
+        phi0 = self._phi0.value
+        if not phi0:
+            return self
+        base = replace(self, jumps=self.jumps.tilted(phi0))
+        # psi' moves one for one with the drift
+        shift = self.laplace_exponent_derivative(phi0) - base.laplace_exponent_derivative(0.0)
+        return replace(base, drift=self.drift + shift)
 
     def hit_probability(self, x: float) -> float:
         """P_x(process hits 0 in finite time) = exp(-Phi(0) * x)."""

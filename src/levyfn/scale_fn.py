@@ -2,9 +2,13 @@
 
 W is defined through its Laplace transform: integral_0^inf e^{-lam*y} W(y) dy
 = 1/psi(lam) for lam > Phi(0), with W = 0 on the negatives.  Numerically we
-never invert 1/psi directly: the shifted exponent psi_shift(s) =
-psi(s + Phi(0)) has its transform abscissa at 0, so we invert 1/psi_shift to
-get W_shift and recover W(x) = exp(Phi(0)*x) * W_shift(x).
+never invert 1/psi directly.  The model tilted by Phi(0)
+(`LevyModel.tilted`, Levy density e^{-Phi(0)u} pi(du)) has the exponent
+psi_Phi(s) = psi(s + Phi(0)), its own Phi(0) = 0 and its transform
+abscissa at 0; its scale function is W_shift(x) = e^{-Phi(0)x} W(x), so we
+invert 1/psi_Phi at the nodes themselves, with no Phi(0) added to them,
+and recover W(x) = exp(Phi(0)*x) * W_shift(x).  Closed forms, too, are
+those of the tilted model, written for Phi(0) = 0.
 
 The public evaluation is the fixed Talbot rule (Abate & Valko 2004) in
 float64 complex arithmetic: with M nodes on the contour s(theta) =
@@ -18,11 +22,11 @@ than a row).  M is TALBOT_ORDER: the M- and 2M-node values must
 agree to ORDER_AGREEMENT_RTOL or the evaluation reports instability, and
 the 2M-node value is returned (about 1e-12 relative at M = 14).  The
 contour wraps the negative real axis, so it needs the
-transform's singularities on the non-positive real axis: 1/psi_shift has
+transform's singularities on the non-positive real axis: 1/psi_Phi has
 its pole at 0, its branch cuts and other poles left of it and no complex
-zeros, which holds for the four jump families here, whose Levy densities
-are completely monotone (Kyprianou & Rivero, EJP 2008).  A new family must
-meet the same condition.  The nodes grow like 1/x, so below about
+zeros, which holds for the four jump families here, whose Levy densities,
+tilted or not, are completely monotone (Kyprianou & Rivero, EJP 2008).  A
+new family must meet the same condition.  The nodes grow like 1/x, so below about
 x = 1e-140 psi overflows at them and the evaluation raises
 NumericalOverflowError instead of returning a value; at x = 0 itself W is
 the model fact 1/`LevyModel.drift_at_infinity` (0 unless the process has
@@ -45,15 +49,17 @@ inversion route below evaluates Talbot W on arrays at the nodes of the
 verdict engine's K15 panels.  Float64 Gaver-Stehfest (`gs_invert_float`,
 ~1e-5) remains only for levybench's layer probe.
 Both expectation formulas integrate one scale-function difference, the
-potential density D_d(z) = e^{-Phi(0)d} W(z) - W(z-d); the conditional-
-expectation bracket below is e^{-Phi(0)(y-x)} D_x(y) beyond x and W_shift(y)
-up to x, where D_x(y) = e^{-Phi(0)x} W(y).  `_potential_density_fn`
-is its one implementation: W_shift at z and z - d from one Talbot evaluation,
-checked N against 2N nodes.  Far from the origin both terms approach the
-same growth and cancel catastrophically, so the difference is evaluated
-directly only on the window where it is resolvable, and beyond it reads its
-analytically known plateau (Phi(0) > 0) or 0 below a noise floor
-(Phi(0) = 0).
+tilted model's potential density W_shift(z) - W_shift(z-d)
+(`_tilted_density_fn`): its closed form, or W_shift at z and z - d from one
+Talbot evaluation, checked N against 2N nodes.  Beyond d both terms
+approach the same limit and cancel, so values below a noise floor read 0
+there.  The conditional-expectation bracket B(y) = W_shift(y) -
+W_shift(y-x) is that density at d = x, with no factor e^{Phi(0)x} to
+overflow.  The occupation's potential density D_d(z) = e^{-Phi(0)d} W(z) -
+W(z-d) is e^{Phi(0)(z-d)} times it (`_potential_density_fn`); where
+Phi(0) > 0 that factor amplifies the inversion noise, so the product is
+taken only on the window where it is resolvable, and beyond it D reads its
+analytically known plateau.
 
 The two expectation formulas are integrals of W against f, and when f has a
 Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
@@ -61,10 +67,10 @@ Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
 no inversion at all (the transform route), on the K15 sweep of
 :mod:`levyfn.quadrature` with the integrand on arrays (`finite_integral`):
 
-* the conditional-expectation bracket B(y) = e^{-Phi(0)y}[W(y) -
-  e^{Phi(0)x} W(y-x)] has transform (1 - e^{-sx})/psi(s + Phi(0)), so
+* the conditional-expectation bracket B(y) = W_shift(y) - W_shift(y-x)
+  has transform (1 - e^{-sx})/psi_Phi(s), so
 
-      condexp = integral_0^inf g(t) (1 - e^{-(t+lam)x}) / psi(t+lam+Phi(0)) dt,
+      condexp = integral_0^inf g(t) (1 - e^{-(t+lam)x}) / psi_Phi(t+lam) dt,
 
   finite exactly when the extinction integral converges (the same tail);
 * the potential density e^{-Phi(0)d} W(z) - W(z-d), d = x - y, has
@@ -78,8 +84,8 @@ no inversion at all (the transform route), on the K15 sweep of
   engine whenever Phi(0) > 0 or psi'(0+) = 0, and that verdict's value is
   the head.
 
-A constant f needs no quadrature: condexp is (1 - e^{-lam*x})/psi(lam +
-Phi(0)), and occupation is d/psi'(0+) when Phi(0) = 0 (+inf when psi'(0+) =
+A constant f needs no quadrature: condexp is (1 - e^{-lam*x})/psi_Phi(lam),
+and occupation is d/psi'(0+) when Phi(0) = 0 (+inf when psi'(0+) =
 0 or Phi(0) > 0).  The kind of f picks the route, with no option to
 overrule it: a `Generic` f takes the inversion route, which integrates f
 against inverted scale-function values.  Wrapping a `PowerLaw`, `LaplaceRep`
@@ -251,8 +257,10 @@ class ScaleEvaluator:
             raise PreconditionViolatedError("evaluator needs a validated model")
         self.phi0 = self.model.phi_zero().value
         if self.use_closed_form:
-            self.closed_form = self.model.jumps.closed_form(self.model)
-        grid_w = self.scale_w(np.geomspace(0.05, 20.0, 16))
+            tilted = self.model.tilted
+            self.closed_form = tilted.jumps.closed_form(tilted)
+        # the function inverted: W itself would overflow here once Phi(0) > 35
+        grid_w = self.w_shifted(np.geomspace(0.05, 20.0, 16))
         scale = max(grid_w.max(), 1e-300)
         if (grid_w <= 0.0).any() or (np.diff(grid_w) < -MONOTONE_RTOL * scale).any():
             raise InversionUnstableError(
@@ -279,12 +287,10 @@ class ScaleEvaluator:
             own = twice < 0
             s = np.concatenate(((nodes[hi] / x[:, None]).ravel(),
                                 (nodes[lo] / x[own, None]).ravel()))
-        if self.phi0:
-            s += self.phi0
-        # a node rounded onto psi's root reads 1/psi = inf, and the NaN it
-        # leaves in the sums fails the order check of `_w_checked`
+        # a node where psi reads 0 gives 1/psi = inf, and the NaN it leaves
+        # in the sums fails the order check of `_w_checked`
         with np.errstate(all="ignore"):
-            psi = self.model.laplace_exponent_array(s)
+            psi = self.model.tilted.laplace_exponent_array(s)
             if not np.isfinite(psi).all():
                 raise NumericalOverflowError(
                     f"psi overflows at the Talbot nodes of x={np.min(x):g}")
@@ -313,21 +319,24 @@ class ScaleEvaluator:
         return hi
 
     def w_shifted(self, x: float | np.ndarray, twice=None) -> float | np.ndarray:
-        """W_shift(x) = e^{-Phi(0)x} W(x), bounded whenever psi'(Phi(0)) > 0,
-        at a float x or at each x of a 1-D array.  Zero for x < 0, -inf
-        included; W(0) = 1/`LevyModel.drift_at_infinity` where no closed
-        form gives it; NaN and +inf raise, naming the first such x.  A float stays
-        on scalar arithmetic; a table goes TABLE_BLOCK points at a time to the
-        closed form or one checked Talbot evaluation, within about 1e-12
-        relative of its points.  `twice` pairs a table of at most TABLE_BLOCK
-        points x > 0 with 2x as in `_w_talbot`."""
+        """W_shift(x) = e^{-Phi(0)x} W(x), the scale function of
+        `LevyModel.tilted` (the inverse of 1/psi(s + Phi(0)), its limit
+        1/psi'(Phi(0)) when that is finite), at a float x or at each x of a
+        1-D array; the conditional-expectation bracket is W_shift(y) -
+        W_shift(y - x).  Zero for x < 0, -inf included; W(0) =
+        1/`LevyModel.drift_at_infinity` where no closed form gives it; NaN
+        and +inf raise, naming the first such x.  A float stays on scalar
+        arithmetic; a table goes TABLE_BLOCK points at a time to the closed
+        form or one checked Talbot evaluation, within about 1e-12 relative of
+        its points.  `twice` pairs a table of at most TABLE_BLOCK points x > 0
+        with 2x as in `_w_talbot`."""
         if not isinstance(x, np.ndarray):
             if x < 0.0:
                 return 0.0
             if not x < math.inf:
                 raise PreconditionViolatedError(f"x must be finite, got {x}")
             if self.closed_form is not None:
-                return float(self.closed_form.w_shifted(x))
+                return float(self.closed_form.w(x))
             return self._w_checked(x) if x > 0.0 else 1.0 / self.model.drift_at_infinity
         bad = np.isnan(x) | (x == math.inf)
         if bad.any():
@@ -337,7 +346,7 @@ class ScaleEvaluator:
         for i in range(0, len(rows), TABLE_BLOCK):
             block = rows[i:i + TABLE_BLOCK]
             out[block] = (self._w_checked(x[block], twice) if self.closed_form is None
-                          else self.closed_form.w_shifted(x[block]))
+                          else self.closed_form.w(x[block]))
         return out
 
     def scale_w(self, x: float | np.ndarray) -> float | np.ndarray:
@@ -357,68 +366,75 @@ class ScaleEvaluator:
 
     # -- potential density ---------------------------------------------------
 
-    def _potential_density_fn(self, d: float) -> Callable[[np.ndarray], np.ndarray]:
-        """z -> e^{-Phi(0)d} W(z) - W(z-d) on a 1-D array of z, 0 at z <= 0:
-        the closed form, or e^{Phi(0)(z-d)} [W_shift(z) - W_shift(z-d)] from
-        one checked Talbot evaluation (`w_shifted`) where the difference is
-        resolvable, and the plateau (Phi(0) > 0) or 0 (below the noise floor,
-        Phi(0) = 0) where it is not."""
+    def _tilted_density_fn(self, d: float) -> Callable[[np.ndarray], np.ndarray]:
+        """z -> W_shift(z) - W_shift(z-d) on a 1-D array of z, 0 at z <= 0:
+        the potential density of `LevyModel.tilted`, whose Phi(0) is 0: the
+        closed form, or W_shift at z and z - d from one checked Talbot
+        evaluation (`w_shifted`).  Beyond d, where the two terms approach one
+        limit and cancel, Talbot values below 1e-12 of the value at max(d, 1)
+        read 0, so spurious increments cannot masquerade as a tail."""
         if self.closed_form is not None:
             potential = self.closed_form.potential
             return lambda z: np.array([potential(v, d) if v > 0.0 else 0.0 for v in z.tolist()])
-        phi0 = self.phi0
 
         def direct(z: np.ndarray) -> np.ndarray:
-            # Phi(0)(z-d) <= 12 wherever this runs, so its exponential cannot overflow
             pos, lag = z > 0.0, z > d
             lead, lagged = np.zeros((2, len(z)))
             lead[pos], lagged[lag] = np.split(
                 self.w_shifted(np.concatenate((z[pos], z[lag] - d))), [np.count_nonzero(pos)])
-            return np.exp(phi0 * (z - d)) * (lead - lagged)
+            return lead - lagged
 
-        if phi0 > 0.0:
-            # The shifted difference decays at rate Phi(0) (the transform's
-            # next singularity sits at -Phi(0)), so D approaches the plateau
-            # (e^{-Phi(0)d} - 1)/psi'(0+), while the inversion noise is
-            # amplified by e^{Phi(0)(z-d)}: direct evaluation covers the
-            # resolvable window (up to the first of d + (12, 9, 6)/Phi(0)
-            # where it meets the plateau), the plateau the rest.
-            d0 = self.model.laplace_exponent_derivative(0.0)
-            plateau = math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
-            points = d + np.array([0.0, 12.0, 9.0, 6.0]) / phi0
-            vals = direct(points)
-            ref = max(abs(plateau), abs(vals[0]), 1e-300)
-            reached = np.abs(vals[1:] - plateau) <= 1e-3 * ref
-            if not reached.any():
-                raise QuadratureFailureError(
-                    "potential density transient not resolvable for this model")
-            z_hi = points[1 + reached.argmax()]
-
-            def density(z: np.ndarray) -> np.ndarray:
-                near = z <= z_hi
-                out = np.full_like(z, plateau)
-                out[near] = direct(z[near])
-                return out
-
-            return density
-
-        # Phi(0) = 0: differences stay bounded, so the direct evaluation is
-        # safe everywhere; values below the cancellation noise floor are
-        # clamped to zero so spurious increments cannot masquerade as a tail
         floor = 1e-12 * max(abs(direct(np.array([max(d, 1.0)]))[0]), 1e-300)
 
         def density(z: np.ndarray) -> np.ndarray:
             val = direct(z)
-            return np.where(np.abs(val) > floor, val, 0.0)
+            return np.where((np.abs(val) > floor) | (z <= d), val, 0.0)
 
         return density
+
+    def _potential_density_fn(self, d: float) -> Callable[[np.ndarray], np.ndarray]:
+        """z -> e^{-Phi(0)d} W(z) - W(z-d) on a 1-D array of z, 0 at z <= 0:
+        e^{Phi(0)(z-d)} times the tilted density (`_tilted_density_fn`) where
+        that product is resolvable, and its plateau beyond."""
+        density, phi0 = self._tilted_density_fn(d), self.phi0
+        if not phi0:
+            return density
+
+        def scaled(z: np.ndarray) -> np.ndarray:
+            # Phi(0)(z-d) <= 12 wherever this runs, so its exponential cannot overflow
+            return np.exp(phi0 * (z - d)) * density(z)
+
+        # The tilted density decays at rate Phi(0) (its transform's next
+        # singularity sits at -Phi(0)), so D approaches the plateau
+        # (e^{-Phi(0)d} - 1)/psi'(0+), while the inversion noise is
+        # amplified by e^{Phi(0)(z-d)}: the product covers the resolvable
+        # window (up to the first of d + (12, 9, 6)/Phi(0) where it meets the
+        # plateau), the plateau the rest.
+        d0 = self.model.laplace_exponent_derivative(0.0)
+        plateau = math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
+        points = d + np.array([0.0, 12.0, 9.0, 6.0]) / phi0
+        vals = scaled(points)
+        ref = max(abs(plateau), abs(vals[0]), 1e-300)
+        reached = np.abs(vals[1:] - plateau) <= 1e-3 * ref
+        if not reached.any():
+            raise QuadratureFailureError(
+                "potential density transient not resolvable for this model")
+        z_hi = points[1 + reached.argmax()]
+
+        def windowed(z: np.ndarray) -> np.ndarray:
+            near = z <= z_hi
+            out = np.full_like(z, plateau)
+            out[near] = scaled(z[near])
+            return out
+
+        return windowed
 
     def potential_density(self, x: float, y: float) -> float:
         """Density of the expected occupation measure before hitting 0:
 
-        e^{-Phi(0)x} W(y) - W(y-x), for the process started at x > 0.  Without
-        a closed form it reads, far out, the plateau (e^{-Phi(0)x} - 1)/psi'(0+)
-        when Phi(0) > 0, and 0 below 1e-12 of its value at max(x, 1) when
+        e^{-Phi(0)x} W(y) - W(y-x), for the process started at x > 0.  Far out
+        it reads the plateau (e^{-Phi(0)x} - 1)/psi'(0+) when Phi(0) > 0, and,
+        without a closed form, 0 below 1e-12 of its value at max(x, 1) when
         Phi(0) = 0.
         """
         if not (0.0 < x < math.inf and 0.0 < y < math.inf):
@@ -461,10 +477,11 @@ class ScaleEvaluator:
         """E_x[integral_0^{hit} f(Z_t) e^{-lam Z_t} dt | the process hits 0].
 
         Equals integral_0^inf f(y) e^{-lam*y} B(y) dy with
-        B(y) = e^{-Phi(0)y}[W(y) - e^{Phi(0)x} W(y-x)]; +inf when f is too
-        singular at 0+ for the integral to exist.  Finiteness does not depend
-        on lam, so the default lam = 1 suffices for the finiteness test; for
-        f = 1 the closed form (1 - e^{-lam*x}) / psi(lam + Phi(0)) is
+        B(y) = e^{-Phi(0)y}[W(y) - e^{Phi(0)x} W(y-x)] = W_shift(y) -
+        W_shift(y-x), the potential density of `LevyModel.tilted`; +inf when
+        f is too singular at 0+ for the integral to exist.  Finiteness does
+        not depend on lam, so the default lam = 1 suffices for the finiteness
+        test; for f = 1 the closed form (1 - e^{-lam*x}) / psi(lam + Phi(0)) is
         available as :func:`conditional_exp_constant_closed_form`.  The kind
         of f picks the route as in :meth:`occupation_expectation`.
         """
@@ -472,20 +489,10 @@ class ScaleEvaluator:
             raise PreconditionViolatedError(f"need finite x > 0 and lam > 0, got x={x}, lam={lam}")
         if _has_transform(f):
             return conditional_exp_transform(self.model, f, x, lam)
-        # B(y) = e^{-Phi(0)(y-x)} times the potential density at (x, y).  At
-        # y <= x that density is e^{-Phi(0)x} W(y), which underflows once
-        # Phi(0)x passes about 700 while its factor overflows, so B is taken
-        # there as W_shift(y); beyond x the factor is at most 1.
-        density = self._potential_density_fn(x)
-        phi0 = self.phi0
+        bracket = self._tilted_density_fn(x)
 
         def integrand(y: np.ndarray) -> np.ndarray:
-            near = y <= x
-            bracket = np.empty_like(y)
-            bracket[near] = self.w_shifted(y[near])
-            far = y[~near]
-            bracket[~near] = np.exp(-phi0 * (far - x)) * density(far)
-            return np.exp(-lam * y) * f.values(y) * bracket
+            return np.exp(-lam * y) * f.values(y) * bracket(y)
 
         split = min(x, 1.0) / 2.0
         zero_side = improper_integral_verdict(integrand, AtZeroPlus(split))
@@ -516,7 +523,9 @@ def conditional_exp_transform(model: LevyModel, f: FunctionalSpec, x: float,
     """The conditional expectation of :meth:`ScaleEvaluator.conditional_exp_functional`
     for constant f or f with a Laplace density g, without inversion:
 
-    integral_0^inf g(t) (1 - e^{-(t+lam)x}) / psi(t + lam + Phi(0)) dt.
+    integral_0^inf g(t) (1 - e^{-(t+lam)x}) / psi_Phi(t + lam) dt,
+
+    psi_Phi(s) = psi(s + Phi(0)) the exponent of `LevyModel.tilted`.
 
     Its tail at infinity is the extinction integral's, so `extinction_test`
     decides finiteness.
@@ -533,11 +542,10 @@ def conditional_exp_transform(model: LevyModel, f: FunctionalSpec, x: float,
         return math.inf
     if not tail.converges:
         raise QuadratureFailureError(f"extinction verdict inconclusive: {tail.diagnostics}")
-    shift = lam + model.phi_zero().value
-    g, psi = _on_arrays(g), model.laplace_exponent_array
+    g, psi = _on_arrays(g), model.tilted.laplace_exponent_array
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return g(t) * -np.expm1(-(t + lam) * x) / psi(t + shift)
+        return g(t) * -np.expm1(-(t + lam) * x) / psi(t + lam)
 
     return finite_integral(integrand, 0.0, math.inf)
 
@@ -586,11 +594,11 @@ def occupation_transform(model: LevyModel, f: FunctionalSpec, x: float, y: float
 
 
 def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float) -> float:
-    """(1 - e^{-lam*x}) / psi(lam + Phi(0)): the f = 1 case in closed form."""
+    """(1 - e^{-lam*x}) / psi(lam + Phi(0)): the f = 1 case in closed form,
+    with psi(lam + Phi(0)) the exponent of `LevyModel.tilted` at lam."""
     if not (0.0 < x < math.inf and 0.0 < lam < math.inf):
         raise PreconditionViolatedError(f"need finite x > 0 and lam > 0, got x={x}, lam={lam}")
-    phi0 = model.phi_zero().value
-    return -math.expm1(-lam * x) / model.laplace_exponent(lam + phi0)
+    return -math.expm1(-lam * x) / model.tilted.laplace_exponent(lam)
 
 
 @lru_cache(maxsize=1)

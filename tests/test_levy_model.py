@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from levyfn import (
     CompoundPoissonExp,
     NoJumps,
+    ScaleEvaluator,
     StablePositive,
     TemperedStable,
     brownian_model,
@@ -28,6 +29,7 @@ from levyfn.errors import (
 )
 from levyfn.levy_model import (
     _NP,
+    PhiZero,
     _hp_consts,
     _upper_gamma,
     laplace_exponent_hp,
@@ -459,3 +461,74 @@ class TestUpperGamma:
         with mp.workdps(40):
             want = mp.gammainc(mp.mpf(s), mp.mpf(q))
             assert abs(_upper_gamma(s, q) - want) <= 1e-13 * abs(want)
+
+
+class TestTilt:
+    """`LevyModel.tilted`: the model tilted by its own Phi(0), whose exponent
+    is psi(lam + Phi(0)) and whose scale function is e^{-Phi(0)x} W(x)."""
+
+    MODELS = {
+        "stable0.6": (1.0, 0.0, StablePositive(alpha=0.6, scale=0.5)),
+        "stable1": (0.4, 0.2, StablePositive(alpha=1.0, scale=0.8)),
+        "stable1.5": (-1.0, 0.0, StablePositive(alpha=1.5, scale=0.5)),
+        "cpexp": (0.2, 0.25, CompoundPoissonExp(rate=2.0, jump_mean=0.5)),
+        "cpexp_c0": (-0.5, 0.0, CompoundPoissonExp(rate=2.0, jump_mean=1.0)),
+        "tempered0.6": (-1.0, 0.0, TemperedStable(alpha=0.6, scale=1.0, tempering=1.0)),
+        "tempered1": (-0.5, 0.1, TemperedStable(alpha=1.0, scale=1.0, tempering=1.5)),
+        "tempered1.3": (-1.0, 0.1, TemperedStable(alpha=1.3, scale=1.0, tempering=1.5)),
+        "bmdrift": (-1.0, 1.0, NoJumps()),
+        "bm_phi40": (-40.0, 1.0, NoJumps()),
+    }
+
+    @pytest.fixture(params=sorted(MODELS))
+    def model(self, request):
+        m = validate(*self.MODELS[request.param])
+        assert m.phi_zero().value > 0.0
+        return m
+
+    def test_exponent_is_psi_shifted(self, model):
+        # against the 40-digit psi(lam + theta) - psi(theta), theta the float
+        # Phi(0) the tilt takes, so that the root's own rounding drops out
+        tilted, phi0 = model.tilted, model.phi_zero().value
+        with mp.workdps(40):
+            theta = mp.mpf(phi0)
+            base = laplace_exponent_hp(model, theta)
+            for lam in np.geomspace(1e-3, 1e3, 13):
+                want = laplace_exponent_hp(model, mp.mpf(lam) + theta) - base
+                got = tilted.laplace_exponent(float(lam))
+                assert abs(got / want - 1) <= 1e-12, (lam, got, float(want))
+
+    def test_slope_at_zero_and_own_root(self, model):
+        tilted = model.tilted
+        want = model.laplace_exponent_derivative(model.phi_zero().value)
+        assert tilted.laplace_exponent_derivative(0.0) == pytest.approx(want, rel=1e-12)
+        assert tilted.phi_zero() == PhiZero(0.0, True)
+        assert tilted.gaussian == model.gaussian and tilted.validated
+        assert tilted.tilted is tilted
+
+    def test_density_is_tilted(self, model):
+        phi0 = model.phi_zero().value
+        for u in np.geomspace(1e-3, 5.0, 9):
+            want = math.exp(-phi0 * u) * model.jumps.density(float(u))
+            assert model.tilted.jumps.density(float(u)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [20, 30, 36, 40, 50])
+    def test_inverted_w_shift_keeps_its_limit(self, model, k):
+        # W_shift is the tilted model's W, inverted at nodes nu/x that no
+        # Phi(0) rounds away: its limit 1/psi'(Phi(0)) holds to 2^50
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        limit = 1.0 / model.laplace_exponent_derivative(model.phi_zero().value)
+        assert abs(ev.w_shifted(2.0**k) - limit) <= 1e-10 * limit
+
+    @pytest.mark.parametrize("name", ["bmup", "stable15"])
+    def test_phi_zero_zero_is_the_model(self, name):
+        m = builtin_model(name)
+        assert m.tilted is m
+        tempered = validate(0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
+        assert tempered.tilted is tempered
+
+    def test_families(self):
+        assert NoJumps().tilted(2.0) == NoJumps()
+        assert StablePositive(1.5, 0.5).tilted(2.0) == TemperedStable(1.5, 0.5, 2.0)
+        assert TemperedStable(0.6, 1.0, 1.0).tilted(2.0) == TemperedStable(0.6, 1.0, 3.0)
+        assert CompoundPoissonExp(2.0, 0.5).tilted(2.0) == CompoundPoissonExp(1.0, 0.25)

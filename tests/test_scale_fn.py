@@ -529,11 +529,25 @@ class TestTables:
             with pytest.raises(InversionUnstableError, match=re.escape(f"x={unstable[0]:g}:")):
                 fn(xs)
 
-    def test_non_finite_inversion_raises_naming_x(self):
-        # Phi(0) = 20.70: at x = 2^50 some nodes nu/x + Phi(0) round onto
-        # Phi(0), where 1/psi is infinite, and the sum reads NaN
-        model = validate(-1.0, 0.0, TemperedStable(0.6, 1.0, 1.0))
+    def test_non_finite_inversion_raises_naming_x(self, monkeypatch):
+        # a node where psi reads 0 has 1/psi = inf, and the sum reads NaN;
+        # the tilted psi has no such node, so psi is patched to read 0 at the
+        # last 2N node of the last point
+        from levyfn import LevyModel
+
+        model = validate(-1.0, 0.0, TemperedStable(0.6, 1.0, 1.0))  # Phi(0) = 20.70
         ev = ScaleEvaluator(model, use_closed_form=False)
+        assert ev.w_shifted(np.array([1.0]))[0] == ev.w_shifted(1.0) > 0.0
+        with pytest.raises(NumericalOverflowError, match=re.escape(f"W({2.0**50:g}) overflows")):
+            ev.scale_w(2.0**50)
+        orig = LevyModel.laplace_exponent_array
+
+        def zero_at_last_node(m, lam):
+            psi = orig(m, lam)
+            psi.flat[-1] = 0.0
+            return psi
+
+        monkeypatch.setattr(LevyModel, "laplace_exponent_array", zero_at_last_node)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for fn in (ev.w_shifted, ev.scale_w):
@@ -541,7 +555,6 @@ class TestTables:
                     with pytest.raises(InversionUnstableError,
                                        match=re.escape(f"x={2.0**50:g}: ") + ".* vs nan"):
                         fn(x)
-            assert ev.w_shifted(np.array([1.0]))[0] == ev.w_shifted(1.0) > 0.0
 
     @pytest.mark.parametrize("name", ["bmdrift", "bmup", "stable15", "pure_drift",
                                       "driftless_bm"])
@@ -581,6 +594,21 @@ class TestTables:
             ev.scale_w(800.0)
         with pytest.raises(NumericalOverflowError, match=re.escape("W(800) overflows")):
             ev.scale_w(xs)
+
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("model", [
+        validate(-40.0, 1.0, NoJumps()),
+        validate(-0.5, 0.0, CompoundPoissonExp(2.0, 1.0)),
+    ], ids=["bm_phi40", "cpexp_phi69"])
+    def test_large_phi0_builds(self, model, closed):
+        # the self-check reads W_shift, the function inverted: W itself
+        # overflows on its grid [0.05, 20] once Phi(0) > 35.5
+        ev = ScaleEvaluator(model, use_closed_form=closed)
+        assert (ev.closed_form is not None) == (closed and model.jumps == NoJumps())
+        limit = 1.0 / model.laplace_exponent_derivative(ev.phi0)
+        assert abs(ev.w_shifted(2.0**40) - limit) <= 1e-10 * limit
+        with pytest.raises(NumericalOverflowError, match=re.escape("W(20) overflows")):
+            ev.scale_w(20.0)
 
     def test_long_table_is_evaluated_in_blocks(self, monkeypatch):
         from levyfn import LevyModel
@@ -1115,11 +1143,12 @@ class TestInversionRoute:
 
     @pytest.mark.parametrize("name", ["bmdrift", "cpexp"])
     def test_far_tail_takes_no_w(self, name):
-        # the sweep at infinity reaches x 2^40, where W_shift is not
-        # resolvable; the potential density takes its plateau there
+        # the sweep at infinity reaches x 2^40, where the bracket
+        # W_shift(y) - W_shift(y - x) reads its noise floor, 0, and W_shift
+        # itself keeps its limit
         ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
-        with pytest.raises(InversionUnstableError):
-            ev.w_shifted(2.0**36)
+        limit = 1.0 / ev.model.laplace_exponent_derivative(ev.phi0)
+        assert abs(ev.w_shifted(2.0**36) - limit) <= 1e-10 * limit
         for lam in (1.0, 1e-10):
             got = ev.conditional_exp_functional(EXP_DECAY, 1.0, lam)
             want = conditional_exp_constant_closed_form(ev.model, 1.0, 1.0 + lam)
@@ -1144,3 +1173,19 @@ class TestInversionRoute:
         got = ev.conditional_exp_functional(EXP_DECAY, 800.0, 1.0)
         want = conditional_exp_constant_closed_form(ev.model, 800.0, 2.0)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_far_start_brownian_potential_does_not_overflow(self, closed_form):
+        # bmup's closed-form potential beyond d took e^{-bz/c} expm1(bd/c),
+        # which overflows once bd/c passes 709.8
+        ev = ScaleEvaluator(builtin_model("bmup"), use_closed_form=closed_form)
+        if closed_form:
+            for d, z in ((800.0, 900.0), (720.0, 730.0)):
+                want = math.exp(d - z) * -math.expm1(-d)
+                assert ev.potential_density(d, z) == pytest.approx(want, rel=1e-14, abs=0.0)
+        got = ev.conditional_exp_functional(EXP_DECAY, 800.0, 1.0)
+        assert got == pytest.approx(conditional_exp_constant_closed_form(ev.model, 800.0, 2.0),
+                                    rel=1e-12)
+        # integral_0^inf e^{-(z+1)} (W(z) - W(z-799)) dz = e^{-1} (1 - e^{-799})/psi(1)
+        got = ev.occupation_expectation(EXP_DECAY, 800.0, 1.0)
+        assert got == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-12)
