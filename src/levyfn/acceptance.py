@@ -26,7 +26,8 @@ from .integral_tests import (
     explosion_test,
     extinction_test,
 )
-from .levy_model import NoJumps, TemperedStable, laplace_exponent_quadrature, validate
+from .levy_model import (
+    NoJumps, StablePositive, TemperedStable, laplace_exponent_quadrature, validate)
 from .montecarlo import (
     CondExpFunctional,
     HitProb,
@@ -259,18 +260,24 @@ def check_expectation_routes() -> CheckResult:
     The inversion route is named by passing f as a `Generic`.  Closed forms
     are off, so the inversion route inverts W by Talbot at the nodes of the
     verdict engine's K15 panels.  The two routes agree to about 2e-10 on
-    condexp and 2.7e-10 on occupation (cpexp at theta = 1.5), far inside
-    the tolerances.
+    condexp, and on occupation to 1.3e-12 on the first three occupation
+    models, 2.4e-10 on stable1.5_phi0 and 6.8e-9 on tempered0.6_phi0, far
+    inside the tolerances.
     """
     start = time.perf_counter()
     tempered = validate(-0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
     tempered_down = validate(0.5, 0.1, TemperedStable(alpha=1.15, scale=1.0, tempering=1.5))
+    # Phi(0) = 2.86 and 20.7: their tilted transforms have a branch point at -Phi(0)
+    stable_up = validate(-1.0, 0.0, StablePositive(alpha=1.5, scale=0.5))
+    tempered_up = validate(-1.0, 0.0, TemperedStable(alpha=0.6, scale=1.0, tempering=1.0))
     cases = [("condexp", "cpexp", builtin_model("cpexp"), (0.5, 1.0)),
              ("condexp", "stable15", builtin_model("stable15"), (0.5, 1.0)),
              ("condexp", "tempered", tempered, (0.5, 1.0)),
              ("occupation", "cpexp", builtin_model("cpexp"), (1.5, 2.5)),
              ("occupation", "bmdrift", builtin_model("bmdrift"), (1.5, 2.5)),
-             ("occupation", "tempered_phi0_zero", tempered_down, (1.5, 2.5))]
+             ("occupation", "tempered_phi0_zero", tempered_down, (1.5, 2.5)),
+             ("occupation", "stable1.5_phi0", stable_up, (1.5, 2.5)),
+             ("occupation", "tempered0.6_phi0", tempered_up, (1.5, 2.5))]
     tols = {"condexp": 1e-5, "occupation": 1e-3}
     worst = {"condexp": (0.0, ""), "occupation": (0.0, "")}
     for kind, name, model, thetas in cases:

@@ -56,10 +56,11 @@ approach the same limit and cancel, so values below a noise floor read 0
 there.  The conditional-expectation bracket B(y) = W_shift(y) -
 W_shift(y-x) is that density at d = x, with no factor e^{Phi(0)x} to
 overflow.  The occupation's potential density D_d(z) = e^{-Phi(0)d} W(z) -
-W(z-d) is e^{Phi(0)(z-d)} times it (`_potential_density_fn`); where
-Phi(0) > 0 that factor amplifies the inversion noise, so the product is
-taken only on the window where it is resolvable, and beyond it D reads its
-analytically known plateau.
+W(z-d) is e^{Phi(0)(z-d)} times it (`_potential_density_fn`) up to z = d +
+1/Phi(0), where that factor is at most e; beyond, it is the integral over v
+in [0, d] of e^{-Phi(0)v} g(z-d+v), g = W' - Phi(0) W inverted from
+(s - Phi(0))/psi(s) - W(0), whose pole at Phi(0) cancels, so no factor
+grows with z and D tends to its plateau (e^{-Phi(0)d} - 1)/psi'(0+).
 
 The two expectation formulas are integrals of W against f, and when f has a
 Laplace density g (f(y) = integral_0^inf e^{-yt} g(t) dt: `PowerLaw`,
@@ -118,7 +119,7 @@ from .integral_tests import (
     improper_integral_verdict,
 )
 from .levy_model import ClosedForm, LevyModel
-from .quadrature import _on_arrays, finite_integral
+from .quadrature import K15_WEIGHTS, _nodes, _on_arrays, finite_integral
 
 LN2 = math.log(2.0)
 
@@ -268,10 +269,11 @@ class ScaleEvaluator:
 
     # -- core inversions -----------------------------------------------------
 
-    def _w_talbot(self, x, orders: tuple[int, ...], twice=None) -> tuple:
+    def _w_talbot(self, x, orders: tuple[int, ...], twice=None, slope=False) -> tuple:
         """W_shift at x for each of `orders` Talbot node counts, from one psi
         call on the nodes of all of them: floats for a float x, arrays for a
-        1-D array of x (one row of nodes per point).
+        1-D array of x (one row of nodes per point).  With `slope`, g = W' -
+        Phi(0) W instead, the inverse of (s - Phi(0))/psi(s) - W(0).
 
         `twice`, for orders (N, 2N) and an array x, pairs the points:
         x[twice[i]] == 2 x[i], or twice[i] < 0 where 2 x[i] is not in x.  The
@@ -290,11 +292,12 @@ class ScaleEvaluator:
         # a node where psi reads 0 gives 1/psi = inf, and the NaN it leaves
         # in the sums fails the order check of `_w_checked`
         with np.errstate(all="ignore"):
-            psi = self.model.tilted.laplace_exponent_array(s)
+            psi = (self.model if slope else self.model.tilted).laplace_exponent_array(s)
             if not np.isfinite(psi).all():
                 raise NumericalOverflowError(
                     f"psi overflows at the Talbot nodes of x={np.min(x):g}")
-            transform = 1.0 / psi
+            transform = ((s - self.phi0) / psi - 1.0 / self.model.drift_at_infinity
+                         if slope else 1.0 / psi)
             if twice is not None:
                 top = transform[:len(x) * omega_hi.size].reshape(len(x), -1)
                 rows = top[twice, ::2]
@@ -303,11 +306,11 @@ class ScaleEvaluator:
             values = tuple((transform[..., part] @ omega).real / x for part, omega in parts)
         return values if array else tuple(map(float, values))
 
-    def _w_checked(self, x, twice=None):
-        """W_shift at a float x or at each x of a 1-D array: the 2N-node
-        Talbot value, once the N-node value agrees with it to
-        ORDER_AGREEMENT_RTOL.  `twice` pairs x with 2x as in `_w_talbot`."""
-        lo, hi = self._w_talbot(x, (TALBOT_ORDER, 2 * TALBOT_ORDER), twice)
+    def _w_checked(self, x, twice=None, slope=False):
+        """W_shift (or with `slope`, g) at a float x or at each x of a 1-D
+        array: the 2N-node Talbot value, once the N-node value agrees with it
+        to ORDER_AGREEMENT_RTOL.  `twice` pairs x with 2x as in `_w_talbot`."""
+        lo, hi = self._w_talbot(x, (TALBOT_ORDER, 2 * TALBOT_ORDER), twice, slope)
         # |hi - lo| <= RTOL * (|hi| + 1e-300), in operators that take a float
         # as cheaply as an array, and false where lo or hi is NaN or infinite
         ok = abs(hi - lo) - ORDER_AGREEMENT_RTOL * abs(hi) <= ORDER_AGREEMENT_RTOL * 1e-300
@@ -394,48 +397,38 @@ class ScaleEvaluator:
 
     def _potential_density_fn(self, d: float) -> Callable[[np.ndarray], np.ndarray]:
         """z -> e^{-Phi(0)d} W(z) - W(z-d) on a 1-D array of z, 0 at z <= 0:
-        e^{Phi(0)(z-d)} times the tilted density (`_tilted_density_fn`) where
-        that product is resolvable, and its plateau beyond."""
+        e^{Phi(0)(z-d)} times the tilted density up to z = d + 1/Phi(0), and
+        beyond it the integral of d/dv e^{-Phi(0)v} W(z-d+v) = e^{-Phi(0)v}
+        g(z-d+v) over v in [0, min(d, 40/Phi(0))], K15 on pieces [0, 1], [1, 2],
+        [2, 4], ... of v in units of 1/Phi(0), so rounding z - d moves no node."""
         density, phi0 = self._tilted_density_fn(d), self.phi0
         if not phi0:
             return density
+        top = min(d, 40.0 / phi0)
+        edges = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]) / phi0
+        edges = np.append(edges[edges < top], top)
+        v = _nodes(edges[:-1], edges[1:]).ravel()
+        weights = (np.diff(edges)[:, None] / 2.0 * K15_WEIGHTS).ravel() * np.exp(-phi0 * v)
 
-        def scaled(z: np.ndarray) -> np.ndarray:
-            # Phi(0)(z-d) <= 12 wherever this runs, so its exponential cannot overflow
-            return np.exp(phi0 * (z - d)) * density(z)
-
-        # The tilted density decays at rate Phi(0) (its transform's next
-        # singularity sits at -Phi(0)), so D approaches the plateau
-        # (e^{-Phi(0)d} - 1)/psi'(0+), while the inversion noise is
-        # amplified by e^{Phi(0)(z-d)}: the product covers the resolvable
-        # window (up to the first of d + (12, 9, 6)/Phi(0) where it meets the
-        # plateau), the plateau the rest.
-        d0 = self.model.laplace_exponent_derivative(0.0)
-        plateau = math.expm1(-phi0 * d) / d0 if math.isfinite(d0) else 0.0
-        points = d + np.array([0.0, 12.0, 9.0, 6.0]) / phi0
-        vals = scaled(points)
-        ref = max(abs(plateau), abs(vals[0]), 1e-300)
-        reached = np.abs(vals[1:] - plateau) <= 1e-3 * ref
-        if not reached.any():
-            raise QuadratureFailureError(
-                "potential density transient not resolvable for this model")
-        z_hi = points[1 + reached.argmax()]
-
-        def windowed(z: np.ndarray) -> np.ndarray:
-            near = z <= z_hi
-            out = np.full_like(z, plateau)
-            out[near] = scaled(z[near])
+        def potential(z: np.ndarray) -> np.ndarray:
+            near, out = z <= d + 1.0 / phi0, np.empty(len(z))
+            out[near] = np.exp(phi0 * (z[near] - d)) * density(z[near])
+            if not near.all():
+                u = ((z[~near] - d)[:, None] + v).ravel()
+                g = [self._w_checked(u[i:i + TABLE_BLOCK], slope=True)
+                     for i in range(0, len(u), TABLE_BLOCK)]
+                out[~near] = np.concatenate(g).reshape(-1, len(v)) @ weights
             return out
 
-        return windowed
+        return potential
 
     def potential_density(self, x: float, y: float) -> float:
         """Density of the expected occupation measure before hitting 0:
 
         e^{-Phi(0)x} W(y) - W(y-x), for the process started at x > 0.  Far out
-        it reads the plateau (e^{-Phi(0)x} - 1)/psi'(0+) when Phi(0) > 0, and,
-        without a closed form, 0 below 1e-12 of its value at max(x, 1) when
-        Phi(0) = 0.
+        it tends to the plateau (e^{-Phi(0)x} - 1)/psi'(0+) when Phi(0) > 0
+        (see `_potential_density_fn`), and, without a closed form, reads 0
+        below 1e-12 of its value at max(x, 1) when Phi(0) = 0.
         """
         if not (0.0 < x < math.inf and 0.0 < y < math.inf):
             raise ValueError(f"x and y must be finite and > 0, got x={x}, y={y}")

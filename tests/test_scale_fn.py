@@ -134,12 +134,15 @@ class TestPotentialDensity:
 
     @pytest.mark.parametrize("y", [40.0, 100.0, 400.0])
     def test_far_out_without_closed_form(self, y):
-        # past the resolvable window: the plateau (Phi(0) > 0) or the noise
-        # floor (Phi(0) = 0), as the inversion route integrates them
+        # far out: the plateau (Phi(0) > 0), closed forms on and off, or the
+        # noise floor (Phi(0) = 0), as the inversion route integrates them
         evs = {name: ScaleEvaluator(builtin_model(name), use_closed_form=False)
                for name in ("bmdrift", "cpexp", "bmup")}
-        plateau = ScaleEvaluator(builtin_model("bmdrift")).potential_density(1.0, y)
-        assert plateau == 0.6321205588285577
+        model = builtin_model("bmdrift")
+        want = math.expm1(-model.phi_zero().value) / model.laplace_exponent_derivative(0.0)
+        plateau = ScaleEvaluator(model).potential_density(1.0, y)
+        assert abs(plateau - want) <= 1e-11 * want
+        assert abs(evs["bmdrift"].potential_density(1.0, y) - want) <= 1e-11 * want
         assert evs["bmdrift"].potential_density(1.0, y) == pytest.approx(plateau, rel=1e-12)
         assert math.isfinite(evs["cpexp"].potential_density(1.0, y))
         assert evs["bmup"].potential_density(1.0, y) >= 0.0
@@ -701,7 +704,7 @@ class TestLaplaceIdentity:
         ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
         monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         with pytest.raises(InversionUnstableError):
-            ev.occupation_expectation(EXP_DECAY, 1.0, 0.2)
+            ev.occupation_expectation(EXP_DECAY, 5.0, 0.2)
 
     def test_array_evaluation_checks_every_point(self, monkeypatch):
         ev = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
@@ -1189,3 +1192,47 @@ class TestInversionRoute:
         # integral_0^inf e^{-(z+1)} (W(z) - W(z-799)) dz = e^{-1} (1 - e^{-799})/psi(1)
         got = ev.occupation_expectation(EXP_DECAY, 800.0, 1.0)
         assert got == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-12)
+
+
+# Phi(0) > 0 models where the tilted transform has a branch point at -Phi(0)
+# as well as the pole (stable, tempered), or Phi(0) is large (cpexp with
+# c = 0: 69.2, Brownian motion with drift -40)
+PHI0_POSITIVE = {
+    "stable0.6": lambda: validate(1.0, 0.0, StablePositive(0.6, 0.5)),
+    "stable1": lambda: validate(0.4, 0.2, StablePositive(1.0, 0.8)),
+    "stable1.5": lambda: validate(-1.0, 0.0, StablePositive(1.5, 0.5)),
+    "tempered0.6": lambda: validate(-1.0, 0.0, TemperedStable(0.6, 1.0, 1.0)),
+    "tempered1": lambda: validate(-0.5, 0.1, TemperedStable(1.0, 1.0, 1.5)),
+    "tempered1.3": lambda: validate(-1.0, 0.1, TemperedStable(1.3, 1.0, 1.5)),
+    "cpexp_c0": lambda: validate(-0.5, 0.0, CompoundPoissonExp(2.0, 1.0)),
+    "bm_drift-40": lambda: validate(-40.0, 1.0, NoJumps()),
+    "bmdrift": lambda: builtin_model("bmdrift"),
+    "cpexp": lambda: builtin_model("cpexp"),
+}
+
+
+class TestPositivePhi0Density:
+    """The potential density where Phi(0) > 0: e^{Phi(0)(z-d)} times the
+    tilted density up to d + 1/Phi(0), the integral of e^{-Phi(0)v} g(z-d+v),
+    g = W' - Phi(0) W, beyond, with no window to find."""
+
+    @pytest.mark.parametrize("x,y", [(1.0, 0.2), (5.0, 1.0)])
+    @pytest.mark.parametrize("theta", [1.5, 2.5])
+    @pytest.mark.parametrize("name", ["stable0.6", "stable1", "stable1.5", "tempered0.6",
+                                      "tempered1", "tempered1.3", "cpexp_c0", "bm_drift-40"])
+    def test_occupation_matches_transform_route(self, name, theta, x, y):
+        model = PHI0_POSITIVE[name]()
+        want = occupation_transform(model, PowerLaw(theta), x, y)
+        got = ScaleEvaluator(model).occupation_expectation(
+            Generic(fn=PowerLaw(theta).values), x, y)
+        assert abs(got - want) <= 1e-7 * abs(want)
+
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("name", ["bmdrift", "cpexp", "tempered0.6", "tempered1.3"])
+    def test_far_out_reads_the_plateau(self, name, closed):
+        # (e^{-Phi(0)d} - 1)/psi'(0+), the limit of e^{-Phi(0)d} W(z) - W(z-d)
+        model = PHI0_POSITIVE[name]()
+        ev = ScaleEvaluator(model, use_closed_form=closed)
+        want = math.expm1(-ev.phi0) / model.laplace_exponent_derivative(0.0)
+        for z in (40.0, 100.0, 400.0, 1e4):
+            assert abs(ev.potential_density(1.0, z) - want) <= 1e-11 * want, z
