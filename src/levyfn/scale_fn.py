@@ -11,18 +11,20 @@ and recover W(x) = exp(Phi(0)*x) * W_shift(x).  Closed forms, too, are
 those of the tilted model, written for Phi(0) = 0.
 
 The public evaluation is the fixed Talbot rule (Abate & Valko 2004) in
-float64 complex arithmetic: with M nodes on the contour s(theta) =
-r theta (cot theta + i), theta_k = k pi/M, r = 2M/(5x), it sums the
-transform at the nodes against fixed weights.  x enters only through
-r, so the nodes are s_k = nu_k/x and the weights e^{x s_k}(1 + i sigma_k)
-do not depend on x; one W point is one numpy psi call on the nodes of M
-and 2M together, and a 1-D array of x one call per TABLE_BLOCK points,
-within about 1e-12 relative of its points (a matrix sums in another order
-than a row).  M is TALBOT_ORDER: the M- and 2M-node values must
-agree to ORDER_AGREEMENT_RTOL or the evaluation reports instability, and
-the 2M-node value is returned (about 1e-12 relative at M = 14).  The
-contour wraps the negative real axis, so it needs the
-transform's singularities on the non-positive real axis: 1/psi_Phi has
+float64 complex arithmetic on the contour s(theta) = r theta (cot theta + i),
+r = 2M/(5x), of order M = TALBOT_ORDER, with 2M nodes theta_k = k pi/(2M):
+it sums the transform at the nodes against fixed weights.  x enters only
+through r, so the nodes are s_k = nu_k/x and the weights e^{x s_k}(1 + i
+sigma_k) do not depend on x.  On one contour the trapezoid rule converges
+geometrically in the node count while rounding grows only like e^{0.4M}
+(Trefethen & Weideman, SIAM Review 2014), and the even half of the 2M
+nodes is the M-node rule, a nested check: the two values must agree to
+ORDER_AGREEMENT_RTOL or the evaluation reports instability, and the
+2M-node value is returned, within about 2e-13 relative (1e-14 on the
+stable-power models).  One W point is one numpy psi call on 2M nodes, and
+a 1-D array of x one call per TABLE_BLOCK points.  The contour wraps the
+negative real axis, so it needs the transform's singularities on the
+non-positive real axis: 1/psi_Phi has
 its pole at 0, its branch cuts and other poles left of it and no complex
 zeros, which holds for the four jump families here, whose Levy densities,
 tilted or not, are completely monotone (Kyprianou & Rivero, EJP 2008).  A
@@ -35,13 +37,10 @@ bounded variation).
 The arbitrary-precision Gaver-Stehfest series (real nodes k*ln2/x,
 `gs_invert_mp` on `laplace_exponent_hp`) is the reference the inversion is
 tested against.  The Laplace identity integrates the published W itself,
-at all points of a fixed rule on [0, M] in one Talbot evaluation, each
-point checked N against 2N nodes: IDENTITY_GL_POINTS-point Gauss-Legendre
+at all points of a fixed rule on [0, M] in one checked Talbot evaluation,
+one psi call on 160 x 2M nodes: IDENTITY_GL_POINTS-point Gauss-Legendre
 on the panels [M 2^{-j-1}, M 2^{-j}], j < IDENTITY_PANELS - 1, and
-[0, M 2^{1-IDENTITY_PANELS}], graded towards 0 where W(y) ~ y^gamma.  The
-N nodes at y are bitwise the even 2N nodes at 2y (nu^{2N}_{2k} = 2 nu^N_k),
-and each panel halves the next, so a point whose 2y is a rule point reads
-its N-node check from there: one psi call on 160 x 28 + 16 x 14 nodes.
+[0, M 2^{1-IDENTITY_PANELS}], graded towards 0 where W(y) ~ y^gamma.
 M is the first power of 2 where the integrand drops below
 IDENTITY_INTEGRAND_TOL; W_shift is nondecreasing, so the search evaluates
 W only where its last value does not already decide.  The
@@ -51,7 +50,7 @@ verdict engine's K15 panels.  Float64 Gaver-Stehfest (`gs_invert_float`,
 Both expectation formulas integrate one scale-function difference, the
 tilted model's potential density W_shift(z) - W_shift(z-d)
 (`_tilted_density_fn`): its closed form, or W_shift at z and z - d from one
-Talbot evaluation, checked N against 2N nodes.  Beyond d both terms
+checked Talbot evaluation.  Beyond d both terms
 approach the same limit and cancel, so values below a noise floor read 0
 there.  The conditional-expectation bracket B(y) = W_shift(y) -
 W_shift(y-x) is that density at d = x, with no factor e^{Phi(0)x} to
@@ -123,9 +122,10 @@ from .quadrature import K15_WEIGHTS, _nodes, _on_arrays, finite_integral
 
 LN2 = math.log(2.0)
 
-# Fixed Talbot node count M of a W evaluation, checked against 2M nodes.
-TALBOT_ORDER = 14
-# Relative disagreement between consecutive orders that flags instability.
+# Fixed Talbot contour order M of a W evaluation: 2M nodes on it, checked
+# against their even half, the M-node rule.
+TALBOT_ORDER = 12
+# Relative disagreement between the 2M- and M-node values that flags instability.
 ORDER_AGREEMENT_RTOL = 1e-3
 # Relative step down that W's monotonicity tolerates, as rounding.
 MONOTONE_RTOL = 1e-9
@@ -209,31 +209,26 @@ def gs_invert_mp(transform_hp: Callable, t: float, order: int = 14) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _talbot_rules(orders: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
-    """The fixed Talbot rule of each order M in `orders`: the nodes nu_k of
-    every order, stacked, and per order its (slice into the stack, weights
-    omega_k), scaled so that f(x) = Re(sum_k omega_k F(nu_k / x)) / x.
+def _talbot_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes nu_k and weights omega_k of 2M fixed Talbot nodes on the
+    contour of order M, scaled so that f(x) = Re(sum_k omega_k F(nu_k / x)) / x.
+    Its even half with weights 2 omega_{2k} is the M-node rule on the same
+    contour, the check of the whole.
 
-    Node k sits at s_k = r delta_k with r = 2M/(5x), delta_0 = 1 and
-    delta_k = theta_k (cot theta_k + i); its weight (r/M) e^{x s_k}
-    (1 + i sigma_k), sigma_k = theta_k + (theta_k cot theta_k - 1) cot theta_k,
-    is 2/(5x) times a constant (halved at k = 0).
+    Node k sits at s_k = r delta_k with r = 2M/(5x), theta_k = k pi/(2M),
+    delta_0 = 1 and delta_k = theta_k (cot theta_k + i); its weight (r/2M)
+    e^{x s_k} (1 + i sigma_k), sigma_k = theta_k + (theta_k cot theta_k - 1)
+    cot theta_k, is 1/(5x) times a constant (halved at k = 0).
     """
-    nodes, parts, start = [], [], 0
-    for order in orders:
-        theta = np.pi * np.arange(1, order) / order
-        cot = 1.0 / np.tan(theta)
-        nu = 0.4 * order * np.concatenate(([1.0], theta * (cot + 1j)))
-        sigma = np.concatenate(([0.0], theta + (theta * cot - 1.0) * cot))
-        omega = 0.4 * np.exp(nu) * (1.0 + 1j * sigma)
-        omega[0] *= 0.5
-        omega.flags.writeable = False
-        nodes.append(nu)
-        parts.append((slice(start, start + order), omega))
-        start += order
-    stacked = np.concatenate(nodes)
-    stacked.flags.writeable = False
-    return stacked, tuple(parts)
+    theta = np.pi * np.arange(1, 2 * order) / (2 * order)
+    cot = 1.0 / np.tan(theta)
+    nu = 0.4 * order * np.concatenate(([1.0], theta * (cot + 1j)))
+    sigma = np.concatenate(([0.0], theta + (theta * cot - 1.0) * cot))
+    omega = 0.2 * np.exp(nu) * (1.0 + 1j * sigma)
+    omega[0] *= 0.5
+    for a in (nu, omega):
+        a.flags.writeable = False
+    return nu, omega
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +264,15 @@ class ScaleEvaluator:
 
     # -- core inversions -----------------------------------------------------
 
-    def _w_talbot(self, x, orders: tuple[int, ...], twice=None, slope=False) -> tuple:
-        """W_shift at x for each of `orders` Talbot node counts, from one psi
-        call on the nodes of all of them: floats for a float x, arrays for a
-        1-D array of x (one row of nodes per point).  With `slope`, g = W' -
-        Phi(0) W instead, the inverse of (s - Phi(0))/psi(s) - W(0).
-
-        `twice`, for orders (N, 2N) and an array x, pairs the points:
-        x[twice[i]] == 2 x[i], or twice[i] < 0 where 2 x[i] is not in x.  The
-        even 2N nodes are nu^{2N}_{2k} = 2 nu^N_k bitwise, so the N-node
-        value at a paired x[i] reads psi at the even 2N nodes of x[twice[i]],
-        and only the unpaired points add N nodes of their own."""
-        nodes, parts = _talbot_rules(orders)
+    def _w_talbot(self, x, slope=False) -> tuple:
+        """W_shift at x from one psi call on the 2M nodes of the Talbot rule
+        of order M = TALBOT_ORDER: its value and the M-node value of its even
+        half, floats for a float x, arrays for a 1-D array of x (one row of
+        nodes per point).  With `slope`, g = W' - Phi(0) W instead, the
+        inverse of (s - Phi(0))/psi(s) - W(0)."""
+        nu, omega = _talbot_rule(TALBOT_ORDER)
         array = isinstance(x, np.ndarray)
-        if twice is None:
-            s = nodes / (x[:, None] if array else x)
-        else:
-            (lo, omega_lo), (hi, omega_hi) = parts
-            own = twice < 0
-            s = np.concatenate(((nodes[hi] / x[:, None]).ravel(),
-                                (nodes[lo] / x[own, None]).ravel()))
+        s = nu / (x[:, None] if array else x)
         # a node where psi reads 0 gives 1/psi = inf, and the NaN it leaves
         # in the sums fails the order check of `_w_checked`
         with np.errstate(all="ignore"):
@@ -298,19 +282,15 @@ class ScaleEvaluator:
                     f"psi overflows at the Talbot nodes of x={np.min(x):g}")
             transform = ((s - self.phi0) / psi - 1.0 / self.model.drift_at_infinity
                          if slope else 1.0 / psi)
-            if twice is not None:
-                top = transform[:len(x) * omega_hi.size].reshape(len(x), -1)
-                rows = top[twice, ::2]
-                rows[own] = transform[top.size:].reshape(-1, omega_lo.size)
-                return (rows @ omega_lo).real / x, (top @ omega_hi).real / x
-            values = tuple((transform[..., part] @ omega).real / x for part, omega in parts)
-        return values if array else tuple(map(float, values))
+            hi = (transform @ omega).real / x
+            lo = 2.0 * (transform[..., ::2] @ omega[::2]).real / x
+        return (hi, lo) if array else (float(hi), float(lo))
 
-    def _w_checked(self, x, twice=None, slope=False):
+    def _w_checked(self, x, slope=False):
         """W_shift (or with `slope`, g) at a float x or at each x of a 1-D
-        array: the 2N-node Talbot value, once the N-node value agrees with it
-        to ORDER_AGREEMENT_RTOL.  `twice` pairs x with 2x as in `_w_talbot`."""
-        lo, hi = self._w_talbot(x, (TALBOT_ORDER, 2 * TALBOT_ORDER), twice, slope)
+        array: the 2M-node Talbot value, once the M-node value of its even
+        half agrees with it to ORDER_AGREEMENT_RTOL."""
+        hi, lo = self._w_talbot(x, slope)
         # |hi - lo| <= RTOL * (|hi| + 1e-300), in operators that take a float
         # as cheaply as an array, and false where lo or hi is NaN or infinite
         ok = abs(hi - lo) - ORDER_AGREEMENT_RTOL * abs(hi) <= ORDER_AGREEMENT_RTOL * 1e-300
@@ -321,7 +301,7 @@ class ScaleEvaluator:
                 f"x={np.ravel(x)[i]:g}: {np.ravel(lo)[i]:.6g} vs {np.ravel(hi)[i]:.6g}")
         return hi
 
-    def w_shifted(self, x: float | np.ndarray, twice=None) -> float | np.ndarray:
+    def w_shifted(self, x: float | np.ndarray) -> float | np.ndarray:
         """W_shift(x) = e^{-Phi(0)x} W(x), the scale function of
         `LevyModel.tilted` (the inverse of 1/psi(s + Phi(0)), its limit
         1/psi'(Phi(0)) when that is finite), at a float x or at each x of a
@@ -330,9 +310,8 @@ class ScaleEvaluator:
         1/`LevyModel.drift_at_infinity` where no closed form gives it; NaN
         and +inf raise, naming the first such x.  A float stays on scalar
         arithmetic; a table goes TABLE_BLOCK points at a time to the closed
-        form or one checked Talbot evaluation, within about 1e-12 relative of
-        its points.  `twice` pairs a table of at most TABLE_BLOCK points x > 0
-        with 2x as in `_w_talbot`."""
+        form or one checked Talbot evaluation, within about 1e-15 relative of
+        its points."""
         if not isinstance(x, np.ndarray):
             if x < 0.0:
                 return 0.0
@@ -348,7 +327,7 @@ class ScaleEvaluator:
         out[x == 0.0] = self.w_shifted(0.0)
         for i in range(0, len(rows), TABLE_BLOCK):
             block = rows[i:i + TABLE_BLOCK]
-            out[block] = (self._w_checked(x[block], twice) if self.closed_form is None
+            out[block] = (self._w_checked(x[block]) if self.closed_form is None
                           else self.closed_form.w(x[block]))
         return out
 
@@ -595,24 +574,18 @@ def conditional_exp_constant_closed_form(model: LevyModel, x: float, lam: float)
 
 
 @lru_cache(maxsize=1)
-def _identity_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points, weights and doubled points of the Laplace-identity rule on
-    [0, 1]: IDENTITY_GL_POINTS-point Gauss-Legendre on each panel
-    [2^{-j-1}, 2^{-j}], j < IDENTITY_PANELS - 1, and on
-    [0, 2^{1-IDENTITY_PANELS}].  Each panel halves the next one exactly, so
-    the points of all but the first and last panel double bitwise to points
-    of the next; `twice` indexes them as `ScaleEvaluator._w_talbot` reads it,
-    -1 where 2y is not a point."""
+def _identity_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the Laplace-identity rule on [0, 1]:
+    IDENTITY_GL_POINTS-point Gauss-Legendre on each panel [2^{-j-1}, 2^{-j}],
+    j < IDENTITY_PANELS - 1, and on [0, 2^{1-IDENTITY_PANELS}]."""
     nodes, weights = np.polynomial.legendre.leggauss(IDENTITY_GL_POINTS)
     edges = np.concatenate(([0.0], 2.0 ** -np.arange(IDENTITY_PANELS - 1.0, -1.0, -1.0)))
     half = np.diff(edges)[:, None] / 2.0
     points = (edges[:-1, None] + half * (nodes + 1.0)).ravel()
     weights = (half * weights).ravel()
-    twice = np.searchsorted(points, 2.0 * points)
-    twice[points[np.minimum(twice, points.size - 1)] != 2.0 * points] = -1
-    for a in (points, weights, twice):
+    for a in (points, weights):
         a.flags.writeable = False
-    return points, weights, twice
+    return points, weights
 
 
 def _identity_truncation(ev: ScaleEvaluator, rate: float) -> float:
@@ -644,18 +617,16 @@ def laplace_identity_residual(ev: ScaleEvaluator, lam: float) -> float:
     only at the M that W_shift's monotonicity leaves open (see
     `_identity_truncation`).  The integral is a fixed rule on [0, M],
     Gauss-Legendre on panels graded geometrically towards 0, where
-    W(y) ~ y^gamma (see `_identity_rule`).  Without a closed form its points
-    take one Talbot evaluation, each checked N against 2N nodes as
-    `ScaleEvaluator.w_shifted` checks one; the N-node check of a point y
-    reads psi at the 2N nodes of the point 2y where there is one, so the
-    psi call covers 160 x 28 + 16 x 14 nodes.
+    W(y) ~ y^gamma (see `_identity_rule`).  Without a closed form its 160
+    points take one checked Talbot evaluation, as `ScaleEvaluator.w_shifted`
+    checks one: one psi call on 160 x 2M nodes.
     """
     phi0 = ev.phi0
     if not phi0 < lam < math.inf:
         raise PreconditionViolatedError(f"lam must be finite and > Phi(0), got {lam}")
     rate = lam - phi0
     M = _identity_truncation(ev, rate)
-    points, weights, twice = _identity_rule()
+    points, weights = _identity_rule()
     ys = M * points
-    val = M * (weights @ (np.exp(-rate * ys) * ev.w_shifted(ys, twice)))
+    val = M * (weights @ (np.exp(-rate * ys) * ev.w_shifted(ys)))
     return abs(ev.model.laplace_exponent(lam) * val - 1.0)

@@ -350,8 +350,9 @@ def _exact_w_cpexp(model, x):
 
 
 class TestTalbot:
-    """W is the fixed-Talbot inversion at 2N nodes, checked against N nodes,
-    of a numpy psi; the hp psi takes no part in it."""
+    """W is the fixed-Talbot inversion at 2M nodes on the contour of order M,
+    checked against their even half, the M-node rule, of a numpy psi; the hp
+    psi takes no part in it."""
 
     @pytest.fixture(scope="class", params=["cpexp", "tempered_phi0", "stable15"])
     def ev(self, request):
@@ -362,10 +363,25 @@ class TestTalbot:
         return ScaleEvaluator(model, use_closed_form=False)
 
     def test_returns_doubled_order_inversion(self, ev):
+        # Abate & Valko's rule with N = 2M nodes theta_k = k pi/(2M) on the
+        # contour r = 2M/(5x) of order M, written out at x = 1
+        m = scale_fn.TALBOT_ORDER
+        theta = np.pi * np.arange(1, 2 * m) / (2 * m)
+        cot = 1.0 / np.tan(theta)
+        r = 2.0 * m / 5.0
+        s = r * np.concatenate(([1.0], theta * (cot + 1j)))
+        sigma = np.concatenate(([0.0], theta + (theta * cot - 1.0) * cot))
+        weights = r / (2 * m) * np.exp(s) * (1.0 + 1j * sigma)
+        weights[0] *= 0.5
+        nu, omega = scale_fn._talbot_rule(m)
+        np.testing.assert_allclose(nu, s, rtol=1e-15, atol=0.0)
+        # e^{s_k} carries the rounding of s_k into the weights
+        np.testing.assert_allclose(omega, weights, rtol=1e-13, atol=0.0)
+        psi = ev.model.tilted.laplace_exponent_array
         for x in np.geomspace(0.05, 20.0, 9):
             x = float(x)
-            (w_2n,) = ev._w_talbot(x, (2 * scale_fn.TALBOT_ORDER,))
-            assert ev.scale_w(x) == math.exp(ev.phi0 * x) * w_2n
+            w_2m = (1.0 / psi(nu / x) @ omega).real / x
+            assert ev.scale_w(x) == math.exp(ev.phi0 * x) * w_2m
 
     def test_no_hp_psi_calls(self, ev, monkeypatch):
         from levyfn import levy_model
@@ -392,6 +408,29 @@ class TestTalbot:
         ev = ScaleEvaluator(model, use_closed_form=False)
         for x in np.geomspace(0.01, 60.0, 40):
             assert ev.scale_w(float(x)) == pytest.approx(exact(float(x)), rel=1e-10), x
+
+    @pytest.mark.parametrize("model", [
+        stable_power_model(1.2), builtin_model("stable15"), stable_power_model(1.8),
+        builtin_model("bmup"), validate(0.3, 0.7, NoJumps()),
+    ], ids=["stable1.2", "stable15", "stable1.8", "bmup", "none"])
+    def test_matches_closed_forms_to_5e13(self, model):
+        # the weights of the order-M contour amplify rounding by about e^{0.4 M}
+        closed, ev = ScaleEvaluator(model), ScaleEvaluator(model, use_closed_form=False)
+        xs = np.geomspace(1e-4, 1e8, 60)
+        want = closed.w_shifted(xs)
+        points = np.array([ev.w_shifted(float(x)) for x in xs])
+        np.testing.assert_allclose(points, want, rtol=5e-13, atol=0.0)
+        np.testing.assert_allclose(ev.w_shifted(xs), want, rtol=5e-13, atol=0.0)
+
+    @pytest.mark.parametrize("model", [
+        builtin_model("bmdrift"), builtin_model("cpexp"),
+        validate(-1.0, 0.0, TemperedStable(0.6, 1.0, 1.0)),
+    ], ids=["bmdrift", "cpexp", "tempered0.6"])
+    def test_limit_at_2_50_to_1e13(self, model):
+        phi0 = model.phi_zero().value
+        assert phi0 > 0.0
+        w = ScaleEvaluator(model, use_closed_form=False).w_shifted(2.0**50)
+        assert abs(w * model.laplace_exponent_derivative(phi0) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("model", [
         validate(0.3, 0.5, NoJumps()),
@@ -512,8 +551,8 @@ class TestTables:
 
     @pytest.mark.parametrize("closed", [True, False])
     def test_order_disagreement_names_the_first_unstable_x(self, closed, monkeypatch):
-        # at 4 against 8 nodes cpexp's W disagrees near x = 9; the closed
-        # form of bmup inverts nothing and so never disagrees
+        # at 8 nodes against their even 4 cpexp's W first disagrees at x = 7.9;
+        # the closed form of bmup inverts nothing and so never disagrees
         model = builtin_model("cpexp" if not closed else "bmup")
         ev = ScaleEvaluator(model, use_closed_form=closed)
         xs = np.geomspace(0.05, 30.0, 25)
@@ -535,7 +574,7 @@ class TestTables:
     def test_non_finite_inversion_raises_naming_x(self, monkeypatch):
         # a node where psi reads 0 has 1/psi = inf, and the sum reads NaN;
         # the tilted psi has no such node, so psi is patched to read 0 at the
-        # last 2N node of the last point
+        # last of the 2M nodes of the last point
         from levyfn import LevyModel
 
         model = validate(-1.0, 0.0, TemperedStable(0.6, 1.0, 1.0))  # Phi(0) = 20.70
@@ -631,7 +670,7 @@ class TestTables:
 
         monkeypatch.setattr(LevyModel, "laplace_exponent_array", counting)
         ev.scale_w(xs)
-        n = 3 * scale_fn.TALBOT_ORDER
+        n = 2 * scale_fn.TALBOT_ORDER
         assert shapes == [(scale_fn.TABLE_BLOCK, n), (scale_fn.TABLE_BLOCK, n), (76, n)]
         shapes.clear()
         ev.scale_w(np.geomspace(0.1, 10.0, 25))
@@ -693,8 +732,8 @@ class TestLaplaceIdentity:
         assert calls == []
 
     def test_order_disagreement_raises(self, monkeypatch):
-        # at 4 against 8 nodes cpexp's W disagrees near x = 9 (see
-        # TestScaleW.test_low_order_is_detected_unstable)
+        # at 8 nodes against their even 4 cpexp's W first disagrees at
+        # x = 7.9 (see TestScaleW.test_low_order_is_detected_unstable)
         ev = ScaleEvaluator(builtin_model("cpexp"))
         monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         with pytest.raises(InversionUnstableError):
@@ -711,7 +750,7 @@ class TestLaplaceIdentity:
         xs = np.geomspace(0.05, 30.0, 25)
         want = [ev.w_shifted(float(x)) for x in xs]
         # the rows sum in another order than one point's dot product does;
-        # the weights reach e^{0.4 * 28}, so rounding differs near 1e-12
+        # the weights reach 24, so rounding differs near 1e-15
         np.testing.assert_allclose(ev.w_shifted(xs), want, rtol=1e-11)
         monkeypatch.setattr(scale_fn, "TALBOT_ORDER", 4)
         unstable = []
@@ -737,30 +776,18 @@ class TestLaplaceIdentity:
             return orig(model, lam)
 
         monkeypatch.setattr(LevyModel, "laplace_exponent_array", counting)
-        ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
-        assert calls == [(16, 42)]
-
-    @pytest.mark.parametrize("name", ["cpexp", "stable15"])
-    def test_rule_reads_n_node_checks_at_2y(self, name, monkeypatch):
-        # 144 of the 160 points take their N-node check from the 2N nodes of
-        # the point 2y; the search adds at most 3 W points of 3N nodes each
-        from levyfn import LevyModel
-
-        sizes = []
-        orig = LevyModel.laplace_exponent_array
-
-        def counting(model, lam):
-            sizes.append(np.size(lam))
-            return orig(model, lam)
-
-        ev = ScaleEvaluator(builtin_model(name), use_closed_form=False)
-        monkeypatch.setattr(LevyModel, "laplace_exponent_array", counting)
-        n = scale_fn.TALBOT_ORDER
-        for shift in (0.5, 1.0, 2.0, 5.0):
-            sizes.clear()
-            laplace_identity_residual(ev, ev.phi0 + shift)
-            assert sizes[-1] == 160 * 2 * n + 16 * n
-            assert sum(sizes) <= 160 * 2 * n + 16 * n + 3 * 3 * n
+        n = 2 * scale_fn.TALBOT_ORDER
+        cpexp = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
+        assert calls == [(16, n)]
+        # the identity's 160 points take one call; the search adds at most
+        # 3 W points
+        for ev in (cpexp, ScaleEvaluator(builtin_model("stable15"), use_closed_form=False)):
+            for shift in (0.5, 1.0, 2.0, 5.0):
+                calls.clear()
+                laplace_identity_residual(ev, ev.phi0 + shift)
+                sizes = [math.prod(shape) for shape in calls]
+                assert sizes[-1] == 160 * n
+                assert sum(sizes) <= 160 * n + 3 * n
 
     @pytest.mark.parametrize("name", ["cpexp", "stable15", "bmdrift"])
     def test_identity_w_is_the_checked_w(self, name, monkeypatch):
@@ -768,23 +795,16 @@ class TestLaplaceIdentity:
         seen = []
         orig = ScaleEvaluator.w_shifted
 
-        def recording(self, xs, twice=None):
-            out = orig(self, xs, twice)
+        def recording(self, xs):
+            out = orig(self, xs)
             if isinstance(xs, np.ndarray):
-                seen.append((xs, twice, out))
+                seen.append((xs, out))
             return out
 
         monkeypatch.setattr(ScaleEvaluator, "w_shifted", recording)
         laplace_identity_residual(ev, ev.phi0 + 1.0)
-        ((ys, twice, got),) = seen
+        ((ys, got),) = seen
         np.testing.assert_allclose(got, ev._w_checked(ys), rtol=1e-15, atol=0.0)
-        # the N-node values read at 2y are the ones the points' own nodes give
-        orders = (scale_fn.TALBOT_ORDER, 2 * scale_fn.TALBOT_ORDER)
-        for paired, own in zip(ev._w_talbot(ys, orders, twice), ev._w_talbot(ys, orders)):
-            np.testing.assert_allclose(paired, own, rtol=1e-15, atol=0.0)
-        paired = twice >= 0
-        assert paired.sum() == 144
-        assert (ys[twice[paired]] == 2.0 * ys[paired]).all()
 
 
 def _search_evaluators():
@@ -850,7 +870,7 @@ class TestStablePsiNodes:
         # the numpy psi takes lam**a on complex nodes as exp(a log lam)
         model = validate(0.2 if alpha < 1.0 else 0.0, 0.1, StablePositive(alpha, 0.7))
         consts = model._exponent_np
-        nodes, _ = scale_fn._talbot_rules((scale_fn.TALBOT_ORDER, 2 * scale_fn.TALBOT_ORDER))
+        nodes, _ = scale_fn._talbot_rule(scale_fn.TALBOT_ORDER)
         lam = nodes / np.geomspace(1e-6, 1e8, 60)[:, None]
         want = consts["b"] * lam + consts["c"] * lam * lam + consts["CG"] * lam**alpha
         np.testing.assert_allclose(model.laplace_exponent_array(lam), want, rtol=1e-15, atol=0.0)
