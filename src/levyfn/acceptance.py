@@ -30,6 +30,7 @@ from .levy_model import (
     NoJumps, StablePositive, TemperedStable, laplace_exponent_quadrature, validate)
 from .montecarlo import (
     CondExpFunctional,
+    FunctionalFiniteness,
     HitProb,
     MeanPassage,
     PathConfig,
@@ -390,16 +391,10 @@ def check_functional_corroboration() -> CheckResult:
     model = builtin_model("stable15")
 
     cfg = PathConfig(dt=1e-3, horizon=50.0, barrier=1e6, seed=SEED_FUNCTIONAL)
-    n_hit = n_finite = 0
-    for i in range(5000):
-        path = sample_path(model, 1.0, cfg, i)
-        if path.status != "hit_zero":
-            continue
-        n_hit += 1
-        fs = functional_along_path(path, PowerLaw(1.0))
-        if math.isfinite(fs.A_final):
-            n_finite += 1
-    finite_frac = n_finite / max(n_hit, 1)
+    extras = mc_estimate(model, 1.0, PowerLaw(1.0), FunctionalFiniteness(), 5000, cfg,
+                         workers=4).extras
+    n_hit = extras["n_hit"]
+    finite_frac = (n_hit - extras["n_infinite"]) / max(n_hit, 1)
     part_a = finite_frac >= 0.99 and n_hit >= 4000
 
     horizons = [0.05, 0.1, 0.2, 0.4]

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,6 @@ def _manifest(command: str, model, flags: dict) -> dict:
         "model_sha256": hashlib.sha256(blob).hexdigest() if cfg else None,
         "flags": flags,
         "versions": {"levyfn": __version__, "numpy": np.__version__,
-                     "scipy": version("scipy"),
                      "python": ".".join(map(str, sys.version_info[:3]))},
     }
 

@@ -35,9 +35,9 @@ branching on it, so a new family is one class plus its entry in `JumpSpec`.
 A family writes its psi constants once, against float (`math`), numpy or
 mpmath arithmetic, and the model builds the float and numpy closures once;
 the numpy psi takes complex arrays, the nodes of the Laplace inversion in
-:mod:`levyfn.scale_fn`.  All families
-admit closed forms for psi and psi'; a direct quadrature evaluation of the
-jump integral is kept alongside as an independent cross-check.
+:mod:`levyfn.scale_fn`.  All families admit closed forms for psi and
+psi'; `laplace_exponent_quadrature`, the family's density integrated on
+the K15 core, is an independent cross-check of them.
 
 The tempered-stable jump part, C*Gamma(-alpha)*((lam+q)**alpha - q**alpha -
 alpha*q**(alpha-1)*lam), is an O(lam**2) remainder of O(q**alpha) terms near
@@ -48,7 +48,8 @@ down to lam ~ 1e-14 wherever psi'(0+) != 0, as the explosion test's
 integral near 0+ needs.  The numpy psi takes the same form, with complex
 log1p in Kahan's form (`_log1p_np`).  The high-precision (mpmath) psi, the
 reference the inversion is tested against, keeps the direct form: at its
-working precision the cancellation is harmless.
+working precision the cancellation is harmless.  mpmath is imported only
+when such a reference runs, so the package needs numpy alone.
 
 The tempered family's incomplete gamma integrals, the tail mean
 C q^(alpha-1) Gamma(1-alpha, q) in psi and the truncated step's jump
@@ -61,13 +62,11 @@ from __future__ import annotations
 import json
 import math
 import operator
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Callable, ClassVar, Optional, get_args
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -147,8 +146,8 @@ def _power_np(x, a):
 
 # The arithmetic a family writes its psi constants against: float64, numpy
 # (float64 constants; psi then takes real or complex arrays), or mpmath at
-# the caller's working precision.  `xlogx(x)` is x*log(x), 0 at x = 0, and
-# `power(x, a)` is x**a.
+# the caller's working precision (built by `_hp_consts`).  `xlogx(x)` is
+# x*log(x), 0 at x = 0, and `power(x, a)` is x**a.
 _FLOAT = SimpleNamespace(real=float, gamma=math.gamma, exp=math.exp, log=math.log,
                          expm1=math.expm1, log1p=math.log1p, euler=EULER_GAMMA,
                          upper_gamma=_upper_gamma, power=operator.pow,
@@ -156,10 +155,6 @@ _FLOAT = SimpleNamespace(real=float, gamma=math.gamma, exp=math.exp, log=math.lo
 _NP = SimpleNamespace(**{**vars(_FLOAT), "log": np.log, "expm1": np.expm1,
                          "log1p": _log1p_np, "power": _power_np,
                          "xlogx": lambda x: x * np.log(x)})
-_MP = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
-                      expm1=mp.expm1, log1p=mp.log1p, euler=mp.euler,
-                      upper_gamma=mp.gammainc, power=operator.pow,
-                      xlogx=lambda x: x * mp.log(x) if x > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +201,15 @@ class _Family:
     def check(self) -> None:
         """Raise for parameters outside the family's domain."""
 
-    def density(self, u: float) -> float:
-        """Levy density pi(u) for u > 0."""
+    def density(self, u):
+        """Levy density pi(u) for u > 0, a float or an array."""
         return 0.0
 
     def exponent(self, b, c, ops) -> dict:
         """psi and psi' as closures ("psi", "dpsi"), with the constants they use.
 
         "b" is the drift with the jump compensator folded in.  Constants are
-        computed in `ops` arithmetic (`_FLOAT`, `_NP` or `_MP`, inside the
+        computed in `ops` arithmetic (`_FLOAT`, `_NP` or mpmath's, inside the
         working precision), from drift `b` and Gaussian coefficient `c` given
         in it.  The `_NP` psi takes real or complex arrays.
         """
@@ -503,7 +498,7 @@ class CompoundPoissonExp(_Family):
 
     def density(self, u):
         mu = self.mu
-        return self.rate * mu * math.exp(-mu * u)
+        return self.rate * mu * np.exp(-mu * u)
 
     def tail_mass(self, eps):
         return self.rate * math.exp(-self.mu * eps)
@@ -566,7 +561,7 @@ class TemperedStable(_Family):
             raise ValueError("tempering must be > 0")
 
     def density(self, u):
-        return self.scale * math.exp(-self.tempering * u) * u ** (-1.0 - self.alpha)
+        return self.scale * np.exp(-self.tempering * u) * u ** (-1.0 - self.alpha)
 
     def tail_mass(self, eps):
         # C q^a Gamma(-a, q eps)
@@ -604,7 +599,7 @@ class TemperedStable(_Family):
             return {"b": beff, "c": c, "psi": psi, "dpsi": dpsi}
         CG, qa, expm1 = C * ops.gamma(-a), q**a, ops.expm1
         K = CG * qa
-        if ops is not _MP:
+        if ops.real is float:
             def psi(lam):  # cancellation-free form, see the module docstring
                 u = lam / q
                 return beff * lam + c * lam * lam + K * (expm1(a * log1p(u)) - a * u)
@@ -663,14 +658,10 @@ JumpSpec = NoJumps | StablePositive | CompoundPoissonExp | TemperedStable
 
 @dataclass(frozen=True)
 class PhiZero:
-    """Largest root of psi: inf{lam > 0 : psi(lam) > 0}.
-
-    `exact_zero` is set when psi'(0+) >= 0, in which case the value is 0 by
-    convexity rather than by root finding.
-    """
+    """Largest root of psi: inf{lam > 0 : psi(lam) > 0}, 0 by convexity
+    when psi'(0+) >= 0."""
 
     value: float
-    exact_zero: bool
 
 
 @dataclass(frozen=True)
@@ -758,7 +749,7 @@ class LevyModel:
     def _phi0(self) -> PhiZero:
         d0 = self.laplace_exponent_derivative(0.0)
         if d0 >= 0.0:
-            return PhiZero(0.0, True)
+            return PhiZero(0.0)
         # psi dips negative before its unique positive root; bracket it by
         # geometric expansion, then bisect and polish with Newton steps.
         lo, hi = 0.0, None
@@ -787,7 +778,7 @@ class LevyModel:
             root -= step
             if abs(step) < 1e-16 * max(1.0, root):
                 break
-        return PhiZero(max(root, 0.0), False)
+        return PhiZero(max(root, 0.0))
 
     def phi_zero(self) -> PhiZero:
         """inf{lam > 0 : psi(lam) > 0}, to absolute tolerance 1e-10."""
@@ -886,36 +877,36 @@ def model_from_json(text: str) -> LevyModel:
 # Independent quadrature route for psi (cross-check of the closed forms)
 # ---------------------------------------------------------------------------
 
+# Taylor coefficients (-1)^k/(k+2)!, k = 8..0, of _phi2 below z = 0.1: the
+# first term left out is below 6e-17 of the sum
+_PHI2_SERIES = np.array([(-1.0) ** k / math.factorial(k + 2) for k in range(8, -1, -1)])
+
+
+def _phi2(z):
+    """(e^-z - 1 + z)/z^2 for z >= 0, from its Taylor series below z = 0.1,
+    where the difference cancels."""
+    zs = np.maximum(z, 0.1)
+    return np.where(z < 0.1, np.polyval(_PHI2_SERIES, z), (np.expm1(-zs) + zs) / (zs * zs))
+
+
 def laplace_exponent_quadrature(model: LevyModel, lam: float) -> float:
-    """psi(lam) with the jump integral evaluated numerically, split at u = 1.
+    """psi(lam) with the jump integral evaluated numerically from the family's
+    `density`, split at u = 1, on the K15 core (`finite_integral`): the
+    compensated piece as lam^2 u^2 phi2(lam u) pi(u) on (0, 1] (`_phi2`),
+    which does not cancel as u -> 0, and expm1(-lam u) pi(u) beyond.
 
-    Slower and less accurate than the closed forms; kept as an independent
-    oracle for tests.  It is the library's one adaptive QUADPACK call: on
-    the verdict engine's sweep its e^{-lam u} - 1 + lam u cancels to
-    rounding noise near u = 2^-40, and `finite_integral` raises.
+    Slower than the closed forms and independent of them: an oracle for the
+    tests and for the property sweep of `levyfn verify`.
     """
-    from scipy.integrate import quad
-
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    b, c, density = model.drift, model.gaussian, model.jumps.density
-    base = b * lam + c * lam * lam
+    base = model.drift * lam + model.gaussian * lam * lam
     if lam == 0.0:
         return base
-
-    def small(u: float) -> float:
-        return (math.exp(-lam * u) - 1.0 + lam * u) * density(u)
-
-    def large(u: float) -> float:
-        return (math.exp(-lam * u) - 1.0) * density(u)
-
-    with warnings.catch_warnings():
-        # the u^(1-alpha) endpoint singularity trips quad's roundoff check
-        # long after the value is converged
-        warnings.simplefilter("ignore")
-        v1, _ = quad(small, 0.0, 1.0, limit=400)
-        v2, _ = quad(large, 1.0, math.inf, limit=400)
-    return base + v1 + v2
+    density = model.jumps.density
+    small = finite_integral(lambda u: lam * lam * u * u * _phi2(lam * u) * density(u), 0.0, 1.0)
+    large = finite_integral(lambda u: np.expm1(-lam * u) * density(u), 1.0, math.inf)
+    return base + small + large
 
 
 # ---------------------------------------------------------------------------
@@ -925,20 +916,30 @@ def laplace_exponent_quadrature(model: LevyModel, lam: float) -> float:
 @lru_cache(maxsize=128)
 def _hp_consts(model: LevyModel, dps: int) -> dict:
     """The family's psi constants and closures at `dps` decimal digits."""
+    import mpmath as mp
+
+    ops = SimpleNamespace(real=mp.mpf, gamma=mp.gamma, exp=mp.exp, log=mp.log,
+                          expm1=mp.expm1, log1p=mp.log1p, euler=mp.euler,
+                          upper_gamma=mp.gammainc, power=operator.pow,
+                          xlogx=lambda x: x * mp.log(x) if x > 0 else 0.0)
     with mp.workdps(dps):
-        return model.jumps.exponent(mp.mpf(model.drift), mp.mpf(model.gaussian), _MP)
+        return model.jumps.exponent(mp.mpf(model.drift), mp.mpf(model.gaussian), ops)
 
 
-def laplace_exponent_hp(model: LevyModel, lam) -> "mp.mpf":
+def laplace_exponent_hp(model: LevyModel, lam):
     """psi(lam) on mpmath floats at the caller's working precision."""
+    import mpmath as mp
+
     return _hp_consts(model, mp.mp.dps)["psi"](lam)
 
 
 @lru_cache(maxsize=128)
-def phi_zero_hp(model: LevyModel, dps: int) -> "mp.mpf":
+def phi_zero_hp(model: LevyModel, dps: int):
     """Phi(0) refined to `dps` digits (0 when psi'(0+) >= 0)."""
+    import mpmath as mp
+
     phi = model.phi_zero()
-    if phi.exact_zero or phi.value == 0.0:
+    if phi.value == 0.0:
         return mp.mpf(0)
     with mp.workdps(dps):
         return mp.findroot(lambda lam: laplace_exponent_hp(model, lam), mp.mpf(phi.value))

@@ -36,11 +36,12 @@ bounded variation).
 
 The arbitrary-precision Gaver-Stehfest series (real nodes k*ln2/x,
 `gs_invert_mp` on `laplace_exponent_hp`) is the reference the inversion is
-tested against.  The Laplace identity integrates the published W itself,
-at all points of a fixed rule on [0, M] in one checked Talbot evaluation,
-one psi call on 160 x 2M nodes: IDENTITY_GL_POINTS-point Gauss-Legendre
-on the panels [M 2^{-j-1}, M 2^{-j}], j < IDENTITY_PANELS - 1, and
-[0, M 2^{1-IDENTITY_PANELS}], graded towards 0 where W(y) ~ y^gamma.
+tested against; both import mpmath when they run.  The Laplace identity
+integrates the published W itself, at all points of a fixed rule on [0, M]
+in one checked Talbot evaluation, one psi call on 160 x 2M nodes:
+IDENTITY_GL_POINTS-point Gauss-Legendre on the panels [M 2^{-j-1}, M 2^{-j}],
+j < IDENTITY_PANELS - 1, and [0, M 2^{1-IDENTITY_PANELS}], graded towards 0
+where W(y) ~ y^gamma.
 M is the first power of 2 where the integrand drops below
 IDENTITY_INTEGRAND_TOL; W_shift is nondecreasing, so the search evaluates
 W only where its last value does not already decide.  The
@@ -101,7 +102,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -169,6 +169,8 @@ def _stehfest_weights_float(order: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _stehfest_weights_mp(order: int, dps: int) -> tuple:
+    import mpmath as mp
+
     with mp.workdps(dps):
         return tuple(mp.mpf(w.numerator) / mp.mpf(w.denominator)
                      for w in _stehfest_weights_exact(order))
@@ -194,6 +196,8 @@ def gs_invert_mp(transform_hp: Callable, t: float, order: int = 14) -> float:
     `transform_hp` is called with mpmath arguments inside a working
     precision chosen from the order.
     """
+    import mpmath as mp
+
     dps = _dps_for(order)
     with mp.workdps(dps):
         scale = mp.ln(2) / mp.mpf(t)

@@ -14,6 +14,20 @@ from levyfn.cli import _analytic_oracle, build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 
+# `main(sys.argv[1:])` behind a meta-path finder that refuses scipy and mpmath
+NUMPY_ONLY_MAIN = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "mpmath"):
+            raise ImportError(f"{name} is not installed")
+
+sys.meta_path.insert(0, Refuse())
+from levyfn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 def run_cli(*argv, env=None):
     """Run the CLI in a subprocess, capturing stdout/stderr and exit code."""
@@ -342,10 +356,21 @@ class TestMainEntry:
         assert dests and dests <= set(manifest["flags"]), dests - set(manifest["flags"])
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported inside the functions that use it
-        code = ("import sys, levyfn.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # the library imports no scipy, and mpmath only inside the
+        # high-precision references
+        code = ("import sys, levyfn.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'mpmath')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ), cwd=str(REPO))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--model", "cpexp", "--theta", "1.5"),
+        ("scale-table", "--model", "cpexp"),
+    ])
+    def test_runs_on_numpy_alone(self, argv):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_MAIN, *argv],
+                              capture_output=True, text=True, env=dict(os.environ),
+                              cwd=str(REPO))
+        assert proc.returncode == 0, proc.stderr
