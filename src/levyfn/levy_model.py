@@ -130,7 +130,7 @@ def _log1p_np(u):
         return np.log1p(u)
     w = 1.0 + u
     d = w - 1.0
-    if np.count_nonzero(d) == np.size(d):
+    if d.all():
         return np.log(w) * (u / d)
     live = d != 0.0
     return np.where(live, np.log(w) * (u / np.where(live, d, 1.0)), u)

@@ -693,8 +693,8 @@ def _mp_identity_residual(name, lam):
 
 
 class TestLaplaceIdentity:
-    """The identity integrates the W the evaluator publishes, on a fixed
-    Gauss-Legendre rule over panels graded towards 0."""
+    """The identity integrates the W the evaluator publishes, on the fixed
+    97-point tanh-sinh rule, whose points crowd both ends of [0, M]."""
 
     @pytest.mark.parametrize("shift", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("name", ["bmup", "bmdrift"])
@@ -703,6 +703,21 @@ class TestLaplaceIdentity:
         lam = ev.phi0 + shift
         want = _mp_identity_residual(name, lam)
         assert abs(laplace_identity_residual(ev, lam) - want) <= 1e-9
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 2.5, 5.0])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_integral_matches_incomplete_gamma(self, alpha, rate):
+        # W(y) = c y^{alpha-1}, so the integral on [0, M] is
+        # c gamma(alpha, rate M) / rate^alpha; the rule must take the power
+        # at 0 to rounding, not just below the 1e-8 truncation
+        model = stable_power_model(alpha)
+        ev = ScaleEvaluator(model, use_closed_form=False)
+        c = ScaleEvaluator(model).scale_w(1.0)
+        M = scale_fn._identity_truncation(ev, rate)
+        want = c * float(mpmath.gammainc(alpha, 0, rate * M)) / rate**alpha
+        # the residual is 1 - psi(rate) times the integral, which is below 1/psi
+        got = (1.0 - laplace_identity_residual(ev, rate)) / model.laplace_exponent(rate)
+        assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("name", ["bmup", "bmdrift"])
     def test_closed_form_on_and_off(self, name):
@@ -779,15 +794,15 @@ class TestLaplaceIdentity:
         n = 2 * scale_fn.TALBOT_ORDER
         cpexp = ScaleEvaluator(builtin_model("cpexp"), use_closed_form=False)
         assert calls == [(16, n)]
-        # the identity's 160 points take one call; the search adds at most
+        # the identity's 97 points take one call; the search adds at most
         # 3 W points
         for ev in (cpexp, ScaleEvaluator(builtin_model("stable15"), use_closed_form=False)):
             for shift in (0.5, 1.0, 2.0, 5.0):
                 calls.clear()
                 laplace_identity_residual(ev, ev.phi0 + shift)
                 sizes = [math.prod(shape) for shape in calls]
-                assert sizes[-1] == 160 * n
-                assert sum(sizes) <= 160 * n + 3 * n
+                assert sizes[-1] == 97 * n
+                assert sum(sizes) <= 97 * n + 3 * n
 
     @pytest.mark.parametrize("name", ["cpexp", "stable15", "bmdrift"])
     def test_identity_w_is_the_checked_w(self, name, monkeypatch):
